@@ -296,6 +296,16 @@ def _cmd_check_lemmas(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
                 threads=False, budget=False):
     if q:
@@ -310,8 +320,11 @@ def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
     if center:
         sp.add_argument("--center", type=int, help="restrict to one center")
     if threads:
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes for per-center searches")
+        sp.add_argument("--threads", type=_thread_count, default=1,
+                        help="worker processes for the translation search: one "
+                             "point per orbit of the group generated by the "
+                             "translations found so far is searched, the rest "
+                             "are transported and verified")
     if budget:
         sp.add_argument("--budget", type=int, default=0,
                         help="search node cap; 0 = exhaustive")

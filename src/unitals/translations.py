@@ -2,10 +2,13 @@
 
 A translation with center c is an automorphism fixing c and fixing every
 block through c setwise.  ``translations_at`` enumerates the full group for
-one center by exhaustive backtracking; ``build_atlas`` runs it for every
-center and organizes the results: the center sets of each translation order,
-the points with only the trivial translation, the minimal primes of the
-orders present, and the groups generated by all translations of a given
+one center by exhaustive backtracking.  ``build_atlas`` collects these
+groups for every center: it searches one point per orbit of the group
+generated by the translations found so far, transports the result to the
+rest of the orbit by conjugation, and verifies every transported
+translation.  The atlas then gives the center sets of each translation
+order, the points with only the trivial translation, the minimal primes of
+the orders present, and the groups generated by all translations of a given
 order.
 
 Search layout per center.  Every non-center point must stay inside its own
@@ -18,20 +21,29 @@ search after two well-chosen assignments.  A non-center point is never
 offered itself as an image: a translation with an extra fixed point is the
 identity, so the nontrivial translations are exactly the fixed-point-free
 completions (the rule can be disabled for soundness checks, and every found
-permutation is re-verified against the raw definition either way).
+permutation is re-verified against the definition either way).
+
+Transport.  If g is an automorphism with g(c) = c', then σ ↦ gσg⁻¹ maps the
+translations with center c onto those with center c'.  Every translation is
+an automorphism, so the translations found so far generate a group whose
+orbits can be covered from one searched point each; a Schreier forest
+records, for every other point, the generator that reached it.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .incidence import Unital
 from .permgroup import (
     Perm,
     PermGroup,
+    conjugate,
     identity_perm,
     perm_order,
     fixed_points,
@@ -62,22 +74,41 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def is_translation(U: Unital, perm, c: int) -> bool:
-    """Raw definition: automorphism fixing c and each block through c setwise."""
+    """Automorphism fixing c and each block through c setwise.
+
+    A block's image is the block the pair table gives for the images of its
+    first two points, so the block maps onto a block exactly when the two
+    have the same size and every other image lies in it.  Blocks with fewer
+    than two points, and pairs the table marks as uncovered or covered twice
+    (invalid designs), are looked up as sorted tuples instead.
+    """
     pi = tuple(perm)
-    if len(pi) != U.v or sorted(pi) != list(range(U.v)):
+    v = U.v
+    if len(pi) != v or sorted(pi) != list(range(v)):
         raise ValueError("not a permutation of the point set")
     if pi[c] != c:
         return False
-    blocks = set(U.blocks)
+    block_sets = U.block_sets
+    pair_block = U._pair_block
+    image_of = pi.__getitem__
     for blk in U.blocks:
-        if tuple(sorted(pi[x] for x in blk)) not in blocks:
+        e = pair_block[pi[blk[0]] * v + pi[blk[1]]] if len(blk) >= 2 else -1
+        if e >= 0:
+            image = block_sets[e]
+            if len(image) != len(blk) or not image.issuperset(map(image_of, blk)):
+                return False
+        elif not _is_block(U, tuple(sorted(map(image_of, blk)))):
             return False
-    pencil_ids = U.pencil(c)
-    for bid in pencil_ids:
-        blk = U.blocks[bid]
-        if frozenset(pi[x] for x in blk) != frozenset(blk):
+    for bid in U.pencil(c):
+        if not block_sets[bid].issuperset(map(image_of, U.blocks[bid])):
             return False
     return True
+
+
+def _is_block(U: Unital, pts: tuple[int, ...]) -> bool:
+    """Whether the sorted tuple ``pts`` is one of U's blocks (the empty tuple
+    only arises as the image of an empty block, so it is one)."""
+    return not pts or any(U.blocks[bid] == pts for bid in U.point_blocks[pts[0]])
 
 
 def _search_translations(v: int, blocks, block_sets, point_blocks, pair_block,
@@ -262,9 +293,10 @@ def _search_translations(v: int, blocks, block_sets, point_blocks, pair_block,
 def translations_at(U: Unital, c: int, allow_fixed: bool = False) -> list[Perm]:
     """The group of all translations with center c, identity included.
 
-    Exhaustive search; every returned permutation is re-verified against the
-    raw definition.  ``allow_fixed`` disables the extra-fixed-point pruning
-    rule (slower; used to cross-check that the rule loses nothing).
+    Exhaustive search; every permutation it finds is re-verified against the
+    definition (the identity is added, not found).  ``allow_fixed`` disables
+    the extra-fixed-point pruning rule (slower; used to cross-check that the
+    rule loses nothing).
     """
     if not 0 <= c < U.v:
         raise ValueError(f"center {c} out of range")
@@ -272,13 +304,13 @@ def translations_at(U: Unital, c: int, allow_fixed: bool = False) -> list[Perm]:
         U.v, U.blocks, U.block_sets, U.point_blocks, U._pair_block, c, allow_fixed
     )
     ident = identity_perm(U.v)
-    group = {ident}
-    group.update(found)
-    for p in sorted(group):
+    group = set(found) - {ident}
+    for p in group:
         if not is_translation(U, p, c):
             raise RuntimeError(
                 f"search produced a non-translation at center {c}; this is a bug"
             )
+    group.add(ident)
     return sorted(group)
 
 
@@ -330,46 +362,100 @@ class TranslationAtlas:
         return len(self.nontrivial[c]) + 1
 
 
-_WORK: dict = {}
+def _nontrivial_at(U: Unital, c: int) -> tuple[Perm, ...]:
+    ident = identity_perm(U.v)
+    return tuple(p for p in translations_at(U, c) if p != ident)
 
 
-def _atlas_init(v, blocks, block_sets, point_blocks, pair_block, allow_fixed):
-    _WORK["args"] = (v, blocks, block_sets, point_blocks, pair_block)
-    _WORK["allow_fixed"] = allow_fixed
+_WORKER: dict = {}
 
 
-def _atlas_job(c: int):
-    v, blocks, block_sets, point_blocks, pair_block = _WORK["args"]
-    return c, _search_translations(
-        v, blocks, block_sets, point_blocks, pair_block, c, _WORK["allow_fixed"]
-    )
+def _atlas_init(U: Unital) -> None:
+    _WORKER["unital"] = U
+
+
+def _atlas_job(c: int) -> tuple[Perm, ...]:
+    return _nontrivial_at(_WORKER["unital"], c)
 
 
 def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
-    """Run the translation search at every center.
+    """The translation group at every center, identity omitted.
 
-    Centers are independent; with ``threads`` > 1 they are distributed over a
-    worker pool.  Results are assembled in center order, so the atlas does
+    Searches one point per orbit of the group generated by the translations
+    found so far, in label order, ``min(threads, os.cpu_count())`` points at
+    a time; with more than one worker each batch is spread over a process
+    pool.  After each batch the Schreier forest of that group is extended by
+    BFS from every covered point, and every point it reaches is covered.
+    A covered point c' = g(c) gets T(c') = {gσg⁻¹ : σ ∈ T(c)}, conjugated
+    along the forest edge that reached it, and every transported translation
+    is verified with ``is_translation`` (the searched ones are verified by
+    ``translations_at``).  The atlas is a property of U alone, so it does
     not depend on the worker count.
     """
-    ident = identity_perm(U.v)
-    per_center: list[tuple[Perm, ...]] = [()] * U.v
-    if threads <= 1:
-        for c in range(U.v):
-            raw = translations_at(U, c)
-            per_center[c] = tuple(p for p in raw if p != ident)
-    else:
-        args = (U.v, U.blocks, U.block_sets, U.point_blocks, U._pair_block, False)
-        with ProcessPoolExecutor(max_workers=threads, initializer=_atlas_init,
-                                 initargs=args) as pool:
-            for c, found in pool.map(_atlas_job, range(U.v), chunksize=16):
-                perms = sorted(set(found) - {ident})
-                for p in perms:
-                    if not is_translation(U, p, c):
-                        raise RuntimeError(
-                            f"search produced a non-translation at center {c}; this is a bug"
-                        )
-                per_center[c] = tuple(perms)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    v = U.v
+    # Build the lookup tables once, before any worker process is started.
+    U.block_sets, U.point_blocks, U._pair_block
+    per_center: list[Optional[tuple[Perm, ...]]] = [None] * v
+    edge: list[Optional[tuple[int, Perm]]] = [None] * v  # point -> (parent, generator)
+    covered = [False] * v
+    order: list[int] = []  # covered points, each after its parent
+    gens: list[Perm] = []
+
+    def cover(x: int, g: Perm) -> None:
+        y = g[x]
+        if not covered[y]:
+            covered[y] = True
+            edge[y] = (x, g)
+            order.append(y)
+
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_atlas_init,
+                                initargs=(U,))
+            if workers > 1 else nullcontext())
+    with pool:
+        if workers == 1:
+            run = partial(map, partial(_nontrivial_at, U))
+        else:
+            run = partial(pool.map, _atlas_job)
+        nxt = 0
+        while True:
+            batch = []
+            while nxt < v and len(batch) < workers:
+                if not covered[nxt]:
+                    batch.append(nxt)
+                nxt += 1
+            if not batch:
+                break
+            old_points, old_gens = len(order), len(gens)
+            for c, perms in zip(batch, run(batch)):
+                per_center[c] = perms
+                covered[c] = True
+                order.append(c)
+                gens.extend(perms)
+            # Points covered before this batch only lack the new generators;
+            # every point covered from here on is taken through all of them.
+            for x in order[:old_points]:
+                for g in gens[old_gens:]:
+                    cover(x, g)
+            i = old_points
+            while i < len(order):
+                for g in gens:
+                    cover(order[i], g)
+                i += 1
+
+    for y in order:
+        if edge[y] is None:  # searched
+            continue
+        x, g = edge[y]
+        perms = sorted(conjugate(sigma, g) for sigma in per_center[x])
+        for p in perms:
+            if not is_translation(U, p, y):
+                raise RuntimeError(
+                    f"transport produced a non-translation at center {y}; this is a bug"
+                )
+        per_center[y] = tuple(perms)
     return TranslationAtlas(unital=U, nontrivial=tuple(per_center))
 
 

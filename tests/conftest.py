@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from helpers import relabel
 from unitals.figueroa import figueroa_bundle
 from unitals.plane import hermitian_unital
 from unitals.translations import build_atlas
@@ -53,3 +56,13 @@ def fig():
 @pytest.fixture(scope="session")
 def fig_atlas(fig):
     return build_atlas(fig.unital)
+
+
+@pytest.fixture(scope="session")
+def fig_relabelled(fig):
+    """The Figueroa unital with its points shuffled by a fixed seed.  The
+    atlas searches points in label order, so this changes which points are
+    searched and which are reached by transport."""
+    perm = list(range(fig.unital.v))
+    random.Random(2022).shuffle(perm)
+    return relabel(fig.unital, perm)

@@ -49,3 +49,22 @@ def agl23_elements() -> list[tuple[int, ...]]:
 def relabel(U: Unital, g) -> Unital:
     """The same design with point x renamed g[x]."""
     return Unital(U.v, [tuple(g[x] for x in blk) for blk in U.blocks], U.q)
+
+
+def is_translation_raw(U: Unital, perm, c: int) -> bool:
+    """The definition, with every block image looked up as a sorted tuple:
+    an automorphism fixing c and each block through c setwise."""
+    pi = tuple(perm)
+    if len(pi) != U.v or sorted(pi) != list(range(U.v)):
+        raise ValueError("not a permutation of the point set")
+    if pi[c] != c:
+        return False
+    blocks = set(U.blocks)
+    for blk in U.blocks:
+        if tuple(sorted(pi[x] for x in blk)) not in blocks:
+            return False
+    for bid in U.pencil(c):
+        blk = U.blocks[bid]
+        if frozenset(pi[x] for x in blk) != frozenset(blk):
+            return False
+    return True

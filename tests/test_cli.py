@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import unitals
 from unitals.cli import main
 from unitals.incidence import read_unital
 from unitals.permgroup import perm_order
@@ -174,6 +177,15 @@ def test_output_bytes_do_not_depend_on_thread_count(tmp_path, argv):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["translations", "omega", "classify", "check-lemmas"])
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_thread_count_below_one_is_a_usage_error(capsys, command, threads):
+    code, out, err = run(capsys, command, "--q", "2", "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
 def test_build_figueroa(capsys, tmp_path):
     out_path = tmp_path / "fig.txt"
     code, out, _ = run(capsys, "build-figueroa", "--out", str(out_path))
@@ -196,10 +208,14 @@ def test_build_figueroa_requires_out(capsys):
 
 
 def test_module_execution():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(unitals.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "unitals.cli", "omega", "--q", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["K"] == [2]

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from helpers import ag23_unital, agl23_elements, relabel
+import unitals.translations as translations_module
+from helpers import ag23_unital, agl23_elements, is_translation_raw, relabel
+from unitals.incidence import Unital
 from unitals.gf import prime_power
 from unitals.permgroup import (
     compose,
@@ -143,10 +147,89 @@ def test_relabeling_conjugates_translations(h3, atlas3):
         assert [p for p in moved if p != identity_perm(28)] == expected
 
 
-def test_threads_do_not_change_the_atlas(h2):
-    a1 = build_atlas(h2, threads=1)
-    a2 = build_atlas(h2, threads=2)
-    assert a1.nontrivial == a2.nontrivial
+def test_is_translation_matches_raw_definition_on_affine_maps():
+    """Translations, automorphisms that are not translations, and (through
+    a corrupted copy of the design) maps that are not automorphisms."""
+    U = ag23_unital()
+    # (0, 1, 2) becomes (0, 1, 3): pair 0-3 is covered twice, 0-2 and 1-2
+    # not at all; a one-point block and an empty block ride along
+    corrupted = Unital(9, [b for b in U.blocks if b != (0, 1, 2)] + [(0, 1, 3), (4,), ()], 2)
+    for design in (U, corrupted):
+        verdicts = set()
+        for g in agl23_elements():
+            for c in range(9):
+                raw = is_translation_raw(design, g, c)
+                assert is_translation(design, g, c) == raw
+                verdicts.add(raw)
+        assert verdicts == {True, False}
+    assert sum(is_translation(U, g, 0) for g in agl23_elements()) == 2
+
+
+def test_is_translation_matches_raw_definition_on_random_permutations(h3, atlas3):
+    rng = random.Random(7)
+    perms = [tuple(rng.sample(range(28), 28)) for _ in range(200)]
+    # automorphisms: translations and products of translations at two centers
+    perms += [p for c in range(28) for p in atlas3.nontrivial[c]]
+    perms += [compose(atlas3.nontrivial[0][0], atlas3.nontrivial[c][0]) for c in range(1, 28)]
+    for perm in perms:
+        # a random permutation seldom fixes the point it is tested at, so
+        # test it at a fixed point too when it has one
+        fixed = [x for x in range(28) if perm[x] == x]
+        for c in [rng.randrange(28)] + fixed[:1]:
+            assert is_translation(h3, perm, c) == is_translation_raw(h3, perm, c)
+
+
+@pytest.mark.parametrize("design", ["h2", "h3", "h4", "h5", "fig", "fig_relabelled"])
+def test_atlas_matches_per_center_search(design, request):
+    U = request.getfixturevalue(design)
+    U = getattr(U, "unital", U)
+    atlas = build_atlas(U)
+    ident = identity_perm(U.v)
+    for c in range(U.v):
+        assert atlas.nontrivial[c] == tuple(p for p in translations_at(U, c) if p != ident)
+
+
+def test_threads_do_not_change_the_atlas(h2, fig_relabelled):
+    for U in (h2, fig_relabelled):
+        a1 = build_atlas(U, threads=1)
+        a2 = build_atlas(U, threads=2)
+        assert a1.nontrivial == a2.nontrivial
+
+
+def test_thread_count_must_be_positive(h2):
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            build_atlas(h2, threads=threads)
+
+
+@pytest.mark.parametrize("cpus,threads,pool_size", [
+    (3, 64, 3), (4, 2, 2), (1, 2, None), (None, 8, None),
+])
+def test_workers_capped_at_cpu_count(monkeypatch, h2, atlas2, cpus, threads, pool_size):
+    sizes = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records the pool size asked
+        for and runs every job in this process, so no worker is started."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(translations_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(translations_module, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(translations_module, "_WORKER", {})
+    assert build_atlas(h2, threads=threads).nontrivial == atlas2.nontrivial
+    assert sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_center_out_of_range(h2):
