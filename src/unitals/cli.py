@@ -321,10 +321,11 @@ def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
         sp.add_argument("--center", type=int, help="restrict to one center")
     if threads:
         sp.add_argument("--threads", type=_thread_count, default=1,
-                        help="worker processes for the translation search: one "
-                             "point per orbit of the group generated by the "
-                             "translations found so far is searched, the rest "
-                             "are transported and verified")
+                        help="accepted for compatibility (at least 1); the "
+                             "translation search runs in one process, one point "
+                             "per orbit of the group generated by the "
+                             "translations found so far, the rest transported "
+                             "and verified")
     if budget:
         sp.add_argument("--budget", type=int, default=0,
                         help="search node cap; 0 = exhaustive")

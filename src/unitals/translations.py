@@ -32,11 +32,8 @@ records, for every other point, the generator that reached it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 from .incidence import Unital
@@ -362,42 +359,25 @@ class TranslationAtlas:
         return len(self.nontrivial[c]) + 1
 
 
-def _nontrivial_at(U: Unital, c: int) -> tuple[Perm, ...]:
-    ident = identity_perm(U.v)
-    return tuple(p for p in translations_at(U, c) if p != ident)
-
-
-_WORKER: dict = {}
-
-
-def _atlas_init(U: Unital) -> None:
-    _WORKER["unital"] = U
-
-
-def _atlas_job(c: int) -> tuple[Perm, ...]:
-    return _nontrivial_at(_WORKER["unital"], c)
-
-
 def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     """The translation group at every center, identity omitted.
 
     Searches one point per orbit of the group generated by the translations
-    found so far, in label order, ``min(threads, os.cpu_count())`` points at
-    a time; with more than one worker each batch is spread over a process
-    pool.  After each batch the Schreier forest of that group is extended by
-    BFS from every covered point, and every point it reaches is covered.
-    A covered point c' = g(c) gets T(c') = {gσg⁻¹ : σ ∈ T(c)}, conjugated
-    along the forest edge that reached it, and every transported translation
-    is verified with ``is_translation`` (the searched ones are verified by
-    ``translations_at``).  The atlas is a property of U alone, so it does
-    not depend on the worker count.
+    found so far, in label order.  After each search the Schreier forest of
+    that group is extended by BFS from every covered point, and every point
+    it reaches is covered.  A covered point c' = g(c) gets
+    T(c') = {gσg⁻¹ : σ ∈ T(c)}, conjugated along the forest edge that reached
+    it, and every transported translation is verified with ``is_translation``
+    (the searched ones are verified by ``translations_at``).
+
+    ``threads`` must be at least 1 and has no other effect: the search runs
+    in this process, since a process pool lost to one worker on every
+    measured design once the orbits prune the searches.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
     v = U.v
-    # Build the lookup tables once, before any worker process is started.
-    U.block_sets, U.point_blocks, U._pair_block
+    ident = identity_perm(v)
     per_center: list[Optional[tuple[Perm, ...]]] = [None] * v
     edge: list[Optional[tuple[int, Perm]]] = [None] * v  # point -> (parent, generator)
     covered = [False] * v
@@ -411,39 +391,25 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
             edge[y] = (x, g)
             order.append(y)
 
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_atlas_init,
-                                initargs=(U,))
-            if workers > 1 else nullcontext())
-    with pool:
-        if workers == 1:
-            run = partial(map, partial(_nontrivial_at, U))
-        else:
-            run = partial(pool.map, _atlas_job)
-        nxt = 0
-        while True:
-            batch = []
-            while nxt < v and len(batch) < workers:
-                if not covered[nxt]:
-                    batch.append(nxt)
-                nxt += 1
-            if not batch:
-                break
-            old_points, old_gens = len(order), len(gens)
-            for c, perms in zip(batch, run(batch)):
-                per_center[c] = perms
-                covered[c] = True
-                order.append(c)
-                gens.extend(perms)
-            # Points covered before this batch only lack the new generators;
-            # every point covered from here on is taken through all of them.
-            for x in order[:old_points]:
-                for g in gens[old_gens:]:
-                    cover(x, g)
-            i = old_points
-            while i < len(order):
-                for g in gens:
-                    cover(order[i], g)
-                i += 1
+    for c in range(v):
+        if covered[c]:
+            continue
+        perms = tuple(p for p in translations_at(U, c) if p != ident)
+        per_center[c] = perms
+        covered[c] = True
+        old_points, old_gens = len(order), len(gens)
+        order.append(c)
+        gens.extend(perms)
+        # Points covered before this search only lack the new generators;
+        # every point covered from here on is taken through all of them.
+        for x in order[:old_points]:
+            for g in gens[old_gens:]:
+                cover(x, g)
+        i = old_points
+        while i < len(order):
+            for g in gens:
+                cover(order[i], g)
+            i += 1
 
     for y in order:
         if edge[y] is None:  # searched

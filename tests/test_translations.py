@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import unitals.translations as translations_module
 from helpers import ag23_unital, agl23_elements, is_translation_raw, relabel
 from unitals.incidence import Unital
 from unitals.gf import prime_power
@@ -200,36 +199,6 @@ def test_thread_count_must_be_positive(h2):
     for threads in (0, -1):
         with pytest.raises(ValueError):
             build_atlas(h2, threads=threads)
-
-
-@pytest.mark.parametrize("cpus,threads,pool_size", [
-    (3, 64, 3), (4, 2, 2), (1, 2, None), (None, 8, None),
-])
-def test_workers_capped_at_cpu_count(monkeypatch, h2, atlas2, cpus, threads, pool_size):
-    sizes = []
-
-    class RecordingExecutor:
-        """Stands in for ProcessPoolExecutor: records the pool size asked
-        for and runs every job in this process, so no worker is started."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(translations_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(translations_module, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(translations_module, "_WORKER", {})
-    assert build_atlas(h2, threads=threads).nontrivial == atlas2.nontrivial
-    assert sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_center_out_of_range(h2):
