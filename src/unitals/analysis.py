@@ -84,23 +84,6 @@ class SubunitalReport:
     isomorphic_to_hermitian: Optional[bool]
     isomorphism: Optional[tuple[int, ...]]
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "center_count": self.center_count,
-            "contained_in_block": self.contained_in_block,
-            "is_linear_space": self.is_linear_space,
-            "ideally_embedded": self.ideally_embedded,
-            "embedding_witness": (
-                None if self.embedding_witness is None else list(self.embedding_witness)
-            ),
-            "action_faithful": self.action_faithful,
-            "kernel_order": self.kernel_order,
-            "hermitian_order": self.hermitian_order,
-            "isomorphic_to_hermitian": self.isomorphic_to_hermitian,
-            "isomorphism": None if self.isomorphism is None else list(self.isomorphism),
-        }
-
 
 def restriction_as_unital(sub: Restriction) -> Optional[Unital]:
     """Package a restriction as a unital when its parameters fit one."""
@@ -188,21 +171,6 @@ class ConstantIntersectionReport:
             return True
         return bool(self.centers_are_all_points and self.group_transitive_on_points)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "center_count": self.center_count,
-            "block_count": self.block_count,
-            "intersection_sizes": [list(t) for t in self.intersection_sizes],
-            "constant": self.constant,
-            "constant_value": self.constant_value,
-            "every_point_a_center": self.every_point_a_center,
-            "hypothesis_failure": self.hypothesis_failure,
-            "centers_are_all_points": self.centers_are_all_points,
-            "group_transitive_on_points": self.group_transitive_on_points,
-            "ok": self.ok,
-        }
-
 
 def constant_intersection_check(
     U: Unital, atlas: TranslationAtlas, p: int
@@ -268,25 +236,11 @@ class ClassificationReport:
     ``undetermined``.
     """
 
-    q: int
-    every_point_a_center: bool
-    exists_involutory_translation: bool
+    hypotheses: dict[str, bool]  # every-point-a-center, exists-involutory-translation
     omega2_full: bool
     conclusion: str
     witness: Optional[dict]
     isomorphism: Optional[tuple[int, ...]]
-
-    def to_json(self) -> dict:
-        return {
-            "hypotheses": {
-                "every-point-a-center": self.every_point_a_center,
-                "exists-involutory-translation": self.exists_involutory_translation,
-            },
-            "omega2_full": self.omega2_full,
-            "conclusion": self.conclusion,
-            "witness": self.witness,
-            "isomorphism": None if self.isomorphism is None else list(self.isomorphism),
-        }
 
 
 def classify(U: Unital, atlas: Optional[TranslationAtlas] = None,
@@ -341,9 +295,10 @@ def classify(U: Unital, atlas: Optional[TranslationAtlas] = None,
             conclusion = "verified-hermitian" if iso is not None else "undetermined"
 
     return ClassificationReport(
-        q=U.q,
-        every_point_a_center=h1,
-        exists_involutory_translation=h2,
+        hypotheses={
+            "every-point-a-center": h1,
+            "exists-involutory-translation": h2,
+        },
         omega2_full=omega2_full,
         conclusion=conclusion,
         witness=witness,
@@ -377,22 +332,6 @@ class SharpTransitivityReport:
         if self.all_conditions_hold:
             return bool(self.dihedral and self.dihedral.ok)
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "preconditions_ok": self.preconditions_ok,
-            "failed_preconditions": list(self.failed_preconditions),
-            "domain_size": self.domain_size,
-            "m_supplied": self.m_supplied,
-            "m_order": self.m_order,
-            "m_abelian": self.m_abelian,
-            "m_regular": self.m_regular,
-            "tau_conjugation_semiregular": self.tau_conjugation_semiregular,
-            "equivalences_agree": self.equivalences_agree,
-            "all_conditions_hold": self.all_conditions_hold,
-            "dihedral": None if self.dihedral is None else self.dihedral.to_json(),
-            "ok": self.ok,
-        }
 
 
 def _restrict_perm(p: Perm, domain: Sequence[int], index: dict) -> Optional[Perm]:
@@ -469,12 +408,10 @@ def sharply_transitive_suite(
             M_r = PermGroup(m_gens, degree=len(dom))
             if not is_transitive(M_r, range(len(dom))):
                 failures.append("M is not transitive on the point set")
-            ident = identity_perm(len(dom))
             for g in gens_r:
                 gi = inverse(g)
                 if any(
-                    _sift_not_member(M_r, compose(gi, compose(m, g)))
-                    for m in M_r.generators
+                    compose(gi, compose(m, g)) not in M_r for m in M_r.generators
                 ):
                     failures.append("M is not normal in the group")
                     break
@@ -533,6 +470,3 @@ def sharply_transitive_suite(
         dihedral=dihedral,
     )
 
-
-def _sift_not_member(M: PermGroup, p: Perm) -> bool:
-    return p not in M

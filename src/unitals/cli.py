@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -62,7 +63,26 @@ def _load_input(args) -> tuple[Unital, dict]:
     raise CliError("one of --in or --q is required")
 
 
-def _emit(args, command: str, input_desc: dict, payload) -> None:
+def report_json(report) -> dict:
+    """A report dataclass as JSON data: every field in turn, then ``ok`` when
+    the class defines it as a property.  Tuples become lists and nested
+    reports recurse."""
+    doc = {f.name: _json_value(getattr(report, f.name)) for f in fields(report)}
+    if isinstance(getattr(type(report), "ok", None), property):
+        doc["ok"] = report.ok
+    return doc
+
+
+def _json_value(x):
+    if is_dataclass(x):
+        return report_json(x)
+    if isinstance(x, tuple):
+        return [_json_value(y) for y in x]
+    return x
+
+
+def _emit(out, command: str, input_desc: dict, payload) -> None:
+    """Write the report envelope to the file ``out``, or to stdout."""
     doc = {
         "version": __version__,
         "command": command,
@@ -70,7 +90,6 @@ def _emit(args, command: str, input_desc: dict, payload) -> None:
         "payload": payload,
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text)
     else:
@@ -130,13 +149,8 @@ def _cmd_build_figueroa(args) -> int:
 
     atlas = build_atlas(bundle.unital, threads=args.threads)
     report = verify_figueroa_theorems(args.q, atlas=atlas, bundle=bundle)
-    doc = {
-        "version": __version__,
-        "command": "build-figueroa",
-        "input": {"q": args.q},
-        "payload": report.to_json(),
-    }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # --out names the unital file here, so the report goes to stdout
+    _emit(None, "build-figueroa", {"q": args.q}, report_json(report))
     return 0 if report.ok else 1
 
 
@@ -144,9 +158,7 @@ def _cmd_validate(args) -> int:
     U, desc = _load_input(args)
     q = args.q if args.q is not None and getattr(args, "infile", None) else U.q
     report = validate_unital(U, q)
-    payload = report.to_json()
-    payload["q"] = q
-    _emit(args, "validate", desc, payload)
+    _emit(args.out, "validate", desc, report_json(report))
     return 0 if report.valid else 1
 
 
@@ -165,7 +177,7 @@ def _cmd_translations(args) -> int:
                 if p != ident
             ],
         }
-        _emit(args, "translations", desc, payload)
+        _emit(args.out, "translations", desc, payload)
         return 0
     atlas = build_atlas(U, threads=args.threads)
     centers = [
@@ -179,21 +191,21 @@ def _cmd_translations(args) -> int:
         for c, perms in enumerate(atlas.nontrivial)
     ]
     payload = dict(_atlas_summary(atlas), centers=centers)
-    _emit(args, "translations", desc, payload)
+    _emit(args.out, "translations", desc, payload)
     return 0
 
 
 def _cmd_omega(args) -> int:
     U, desc = _load_input(args)
     atlas = build_atlas(U, threads=args.threads)
-    _emit(args, "omega", desc, _atlas_summary(atlas))
+    _emit(args.out, "omega", desc, _atlas_summary(atlas))
     return 0
 
 
 def _cmd_classify(args) -> int:
     U, desc = _load_input(args)
     report = classify(U, threads=args.threads)
-    _emit(args, "classify", desc, report.to_json())
+    _emit(args.out, "classify", desc, report_json(report))
     return 0
 
 
@@ -209,10 +221,10 @@ def _cmd_subunital(args) -> int:
     if report.contained_in_block:
         constant = None
     else:
-        constant = constant_intersection_check(U, atlas, args.p).to_json()
+        constant = report_json(constant_intersection_check(U, atlas, args.p))
     desc = dict(desc, p=args.p)
-    _emit(args, "subunital", desc,
-          {"subunital": report.to_json(), "constant_intersection": constant})
+    _emit(args.out, "subunital", desc,
+          {"subunital": report_json(report), "constant_intersection": constant})
     return 0
 
 
@@ -220,7 +232,7 @@ def _cmd_onan(args) -> int:
     U, desc = _load_input(args)
     result = onan_search(U, budget=args.budget)
     desc = dict(desc, budget=args.budget)
-    _emit(args, "onan", desc, result.to_json())
+    _emit(args.out, "onan", desc, report_json(result))
     return 0 if result.status != "budget-exhausted" else 1
 
 
@@ -241,7 +253,7 @@ def _cmd_isomorphic(args) -> int:
         "isomorphic": iso is not None,
         "isomorphism": None if iso is None else list(iso),
     }
-    _emit(args, "isomorphic", desc, payload)
+    _emit(args.out, "isomorphic", desc, payload)
     return 0 if iso is not None else 1
 
 
@@ -253,7 +265,7 @@ def _cmd_check_lemmas(args) -> int:
     congruence = {}
     for n in atlas.orders:
         rep = orbit_congruence_check(atlas, n)
-        congruence[str(n)] = rep.to_json()
+        congruence[str(n)] = report_json(rep)
         all_ok = all_ok and rep.ok
 
     transitivity = {}
@@ -261,15 +273,15 @@ def _cmd_check_lemmas(args) -> int:
     constants = {}
     for p in sorted(atlas.least_primes):
         rep = translation_transitivity_check(atlas, p)
-        transitivity[str(p)] = rep.to_json()
+        transitivity[str(p)] = report_json(rep)
         all_ok = all_ok and rep.ok
         sub = subunital_analysis(U, atlas, p)
-        subunitals[str(p)] = sub.to_json()
+        subunitals[str(p)] = report_json(sub)
         if sub.contained_in_block:
             constants[str(p)] = {"skipped": "center set contained in a block"}
         else:
             ci = constant_intersection_check(U, atlas, p)
-            constants[str(p)] = ci.to_json()
+            constants[str(p)] = report_json(ci)
             all_ok = all_ok and ci.ok
 
     suite = None
@@ -278,7 +290,7 @@ def _cmd_check_lemmas(args) -> int:
         omega2 = atlas.centers_by_order[2]
         tau = pairs[0][1]
         rep = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
-        suite = rep.to_json()
+        suite = report_json(rep)
         all_ok = all_ok and rep.ok
 
     payload = {
@@ -289,21 +301,26 @@ def _cmd_check_lemmas(args) -> int:
         "dihedral_suite": suite,
         "ok": all_ok,
     }
-    _emit(args, "check-lemmas", desc, payload)
+    _emit(args.out, "check-lemmas", desc, payload)
     return 0 if all_ok else 1
 
 
 # -- parser ----------------------------------------------------------------------
 
 
-def _thread_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    return parse
 
 
 def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
@@ -320,14 +337,14 @@ def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
     if center:
         sp.add_argument("--center", type=int, help="restrict to one center")
     if threads:
-        sp.add_argument("--threads", type=_thread_count, default=1,
+        sp.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="accepted for compatibility (at least 1); the "
                              "translation search runs in one process, one point "
                              "per orbit of the group generated by the "
                              "translations found so far, the rest transported "
                              "and verified")
     if budget:
-        sp.add_argument("--budget", type=int, default=0,
+        sp.add_argument("--budget", type=_int_at_least(0), default=0,
                         help="search node cap; 0 = exhaustive")
 
 

@@ -43,7 +43,7 @@ from .permgroup import (
     is_two_transitive,
     perm_order,
 )
-from .plane import ProjectivePlane, Triple, line_through, meet, projective_plane
+from .plane import ProjectivePlane, dot, line_through, meet, projective_plane
 from .translations import TranslationAtlas, build_atlas
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "build_fig_polarity",
     "figueroa_bundle",
     "figueroa_unital",
-    "hermitian_subunital",
     "hermitian_restriction",
     "FigueroaVerification",
     "verify_figueroa_theorems",
@@ -75,8 +74,7 @@ class FigPlane:
     q: int
     order: int  # q**6
     classical: ProjectivePlane
-    alpha_point: Perm  # x -> x^(q^2), coordinatewise, as a point permutation
-    alpha_line: Perm
+    alpha_point: Perm  # x -> x^(q^2), coordinatewise; the same map on line triples
     point_type: tuple[str, ...]
     line_type: tuple[str, ...]
     mu_point: tuple[int, ...]  # type-III point -> classical line index (-1 else)
@@ -133,7 +131,7 @@ def _classify(plane: ProjectivePlane, alpha: Perm, dual: bool) -> tuple[list[str
         carrier = join(F, triples[a], triples[a2])
         # for a point: is α²P on the line through P, αP?  (equivalently the
         # line through αP, α²P passes through P)  dually for lines.
-        on = 0 == _dot(F, triples[i], carrier)
+        on = 0 == dot(F, triples[i], carrier)
         if on:
             types.append(TYPE_II)
             mu.append(-1)
@@ -141,13 +139,6 @@ def _classify(plane: ProjectivePlane, alpha: Perm, dual: bool) -> tuple[list[str
             types.append(TYPE_III)
             mu.append(plane.index[carrier])
     return types, mu
-
-
-def _dot(F, u: Triple, v: Triple) -> int:
-    acc = 0
-    for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
 
 
 def _twist_incidence(plane: ProjectivePlane, ptype: list[str], ltype: list[str],
@@ -258,7 +249,6 @@ def build_figueroa_plane(q: int) -> FigPlane:
         order=F.order,
         classical=plane,
         alpha_point=alpha,
-        alpha_line=alpha,  # same coordinate map acts on line triples
         point_type=tuple(ptype),
         line_type=tuple(ltype),
         mu_point=tuple(mu_pt),
@@ -280,8 +270,7 @@ class FigPolarity:
     """The verified point↔line correspondence x ↦ x^{q³} of the twisted plane."""
 
     plane: FigPlane
-    point_to_line: Perm
-    line_to_point: Perm
+    point_to_line: Perm  # an involution, so also the line-to-point map
 
     def is_absolute(self, pid: int) -> bool:
         return self.plane.incident(pid, self.point_to_line[pid])
@@ -311,7 +300,6 @@ def build_fig_polarity(fig: FigPlane) -> FigPolarity:
                 f"correspondence does not commute with the twisting map at {i}"
             )
 
-    line_sets = fig._line_sets
     for pid in range(size):
         expected = frozenset(fig.lines_through[pid])
         got = frozenset(sigma[qid] for qid in fig.points_on[sigma[pid]])
@@ -320,7 +308,7 @@ def build_fig_polarity(fig: FigPlane) -> FigPolarity:
                 f"incidence reversal fails at point {pid}: "
                 f"pencil {sorted(expected)[:4]}... vs polar image {sorted(got)[:4]}..."
             )
-    return FigPolarity(plane=fig, point_to_line=sigma, line_to_point=sigma)
+    return FigPolarity(plane=fig, point_to_line=sigma)
 
 
 @dataclass(frozen=True)
@@ -406,11 +394,6 @@ def figueroa_unital(q: int = 2) -> Unital:
     return figueroa_bundle(q).unital
 
 
-def hermitian_subunital(bundle: FigueroaBundle) -> tuple[int, ...]:
-    """The unital points lying in the α-fixed subplane."""
-    return bundle.hermitian_points
-
-
 def hermitian_restriction(bundle: FigueroaBundle) -> Unital:
     """The subunital induced on the α-fixed points, as a standalone unital."""
     sub = restrict_to(bundle.unital, bundle.hermitian_points)
@@ -452,25 +435,6 @@ class FigueroaVerification:
             and self.alpha_trivial_on_centers
         )
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "center_count": self.center_count,
-            "omega2_equals_h": self.omega2_equals_h,
-            "mho_is_complement": self.mho_is_complement,
-            "all_translations_involutions": self.all_translations_involutions,
-            "per_center_orders_on_h": list(self.per_center_orders_on_h),
-            "t2_order_on_h": self.t2_order_on_h,
-            "t2_transitive_on_h": self.t2_transitive_on_h,
-            "t2_two_transitive_on_h": self.t2_two_transitive_on_h,
-            "h_invariant_under_translations": self.h_invariant_under_translations,
-            "subunital_isomorphic_to_hermitian": self.subunital_isomorphic_to_hermitian,
-            "alpha_is_unital_automorphism": self.alpha_is_unital_automorphism,
-            "alpha_order_on_unital": self.alpha_order_on_unital,
-            "alpha_trivial_on_centers": self.alpha_trivial_on_centers,
-            "ok": self.ok,
-        }
-
 
 def verify_figueroa_theorems(q: int = 2, threads: int = 1,
                              atlas: Optional[TranslationAtlas] = None,
@@ -489,7 +453,6 @@ def verify_figueroa_theorems(q: int = 2, threads: int = 1,
 
     H = frozenset(bundle.hermitian_points)
     omega2 = atlas.centers_by_order.get(2, frozenset())
-    orders = atlas.orders
 
     per_center = tuple(len(atlas.nontrivial[c]) + 1 for c in sorted(H))
 

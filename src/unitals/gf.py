@@ -7,17 +7,12 @@ primitive polynomial of degree e over GF(p), found by brute force, so the
 residue class of x is always a generator of the multiplicative group.  That
 makes discrete-log tables available for multiplication, inversion, powers and
 Frobenius maps; addition works digit-wise (XOR when p = 2).
-
-The integer encoding is the fast path used by the geometry code.  The
-:class:`FieldElement` wrapper provides operator syntax on top of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -173,10 +168,6 @@ class Field:
             enc = enc * self.p + (c % self.p)
         return enc
 
-    def scalar(self, n: int) -> int:
-        """The prime-field constant n·1."""
-        return n % self.p
-
     # -- raw arithmetic on int encodings ----------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -249,17 +240,6 @@ class Field:
     def multiplicative_generator(self) -> int:
         return self._exp[1] if self.order > 2 else 1
 
-    # -- wrapped elements --------------------------------------------------
-
-    def element(self, a: int) -> "FieldElement":
-        if not 0 <= a < self.order:
-            raise ValueError(f"encoding {a} out of range for GF({self.p}^{self.e})")
-        return FieldElement(self, a)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for a in range(self.order):
-            yield FieldElement(self, a)
-
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -268,85 +248,6 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((Field, self.p, self.e))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Operator-syntax wrapper over a Field's integer encoding."""
-
-    field: Field
-    value: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements belong to different fields")
-            return other.value
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def frobenius(self, k: int = 1) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.value, k))
-
-    def norm_to(self, d: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.norm_to(self.value, d))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.value)
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}:{self.value}"
 
 
 @lru_cache(maxsize=None)

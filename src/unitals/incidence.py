@@ -82,6 +82,43 @@ class Incidence:
                 acc[x].append(bid)
         return tuple(tuple(a) for a in acc)
 
+    @cached_property
+    def pair_table(self) -> list[int]:
+        """Flat v*v table: entry x*v + y is the id of the block joining the
+        points x and y, -1 if no block does, -2 if more than one does."""
+        return self._pair_coverage[0]
+
+    @cached_property
+    def _pair_coverage(self) -> tuple[list[int], Optional[tuple[int, int]],
+                                      Optional[tuple[int, int]]]:
+        """The pair table, the first pair met a second time while the blocks
+        are scanned in order, and the least uncovered pair (None if none)."""
+        v = self.v
+        tbl = [-1] * (v * v)
+        double = None
+        for bid, blk in enumerate(self.blocks):
+            n = len(blk)
+            for i in range(n):
+                x = blk[i]
+                xv = x * v
+                for j in range(i + 1, n):
+                    y = blk[j]
+                    a = xv + y
+                    if tbl[a] == -1:
+                        tbl[a] = tbl[y * v + x] = bid
+                    else:
+                        tbl[a] = tbl[y * v + x] = -2
+                        double = double or (x, y)
+        missing = None
+        for x in range(v - 1):
+            try:
+                y = tbl.index(-1, x * v + x + 1, x * v + v) - x * v
+            except ValueError:
+                continue
+            missing = (x, y)
+            break
+        return tbl, double, missing
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Incidence)
@@ -112,29 +149,11 @@ class Unital(Incidence):
         self.q = q
         self.point_labels = point_labels
 
-    @cached_property
-    def _pair_block(self) -> list[int]:
-        """Flat v*v table: id of the unique block through a pair, -1 if none,
-        -2 if the pair is covered more than once (invalid designs)."""
-        v = self.v
-        tbl = [-1] * (v * v)
-        for bid, blk in enumerate(self.blocks):
-            n = len(blk)
-            for i in range(n):
-                xi = blk[i] * v
-                for j in range(i + 1, n):
-                    y = blk[j]
-                    a = xi + y
-                    tbl[a] = bid if tbl[a] == -1 else -2
-                    b = y * v + blk[i]
-                    tbl[b] = bid if tbl[b] == -1 else -2
-        return tbl
-
     def block_through(self, x: int, y: int) -> int:
         """Id of the unique block joining two distinct points."""
         if x == y:
             raise ValueError("a pair of distinct points is required")
-        bid = self._pair_block[x * self.v + y]
+        bid = self.pair_table[x * self.v + y]
         if bid == -1:
             raise ValueError(f"no block joins {x} and {y}")
         if bid == -2:
@@ -170,16 +189,6 @@ class ValidationReport:
     checks: dict
     violations: dict
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "q": self.q,
-            "v": self.v,
-            "block_count": self.block_count,
-            "checks": dict(sorted(self.checks.items())),
-            "violations": dict(sorted(self.violations.items())),
-        }
-
 
 def validate_unital(I: Incidence, q: int) -> ValidationReport:
     """Check the 2-(q^3+1, q+1, 1) axioms, reporting one witness per failure."""
@@ -199,26 +208,7 @@ def validate_unital(I: Incidence, q: int) -> ValidationReport:
         violations["block_size"] = f"block {bad} has size {len(bad)}, expected {k}"
 
     # every unordered pair of points on exactly one block
-    cover = bytearray(v * v)
-    double: Optional[tuple[int, int]] = None
-    for blk in I.blocks:
-        n = len(blk)
-        for i in range(n):
-            base = blk[i] * v
-            for j in range(i + 1, n):
-                a = base + blk[j]
-                if cover[a]:
-                    double = double or (blk[i], blk[j])
-                cover[a] = 1
-    missing: Optional[tuple[int, int]] = None
-    for x in range(v):
-        base = x * v
-        for y in range(x + 1, v):
-            if not cover[base + y]:
-                missing = (x, y)
-                break
-        if missing:
-            break
+    _, double, missing = I._pair_coverage
     checks["pair_coverage"] = double is None and missing is None
     if double is not None:
         violations["pair_coverage"] = f"pair {double} lies on more than one block"
@@ -279,27 +269,8 @@ def restrict_to(I: Incidence, subset: Iterable[int]) -> Restriction:
     block_ids = tuple(bid for _, bid in traces)
     inc = Incidence(len(pts), blocks)
     # linear space: every pair of restricted points on exactly one trace
-    n = len(pts)
-    cover = bytearray(n * n)
-    ok = True
-    for blk in inc.blocks:
-        m = len(blk)
-        for i in range(m):
-            base = blk[i] * n
-            for j in range(i + 1, m):
-                a = base + blk[j]
-                if cover[a]:
-                    ok = False
-                cover[a] = 1
-    if ok:
-        for x in range(n):
-            base = x * n
-            for y in range(x + 1, n):
-                if not cover[base + y]:
-                    ok = False
-                    break
-            if not ok:
-                break
+    _, double, missing = inc._pair_coverage
+    ok = double is None and missing is None
     return Restriction(incidence=inc, points=pts, block_ids=block_ids, is_linear_space=ok)
 
 
@@ -329,16 +300,6 @@ class FisherReport:
     r: int
     fisher_holds: bool
     projective_plane_flag: bool
-
-    def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "k": self.k,
-            "line_count": self.line_count,
-            "r": self.r,
-            "fisher_holds": self.fisher_holds,
-            "projective_plane_flag": self.projective_plane_flag,
-        }
 
 
 def fisher_check(I: Incidence) -> FisherReport:
@@ -380,14 +341,6 @@ class OnanResult:
     points: Optional[tuple[int, ...]]
     nodes: int
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "blocks": list(self.blocks) if self.blocks else None,
-            "points": list(self.points) if self.points else None,
-            "nodes": self.nodes,
-        }
-
 
 def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
     """Look for four blocks pairwise meeting in six distinct points.
@@ -398,8 +351,10 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
     share at most one point (true in any linear space).  The search is
     lexicographic over ascending block quadruples, so the first witness is
     canonical; ``budget`` caps the number of explored candidate extensions
-    (0 means exhaustive).
+    (0 means exhaustive; a negative budget is rejected).
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     sets = I.block_sets
     nblocks = len(I.blocks)
     pb = I.point_blocks
@@ -517,12 +472,8 @@ def isomorphism_search(A: Incidence, B: Incidence):
 
     v = A.v
     b_sets = B.block_sets
-    b_by_pair: dict[tuple[int, int], list[int]] = {}
-    for bid, blk in enumerate(B.blocks):
-        n = len(blk)
-        for i in range(n):
-            for j in range(i + 1, n):
-                b_by_pair.setdefault((blk[i], blk[j]), []).append(bid)
+    b_pairs = B.pair_table
+    b_point_blocks = B.point_blocks
 
     fp_groups: dict[tuple, list[int]] = {}
     for y in range(v):
@@ -537,10 +488,12 @@ def isomorphism_search(A: Incidence, B: Incidence):
     blk_cnt = [0] * len(ablocks)
     blk_rep = [0] * len(ablocks)
 
-    def forced_pair_block(y1: int, y2: int):
-        key = (y1, y2) if y1 < y2 else (y2, y1)
-        cands = b_by_pair.get(key, ())
-        return cands
+    def pair_blocks(y1: int, y2: int):
+        """Ids of the B-blocks through two points, ascending."""
+        e = b_pairs[y1 * v + y2]
+        if e != -2:
+            return () if e == -1 else (e,)
+        return [e for e in b_point_blocks[y1] if y2 in b_sets[e]]
 
     def candidates(u: int) -> list[int]:
         base = None
@@ -578,7 +531,7 @@ def isomorphism_search(A: Incidence, B: Incidence):
                     trail.append(("cnt0", ab, None))
                     continue
                 other = blk_rep[ab]
-                cands = [e for e in forced_pair_block(img[other], img[uu])
+                cands = [e for e in pair_blocks(img[other], img[uu])
                          if len(b_sets[e]) == len(ablocks[ab])]
                 if len(cands) != 1:
                     if not cands:

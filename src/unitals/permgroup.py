@@ -74,10 +74,6 @@ def is_involution(p: Perm) -> bool:
     return perm_order(p) == 2
 
 
-def act_on_sorted_tuple(p: Perm, t: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(p[i] for i in t))
-
-
 def validate_perm(p: Sequence[int], degree: Optional[int] = None) -> Perm:
     t = tuple(p)
     n = len(t)
@@ -279,14 +275,6 @@ class PermGroup:
         return PermGroup(self.generators, degree=self.degree, base_prefix=base_prefix)
 
 
-def group_generate(gens: Iterable[Sequence[int]], degree: Optional[int] = None) -> PermGroup:
-    return PermGroup(gens, degree=degree)
-
-
-def orbit_of(G: PermGroup, x: int) -> frozenset[int]:
-    return G.orbit(x)
-
-
 def _check_invariant(G: PermGroup, X: frozenset[int]) -> None:
     for g in G.generators:
         if {g[x] for x in X} != X:
@@ -316,16 +304,6 @@ def is_two_transitive(G: PermGroup, X: Iterable[int]) -> bool:
     return stab.orbit(min(rest)) >= rest
 
 
-def setwise_block_stabilizer(G: PermGroup, block: Iterable[int]) -> PermGroup:
-    """Subgroup fixing a block setwise, by filtering the element list.
-
-    Only implemented for groups small enough to enumerate.
-    """
-    blk = frozenset(block)
-    members = [g for g in G.elements() if {g[x] for x in blk} == blk]
-    return PermGroup(members, degree=G.degree)
-
-
 def two_point_stabilizer(G: PermGroup, x: int, y: int) -> PermGroup:
     if x == y:
         raise ValueError("two distinct points are required")
@@ -336,28 +314,6 @@ def two_point_stabilizer_orbits(G: PermGroup, x: int, y: int) -> list[int]:
     """Sorted orbit-length multiset of the two-point stabilizer on the domain."""
     stab = two_point_stabilizer(G, x, y)
     return sorted(len(o) for o in stab.orbits())
-
-
-def orbits_on_tuples(G: PermGroup, items: Iterable[Sequence[int]]) -> list[list[tuple[int, ...]]]:
-    """Orbits of G acting on sorted tuples (e.g. blocks).  Deterministic order."""
-    pool = {tuple(t) for t in items}
-    out = []
-    seen: set[tuple[int, ...]] = set()
-    for t in sorted(pool):
-        if t in seen:
-            continue
-        orb = {t}
-        queue = [t]
-        while queue:
-            cur = queue.pop()
-            for g in G.generators:
-                img = act_on_sorted_tuple(g, cur)
-                if img not in orb:
-                    orb.add(img)
-                    queue.append(img)
-        seen |= orb
-        out.append(sorted(orb))
-    return out
 
 
 # -- structure checks ----------------------------------------------------------
@@ -371,16 +327,8 @@ class GleasonReport:
 
     ok: bool
     transitive: bool
-    certificate_failures: tuple
+    certificate_failures: tuple[tuple[str, str], ...]
     uncovered: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "transitive": self.transitive,
-            "certificate_failures": [list(map(str, f)) for f in self.certificate_failures],
-            "uncovered": list(self.uncovered),
-        }
 
 
 def gleason_check(certificates: Iterable[tuple[int, Sequence[int]]], X: Iterable[int],
@@ -416,7 +364,7 @@ def gleason_check(certificates: Iterable[tuple[int, Sequence[int]]], X: Iterable
     return GleasonReport(
         ok=not failures and not uncovered and transitive,
         transitive=transitive,
-        certificate_failures=tuple(failures),
+        certificate_failures=tuple((str(x), msg) for x, msg in failures),
         uncovered=uncovered,
     )
 
@@ -435,20 +383,6 @@ class DihedralReport:
     coset_is_conjugacy_class: Optional[bool]
     coset_all_involutions: Optional[bool]
     tau_inverts_m: Optional[bool]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "m_order": self.m_order,
-            "m_abelian": self.m_abelian,
-            "m_regular": self.m_regular,
-            "tau_conjugation_semiregular": self.tau_conjugation_semiregular,
-            "equivalences_agree": self.equivalences_agree,
-            "coset_is_conjugacy_class": self.coset_is_conjugacy_class,
-            "coset_all_involutions": self.coset_all_involutions,
-            "tau_inverts_m": self.tau_inverts_m,
-        }
 
 
 def generalized_dihedral_check(G: PermGroup, tau: Sequence[int]) -> DihedralReport:
@@ -518,14 +452,6 @@ class UniqueInvolutionReport:
     count: int
     involution: Optional[Perm]
     inverts_other: Optional[bool]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "count": self.count,
-            "involution": list(self.involution) if self.involution else None,
-            "inverts_other": self.inverts_other,
-        }
 
 
 def unique_involution_check(Q: PermGroup, N: Optional[PermGroup] = None) -> UniqueInvolutionReport:

@@ -117,12 +117,6 @@ class ProjectivePlane:
     def incident(self, pid: int, lid: int) -> bool:
         return pid in self._line_sets[lid]
 
-    def line_through_points(self, pid: int, qid: int) -> int:
-        return self.index[line_through(self.field, self.points[pid], self.points[qid])]
-
-    def meet_of_lines(self, lid: int, mid: int) -> int:
-        return self.index[meet(self.field, self.lines[lid], self.lines[mid])]
-
 
 @lru_cache(maxsize=None)
 def projective_plane(F: Field) -> ProjectivePlane:
@@ -142,9 +136,6 @@ class UnitaryPolarity:
 
     def point_to_line(self, P: Triple) -> Triple:
         return normalize(self.field, tuple(self.conj(x) for x in P))  # type: ignore[arg-type]
-
-    def line_to_point(self, l: Triple) -> Triple:
-        return normalize(self.field, tuple(self.conj(x) for x in l))  # type: ignore[arg-type]
 
     def is_absolute(self, P: Triple) -> bool:
         F = self.field

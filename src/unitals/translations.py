@@ -86,7 +86,7 @@ def is_translation(U: Unital, perm, c: int) -> bool:
     if pi[c] != c:
         return False
     block_sets = U.block_sets
-    pair_block = U._pair_block
+    pair_block = U.pair_table
     image_of = pi.__getitem__
     for blk in U.blocks:
         e = pair_block[pi[blk[0]] * v + pi[blk[1]]] if len(blk) >= 2 else -1
@@ -298,7 +298,7 @@ def translations_at(U: Unital, c: int, allow_fixed: bool = False) -> list[Perm]:
     if not 0 <= c < U.v:
         raise ValueError(f"center {c} out of range")
     found = _search_translations(
-        U.v, U.blocks, U.block_sets, U.point_blocks, U._pair_block, c, allow_fixed
+        U.v, U.blocks, U.block_sets, U.point_blocks, U.pair_table, c, allow_fixed
     )
     ident = identity_perm(U.v)
     group = set(found) - {ident}
@@ -351,8 +351,6 @@ class TranslationAtlas:
     def group_for(self, n: int) -> PermGroup:
         """T[n]: the group generated by all order-n translations."""
         gens = [p for _, p in self.translations_of_order(n)]
-        if not gens:
-            return PermGroup([], degree=self.unital.v)
         return PermGroup(gens, degree=self.unital.v)
 
     def group_order(self, c: int) -> int:
@@ -442,7 +440,7 @@ class TransitivityReport:
     block_transitivity_ok: bool
     block_failures: tuple
     divisor_collapse_ok: bool
-    divisor_failures: tuple
+    divisor_failures: tuple[tuple[str, ...], ...]
 
     @property
     def ok(self) -> bool:
@@ -451,19 +449,6 @@ class TransitivityReport:
             and self.block_transitivity_ok
             and self.divisor_collapse_ok
         )
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "center_set_size": self.center_set_size,
-            "group_transitive_on_centers": self.group_transitive_on_centers,
-            "blocks_checked": self.blocks_checked,
-            "block_transitivity_ok": self.block_transitivity_ok,
-            "block_failures": [list(f) for f in self.block_failures],
-            "divisor_collapse_ok": self.divisor_collapse_ok,
-            "divisor_failures": [list(map(str, f)) for f in self.divisor_failures],
-            "ok": self.ok,
-        }
 
 
 def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> TransitivityReport:
@@ -503,7 +488,7 @@ def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> Transitiv
             if n % k == 0:
                 other = atlas.centers_by_order.get(k, frozenset())
                 if other != centers:
-                    divisor_failures.append((n, k, "center sets differ"))
+                    divisor_failures.append((str(n), str(k), "center sets differ"))
 
     return TransitivityReport(
         p=p,
@@ -526,22 +511,11 @@ class CongruenceReport:
     size_congruent_one: bool
     translations_checked: int
     cycle_structure_ok: bool
-    failures: tuple
+    failures: tuple[tuple[str, ...], ...]
 
     @property
     def ok(self) -> bool:
         return self.size_congruent_one and self.cycle_structure_ok
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "center_set_size": self.center_set_size,
-            "size_congruent_one": self.size_congruent_one,
-            "translations_checked": self.translations_checked,
-            "cycle_structure_ok": self.cycle_structure_ok,
-            "failures": [list(map(str, f)) for f in self.failures],
-            "ok": self.ok,
-        }
 
 
 def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
@@ -574,5 +548,5 @@ def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
         size_congruent_one=len(omega_n) % n == 1,
         translations_checked=checked,
         cycle_structure_ok=not failures,
-        failures=tuple(failures),
+        failures=tuple(tuple(map(str, f)) for f in failures),
     )

@@ -7,6 +7,7 @@ from unitals.analysis import (
     subunital_analysis,
 )
 from helpers import relabel
+from unitals.cli import report_json
 from unitals.incidence import Unital
 from unitals.permgroup import PermGroup
 from unitals.plane import hermitian_unital
@@ -111,8 +112,10 @@ class TestClassify:
     def test_odd_characteristic_has_no_involutions(self, h3, atlas3):
         rep = classify(h3, atlas3)
         assert rep.conclusion == "hypothesis-failed"
-        assert rep.every_point_a_center
-        assert not rep.exists_involutory_translation
+        assert rep.hypotheses == {
+            "every-point-a-center": True,
+            "exists-involutory-translation": False,
+        }
         assert rep.witness == {"kind": "no-involutory-translation"}
         assert rep.isomorphism is None
 
@@ -124,7 +127,7 @@ class TestClassify:
         assert rep.witness["point"] not in set(fig.hermitian_points)
 
     def test_json_shape(self, h2, atlas2):
-        doc = classify(h2, atlas2).to_json()
+        doc = report_json(classify(h2, atlas2))
         assert set(doc) == {
             "hypotheses", "omega2_full", "conclusion", "witness", "isomorphism",
         }

@@ -130,6 +130,20 @@ def test_onan_exit_codes(capsys):
     assert json.loads(out)["payload"]["status"] == "budget-exhausted"
 
 
+@pytest.mark.parametrize("budget", ["-1", "-5", "x"])
+def test_onan_budget_below_zero_is_a_usage_error(capsys, budget):
+    code, out, err = run(capsys, "onan", "--q", "2", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+def test_onan_budget_zero_is_exhaustive(capsys):
+    code, out, _ = run(capsys, "onan", "--q", "3", "--budget", "0")
+    assert code == 0
+    assert json.loads(out)["payload"]["status"] == "none"
+
+
 def test_isomorphic_exit_codes(capsys, tmp_path, h2_file):
     h3 = tmp_path / "h3.txt"
     assert main(["build-hermitian", "--q", "3", "--out", str(h3)]) == 0

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unitals.gf import (
-    FieldElement,
     is_prime,
     make_field,
     make_field_of_order,
@@ -141,13 +140,3 @@ def test_coeffs_roundtrip():
     for a in range(F.order):
         assert F.from_coeffs(F.coeffs(a)) == a
 
-
-def test_field_element_wrapper():
-    F = make_field(3, 2)
-    a = FieldElement(F, 5)
-    b = FieldElement(F, 7)
-    assert (a + b).value == F.add(5, 7)
-    assert (a * b).value == F.mul(5, 7)
-    assert (a - a).value == 0
-    assert (a / a).value == F.one
-    assert a != b and a == FieldElement(F, 5)

@@ -1,0 +1,120 @@
+"""Golden CLI reports: stdout bytes and exit code pinned for fixed inputs.
+
+Small reports are compared byte for byte with ``golden/<name>.out``; large
+ones by the sha256 digest of their stdout.  Exit codes and digests are kept
+in ``golden/manifest.json``.  Every command runs in-process through ``main``
+in one temporary working directory that holds the input files, so the file
+names inside the reports are stable and the cached Figueroa bundle is
+reused.  The cases run in list order: the Figueroa file cases read the file
+that ``build-figueroa`` writes.
+
+After an intended change to a report, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from unitals.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+
+FILES = {
+    # blocks 012 and 123 share the pair (2, 3); the pair (1, 5) is covered
+    # twice as well, but is found second when the blocks are scanned in order
+    "double.txt": "unital v=9 k=3\n0 1 5\n0 2 3\n1 2 3\n1 5 8\n",
+    "missing.txt": "unital v=9 k=3\n0 1 2\n3 4 5\n6 7 8\n",
+    "iso_a.txt": "unital v=7 k=3\n0 1 2\n0 1 3\n0 5 6\n2 3 4\n4 5 6\n",
+    # the pairs (0, 6) and (1, 4) lie on two blocks each
+    "iso_b.txt": "unital v=7 k=3\n0 2 6\n0 3 6\n1 4 5\n1 4 6\n2 3 5\n",
+}
+
+# (name, argv, compare by digest)
+CASES = [
+    ("validate-q3", ["validate", "--q", "3"], False),
+    ("validate-double", ["validate", "--in", "double.txt"], False),
+    ("validate-missing", ["validate", "--in", "missing.txt"], False),
+    *(
+        (f"{cmd}-q{q}", [cmd, "--q", str(q), *extra], False)
+        for q in (2, 3)
+        for cmd, extra in (
+            ("translations", []),
+            ("omega", []),
+            ("classify", []),
+            ("subunital", ["--p", "2"]),
+            ("check-lemmas", []),
+            ("onan", []),
+        )
+    ),
+    ("isomorphic-two-files", ["isomorphic", "--in", "iso_a.txt", "iso_b.txt"], False),
+    ("check-lemmas-q4", ["check-lemmas", "--q", "4"], True),
+    ("classify-q4", ["classify", "--q", "4"], True),
+    ("build-figueroa-q2", ["build-figueroa", "--q", "2", "--out", "fig.txt"], True),
+    ("classify-fig", ["classify", "--in", "fig.txt"], True),
+    ("check-lemmas-fig", ["check-lemmas", "--in", "fig.txt"], True),
+]
+
+
+def run_cases() -> dict:
+    """name -> (exit code, stdout) for every case, in one working directory."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, text in FILES.items():
+            Path(tmp, fname).write_text(text)
+        os.chdir(tmp)
+        try:
+            for name, argv, _ in CASES:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                out[name] = (code, buf.getvalue())
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return run_cases()
+
+
+@pytest.mark.parametrize("name,digest", [(n, d) for n, _, d in CASES])
+def test_report_matches_golden(reports, name, digest):
+    expected = json.loads(MANIFEST.read_text())[name]
+    code, stdout = reports[name]
+    assert code == expected["exit"]
+    if digest:
+        assert sha256(stdout) == expected["sha256"]
+    else:
+        assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    manifest = {}
+    for (name, _, digest), (code, stdout) in zip(CASES, run_cases().values()):
+        manifest[name] = {"exit": code}
+        if digest:
+            manifest[name]["sha256"] = sha256(stdout)
+        else:
+            (GOLDEN / f"{name}.out").write_bytes(stdout.encode())
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -71,6 +71,19 @@ def test_validate_unital_rejects_mutations(h2):
         pass  # structural rejection is equally acceptable here
 
 
+def test_validate_unital_witness_order():
+    # (1, 5) is the least doubly covered pair, but (2, 3) is the first pair
+    # met a second time when the blocks are scanned in order
+    double = Incidence(9, [(0, 1, 5), (0, 2, 3), (1, 2, 3), (1, 5, 8)])
+    rep = validate_unital(double, 2)
+    assert rep.violations["pair_coverage"] == "pair (2, 3) lies on more than one block"
+
+    rep = validate_unital(Incidence(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]), 2)
+    assert rep.violations["pair_coverage"] == "pair (0, 3) lies on no block"
+
+    assert not restrict_to(double, [0, 1, 2, 3, 5]).is_linear_space
+
+
 def test_restrict_to_and_ideal_embedding(h2):
     # a block is an ideally embedded linear space (trivially: itself)
     blk = h2.blocks[0]
@@ -122,6 +135,11 @@ def test_onan_budget():
     res = onan_search(I, budget=1)
     assert res.status == "budget-exhausted"
     assert res.nodes >= 1
+
+
+def test_onan_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        onan_search(FANO, budget=-1)
 
 
 def test_onan_rejects_repeated_pairs():

@@ -23,10 +23,11 @@ def test_plane_counts():
 
 
 def test_two_points_one_line():
-    plane = projective_plane(make_field(3, 1))
+    F = make_field(3, 1)
+    plane = projective_plane(F)
     for p in range(len(plane.points)):
         for q in range(p + 1, len(plane.points)):
-            lid = plane.line_through_points(p, q)
+            lid = plane.index[line_through(F, plane.points[p], plane.points[q])]
             assert p in plane.points_on[lid] and q in plane.points_on[lid]
             # uniqueness: no other line holds both
             others = [
@@ -60,7 +61,7 @@ def test_unitary_polarity_is_involutory(q):
     plane = projective_plane(pol.field)
     for pid in range(len(plane.points)):
         l = pol.point_to_line(plane.points[pid])
-        assert pol.line_to_point(l) == plane.points[pid]
+        assert pol.point_to_line(l) == plane.points[pid]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
