@@ -243,8 +243,7 @@ class ClassificationReport:
     isomorphism: Optional[tuple[int, ...]]
 
 
-def classify(U: Unital, atlas: Optional[TranslationAtlas] = None,
-             threads: int = 1) -> ClassificationReport:
+def classify(U: Unital, atlas: Optional[TranslationAtlas] = None) -> ClassificationReport:
     """Recognize a hermitian unital from its translations.
 
     Hypotheses: every point is the center of some nontrivial translation,
@@ -264,7 +263,7 @@ def classify(U: Unital, atlas: Optional[TranslationAtlas] = None,
             raise AssertionError("arithmetic exclusion failed; this is a bug")
 
     if atlas is None:
-        atlas = build_atlas(U, threads=threads)
+        atlas = build_atlas(U)
     h1 = not atlas.trivial_centers
     h2 = 2 in atlas.centers_by_order
     omega2 = atlas.centers_by_order.get(2, frozenset())

@@ -204,7 +204,7 @@ def _cmd_omega(args) -> int:
 
 def _cmd_classify(args) -> int:
     U, desc = _load_input(args)
-    report = classify(U, threads=args.threads)
+    report = classify(U)
     _emit(args.out, "classify", desc, report_json(report))
     return 0
 

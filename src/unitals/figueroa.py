@@ -13,15 +13,20 @@ and define the twisted incidence: a type-III point P lies on a type-III
 line ℓ exactly when mu_line(ℓ) lies classically on mu_point(P); every other
 point/line pair keeps its classical incidence.  The result is validated
 from scratch as a projective plane of order q⁶ (nothing is taken on faith
-from the construction).
+from the construction), in one pass per point: every line has q⁶+1 points,
+every point lies on q⁶+1 lines, and the lines through each point cover the
+plane, so two points share exactly one line.  Two lines then meet in exactly
+one point, as in every symmetric design.
 
 The coordinatewise map x ↦ x^{q³} turns out to be a polarity of the twisted
 plane; this is likewise verified exhaustively, pair by pair, before use.
-Its absolute points carry a unital of order q³ whose type-I points form a
-subunital isomorphic to the hermitian unital of order q.
+Its absolute points carry a unital of order q³ (cut out by
+``plane.polar_unital``, as the hermitian unitals are) whose type-I points
+form a subunital isomorphic to the hermitian unital of order q.
 
-Only q = 2 (plane order 64, 4161 points) is exercised by the test suite;
-the code paths are generic but larger q are expensive.  Note the plane of
+Only q = 2 (plane order 64, 4161 points) can be built: the next prime
+power gives 532,171 points, and ``build_figueroa_plane`` refuses any plane
+above ``MAX_PLANE_POINTS`` before it builds anything.  Note the plane of
 order r³ twisted from PG(2, F_{r³}) is non-desarguesian only for r > 2;
 here r = q² is a square, so r = 4 and up — every plane built here is a
 genuine Figueroa plane.
@@ -43,7 +48,15 @@ from .permgroup import (
     is_two_transitive,
     perm_order,
 )
-from .plane import ProjectivePlane, dot, line_through, meet, projective_plane
+from .plane import (
+    ProjectivePlane,
+    dot,
+    frobenius_perm,
+    hermitian_unital,
+    line_through,
+    polar_unital,
+    projective_plane,
+)
 from .translations import TranslationAtlas, build_atlas
 
 __all__ = [
@@ -53,7 +66,6 @@ __all__ = [
     "build_figueroa_plane",
     "build_fig_polarity",
     "figueroa_bundle",
-    "figueroa_unital",
     "hermitian_restriction",
     "FigueroaVerification",
     "verify_figueroa_theorems",
@@ -65,6 +77,9 @@ __all__ = [
 TYPE_I = "I"
 TYPE_II = "II"
 TYPE_III = "III"
+
+# q = 2 gives 4161 points; q = 3 gives 532,171 with 730 on each line.
+MAX_PLANE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -86,17 +101,6 @@ class FigPlane:
     def size(self) -> int:
         return len(self.classical.points)
 
-    def incident(self, pid: int, lid: int) -> bool:
-        return pid in self._line_sets[lid]
-
-    @property
-    def _line_sets(self) -> tuple[frozenset[int], ...]:
-        sets = self.__dict__.get("_line_sets_cache")
-        if sets is None:
-            sets = tuple(frozenset(pts) for pts in self.points_on)
-            object.__setattr__(self, "_line_sets_cache", sets)
-        return sets
-
     def type_counts(self) -> dict[str, int]:
         out = {TYPE_I: 0, TYPE_II: 0, TYPE_III: 0}
         for t in self.point_type:
@@ -104,21 +108,12 @@ class FigPlane:
         return out
 
 
-def _frobenius_perm(plane: ProjectivePlane, k: int) -> Perm:
-    """The point permutation induced by the field map x ↦ x^(p^k)."""
+def _classify(plane: ProjectivePlane, alpha: Perm) -> tuple[list[str], list[int]]:
+    """Type tags and μ images for all points.  Points and lines share their
+    triples, and the meet of two lines is the triple ``line_through`` gives,
+    so the same lists are the type tags and μ images of the lines."""
     F = plane.field
-    img = []
-    for t in plane.points:
-        u = (F.frobenius(t[0], k), F.frobenius(t[1], k), F.frobenius(t[2], k))
-        img.append(plane.index[u])  # normalized triples stay normalized
-    return tuple(img)
-
-
-def _classify(plane: ProjectivePlane, alpha: Perm, dual: bool) -> tuple[list[str], list[int]]:
-    """Type tags and μ images for all points (or all lines when ``dual``)."""
-    F = plane.field
-    triples = plane.lines if dual else plane.points
-    join = meet if dual else line_through
+    triples = plane.points
     types: list[str] = []
     mu: list[int] = []
     for i, t in enumerate(triples):
@@ -127,12 +122,10 @@ def _classify(plane: ProjectivePlane, alpha: Perm, dual: bool) -> tuple[list[str
             types.append(TYPE_I)
             mu.append(-1)
             continue
-        a2 = alpha[a]
-        carrier = join(F, triples[a], triples[a2])
+        carrier = line_through(F, triples[a], triples[alpha[a]])
         # for a point: is α²P on the line through P, αP?  (equivalently the
         # line through αP, α²P passes through P)  dually for lines.
-        on = 0 == dot(F, triples[i], carrier)
-        if on:
+        if dot(F, t, carrier) == 0:
             types.append(TYPE_II)
             mu.append(-1)
         else:
@@ -141,23 +134,23 @@ def _classify(plane: ProjectivePlane, alpha: Perm, dual: bool) -> tuple[list[str
     return types, mu
 
 
-def _twist_incidence(plane: ProjectivePlane, ptype: list[str], ltype: list[str],
-                     mu_pt: list[int], mu_ln: list[int]) -> list[tuple[int, ...]]:
+def _twist_incidence(plane: ProjectivePlane, types: list[str],
+                     mu: list[int]) -> list[tuple[int, ...]]:
     """Twisted point lists per line: replace the type-III points of every
-    type-III line by the points the μ maps dictate."""
+    type-III line by the points the μ maps dictate.  ``types`` and ``mu``
+    serve points and lines alike (see ``_classify``)."""
     pts_by_mu: dict[int, list[int]] = {}
-    for pid, L in enumerate(mu_pt):
+    for pid, L in enumerate(mu):
         if L >= 0:
             pts_by_mu.setdefault(L, []).append(pid)
 
     out: list[tuple[int, ...]] = []
     for lid, pts in enumerate(plane.points_on):
-        if ltype[lid] != TYPE_III:
+        if types[lid] != TYPE_III:
             out.append(pts)
             continue
-        kept = [pid for pid in pts if ptype[pid] != TYPE_III]
-        vertex = mu_ln[lid]
-        for L in plane.lines_through[vertex]:
+        kept = [pid for pid in pts if types[pid] != TYPE_III]
+        for L in plane.lines_through[mu[lid]]:
             kept.extend(pts_by_mu.get(L, ()))
         out.append(tuple(sorted(kept)))
     return out
@@ -167,52 +160,26 @@ def _validate_plane(points_on: list[tuple[int, ...]], n: int, size: int,
                     quadrangle: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
     """Exhaustive projective-plane axioms of order n; returns the transpose.
 
-    Coverage logic: every line carries n+1 points and the number of
-    (line, point-pair) incidences equals the number of point pairs, so "no
-    pair covered twice" forces "every pair covered once"; dually for lines.
+    Lines have n+1 points, points lie on n+1 lines, and the lines through
+    each point hold all n²+n+1 points: n points each besides the common one,
+    so they cannot overlap, and two points lie on exactly one line.  The
+    dual axiom follows, as in every symmetric design.
     """
     if len(points_on) != size or size != n * n + n + 1:
         raise ArithmeticError(f"expected {n*n+n+1} lines, found {len(points_on)}")
+    through: list[list[int]] = [[] for _ in range(size)]
     for lid, pts in enumerate(points_on):
         if len(pts) != n + 1:
             raise ArithmeticError(f"line {lid} has {len(pts)} points, expected {n+1}")
-
-    cover = bytearray(size * size)
-    for lid, pts in enumerate(points_on):
-        m = len(pts)
-        for i in range(m):
-            base = pts[i] * size
-            for j in range(i + 1, m):
-                a = base + pts[j]
-                if cover[a]:
-                    raise ArithmeticError(
-                        f"points {pts[i]} and {pts[j]} lie on two lines"
-                    )
-                cover[a] = 1
-    # (n²+n+1)·C(n+1,2) == C(n²+n+1,2) identically, so coverage is complete.
-
-    through: list[list[int]] = [[] for _ in range(size)]
-    for lid, pts in enumerate(points_on):
         for pid in pts:
             through[pid].append(lid)
     for pid, ls in enumerate(through):
         if len(ls) != n + 1:
             raise ArithmeticError(f"point {pid} lies on {len(ls)} lines, expected {n+1}")
+        if len(set().union(*(points_on[lid] for lid in ls))) != size:
+            raise ArithmeticError(f"the lines through point {pid} meet again")
 
-    cover = bytearray(size * size)
-    for pid, ls in enumerate(through):
-        m = len(ls)
-        for i in range(m):
-            base = ls[i] * size
-            for j in range(i + 1, m):
-                a = base + ls[j]
-                if cover[a]:
-                    raise ArithmeticError(
-                        f"lines {ls[i]} and {ls[j]} meet in two points"
-                    )
-                cover[a] = 1
-
-    sets = [frozenset(ls) for ls in through]
+    sets = {x: frozenset(through[x]) for x in quadrangle}
     a, b, c, d = quadrangle
     for x, y, z in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
         if sets[x] & sets[y] & sets[z]:
@@ -223,44 +190,38 @@ def _validate_plane(points_on: list[tuple[int, ...]], n: int, size: int,
 def build_figueroa_plane(q: int) -> FigPlane:
     """Construct and fully validate the twisted plane of order q⁶."""
     p, e = prime_power(q)
+    size = q**12 + q**6 + 1
+    if size > MAX_PLANE_POINTS:
+        raise ValueError(f"the twisted plane for q = {q} has {size} points; "
+                         f"at most {MAX_PLANE_POINTS} can be built")
     F = make_field(p, 6 * e)
     plane = projective_plane(F)
-    alpha = _frobenius_perm(plane, 2 * e)
+    alpha = frobenius_perm(plane, 2 * e)
 
-    a2 = tuple(alpha[x] for x in alpha)
-    a3 = tuple(alpha[x] for x in a2)
-    if a3 != tuple(range(len(alpha))) or alpha == tuple(range(len(alpha))):
+    if perm_order(alpha) != 3:
         raise ArithmeticError("the twisting map does not have order 3")
 
-    ptype, mu_pt = _classify(plane, alpha, dual=False)
-    ltype, mu_ln = _classify(plane, alpha, dual=True)
-
-    points_on = _twist_incidence(plane, ptype, ltype, mu_pt, mu_ln)
-
-    one = F.one
-    quad = tuple(
-        plane.index[t]
-        for t in ((one, 0, 0), (0, one, 0), (0, 0, one), (one, one, one))
-    )
-    lines_through = _validate_plane(points_on, F.order, len(plane.points), quad)
+    types, mu = _classify(plane, alpha)
+    points_on = _twist_incidence(plane, types, mu)
+    quad = tuple(plane.index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+    lines_through = _validate_plane(points_on, F.order, size, quad)
 
     fig = FigPlane(
         q=q,
         order=F.order,
         classical=plane,
         alpha_point=alpha,
-        point_type=tuple(ptype),
-        line_type=tuple(ltype),
-        mu_point=tuple(mu_pt),
-        mu_line=tuple(mu_ln),
+        point_type=tuple(types),
+        line_type=tuple(types),
+        mu_point=tuple(mu),
+        mu_line=tuple(mu),
         points_on=tuple(points_on),
         lines_through=tuple(lines_through),
     )
 
     # α must still be a collineation after the twist.
-    sets = fig._line_sets
     for lid, pts in enumerate(points_on):
-        if frozenset(alpha[pid] for pid in pts) != sets[alpha[lid]]:
+        if tuple(sorted(alpha[pid] for pid in pts)) != points_on[alpha[lid]]:
             raise ArithmeticError("the twisting map is not a collineation")
     return fig
 
@@ -271,9 +232,6 @@ class FigPolarity:
 
     plane: FigPlane
     point_to_line: Perm  # an involution, so also the line-to-point map
-
-    def is_absolute(self, pid: int) -> bool:
-        return self.plane.incident(pid, self.point_to_line[pid])
 
 
 def build_fig_polarity(fig: FigPlane) -> FigPolarity:
@@ -287,18 +245,15 @@ def build_fig_polarity(fig: FigPlane) -> FigPolarity:
     """
     plane = fig.classical
     p, e = prime_power(fig.q)
-    sigma = _frobenius_perm(plane, 3 * e)
+    sigma = frobenius_perm(plane, 3 * e)
     size = fig.size
 
+    alpha = fig.alpha_point
     for i in range(size):
         if sigma[sigma[i]] != i:
             raise ArithmeticError(f"correspondence is not involutory at {i}")
-    alpha = fig.alpha_point
-    for i in range(size):
         if sigma[alpha[i]] != alpha[sigma[i]]:
-            raise ArithmeticError(
-                f"correspondence does not commute with the twisting map at {i}"
-            )
+            raise ArithmeticError(f"correspondence does not commute with the twisting map at {i}")
 
     for pid in range(size):
         expected = frozenset(fig.lines_through[pid])
@@ -329,46 +284,18 @@ class FigueroaBundle:
 def _build_bundle(q: int) -> FigueroaBundle:
     fig = build_figueroa_plane(q)
     pol = build_fig_polarity(fig)
-    size = fig.size
-    sigma = pol.point_to_line
-
-    absolute = [i for i in range(size) if fig.incident(i, sigma[i])]
     order = q**3
-    expected_v = order**3 + 1
-    if len(absolute) != expected_v:
-        raise ArithmeticError(
-            f"{len(absolute)} absolute points, expected {expected_v}"
-        )
-    reindex = {pid: i for i, pid in enumerate(absolute)}
-    abs_set = frozenset(absolute)
-
-    traced: list[tuple[tuple[int, ...], int]] = []
-    for lid, pts in enumerate(fig.points_on):
-        tr = tuple(sorted(reindex[pid] for pid in pts if pid in abs_set))
-        if len(tr) == 1:
-            continue
-        if len(tr) != order + 1:
-            raise ArithmeticError(
-                f"line {lid} meets the absolute points in {len(tr)} points"
-            )
-        traced.append((tr, lid))
-    traced.sort()
-
-    U = Unital(expected_v, [t for t, _ in traced], order,
-               point_labels=tuple(fig.classical.points[pid] for pid in absolute))
-    if U.blocks != tuple(t for t, _ in traced):
-        raise AssertionError("block canonicalization changed the trace order")
+    U, absolute, block_lines = polar_unital(
+        fig.points_on, fig.lines_through, pol.point_to_line, order, fig.classical.points
+    )
     rep = validate_unital(U, order)
     if not rep.valid:
         raise ArithmeticError(f"absolute points do not form a unital: {rep.violations}")
 
-    alpha_u = tuple(reindex[fig.alpha_point[pid]] for pid in absolute)
-    if sorted(alpha_u) != list(range(expected_v)):
+    reindex = {pid: i for i, pid in enumerate(absolute)}
+    alpha_u = tuple(reindex.get(fig.alpha_point[pid], -1) for pid in absolute)
+    if -1 in alpha_u:
         raise ArithmeticError("twisting map does not preserve the absolute points")
-    blocks = set(U.blocks)
-    for blk in U.blocks:
-        if tuple(sorted(alpha_u[x] for x in blk)) not in blocks:
-            raise ArithmeticError("twisting map does not preserve the unital blocks")
 
     types = tuple(fig.point_type[pid] for pid in absolute)
     herm = tuple(i for i, t in enumerate(types) if t == TYPE_I)
@@ -377,9 +304,9 @@ def _build_bundle(q: int) -> FigueroaBundle:
         plane=fig,
         polarity=pol,
         unital=U,
-        plane_points=tuple(absolute),
+        plane_points=absolute,
         point_types=types,
-        block_lines=tuple(lid for _, lid in traced),
+        block_lines=block_lines,
         hermitian_points=herm,
         alpha_unital=alpha_u,
     )
@@ -388,10 +315,6 @@ def _build_bundle(q: int) -> FigueroaBundle:
 @lru_cache(maxsize=None)
 def figueroa_bundle(q: int = 2) -> FigueroaBundle:
     return _build_bundle(q)
-
-
-def figueroa_unital(q: int = 2) -> Unital:
-    return figueroa_bundle(q).unital
 
 
 def hermitian_restriction(bundle: FigueroaBundle) -> Unital:
@@ -436,8 +359,7 @@ class FigueroaVerification:
         )
 
 
-def verify_figueroa_theorems(q: int = 2, threads: int = 1,
-                             atlas: Optional[TranslationAtlas] = None,
+def verify_figueroa_theorems(q: int = 2, atlas: Optional[TranslationAtlas] = None,
                              bundle: Optional[FigueroaBundle] = None) -> FigueroaVerification:
     """Check the translation structure of the polar unital against its
     predicted shape: involutions only, centers exactly the subplane points,
@@ -449,7 +371,7 @@ def verify_figueroa_theorems(q: int = 2, threads: int = 1,
         bundle = figueroa_bundle(q)
     U = bundle.unital
     if atlas is None:
-        atlas = build_atlas(U, threads=threads)
+        atlas = build_atlas(U)
 
     H = frozenset(bundle.hermitian_points)
     omega2 = atlas.centers_by_order.get(2, frozenset())
@@ -471,8 +393,6 @@ def verify_figueroa_theorems(q: int = 2, threads: int = 1,
         t2_order = 0
         transitive = False
         two_transitive = False
-
-    from .plane import hermitian_unital
 
     sub = hermitian_restriction(bundle)
     iso = isomorphism_search(sub, hermitian_unital(q))

@@ -1,20 +1,22 @@
-"""Desarguesian projective planes PG(2, F) and the classical hermitian unital.
+"""Desarguesian projective planes PG(2, F) and polar unitals.
 
 Points and lines are homogeneous coordinate triples over a finite field,
 normalized so the first nonzero coordinate is 1; both live in the same
-index space (the plane is self-dual in coordinates).  The hermitian unital
-of order q is cut out of PG(2, GF(q^2)) by the unitary polarity
-(x0 : x1 : x2) ↦ [x0^q : x1^q : x2^q]: its points are the self-conjugate
-(absolute) points and its blocks are the traces of non-tangent lines.
+index space (the plane is self-dual in coordinates).  ``polar_unital`` cuts
+a unital of order q out of any plane of order q² with a unitary polarity:
+the absolute points, with the traces of the non-tangent lines as blocks.
+The hermitian unital comes from PG(2, q²) and the polarity
+(x0 : x1 : x2) ↦ [x0^q : x1^q : x2^q]; the Figueroa unital is another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .gf import Field, make_field, prime_power
 from .incidence import Unital
+from .permgroup import Perm
 
 Triple = tuple[int, int, int]
 
@@ -45,18 +47,11 @@ def dot(F: Field, u: Triple, v: Triple) -> int:
 
 
 def line_through(F: Field, P: Triple, Q: Triple) -> Triple:
-    """Coordinates of the unique line joining two distinct points."""
+    """Coordinates of the unique line joining two distinct points.  By
+    duality the same triple is the meet of two distinct lines."""
     w = cross(F, P, Q)
     if w == (0, 0, 0):
         raise ValueError("points are not distinct")
-    return normalize(F, w)
-
-
-def meet(F: Field, l: Triple, m: Triple) -> Triple:
-    """The unique common point of two distinct lines."""
-    w = cross(F, l, m)
-    if w == (0, 0, 0):
-        raise ValueError("lines are not distinct")
     return normalize(F, w)
 
 
@@ -75,8 +70,8 @@ def _normalized_triples(F: Field) -> list[Triple]:
 class ProjectivePlane:
     """PG(2, F) with precomputed incidence lists.
 
-    ``points`` and ``lines`` hold the same normalized triples in the same
-    order, so a coordinate triple has one index valid in both roles.
+    ``points`` holds the normalized triples; line ``i`` is the line with the
+    coordinates ``points[i]``, so a triple has one index valid in both roles.
     """
 
     def __init__(self, F: Field):
@@ -84,10 +79,8 @@ class ProjectivePlane:
         self.order = F.order
         triples = _normalized_triples(F)
         self.points: tuple[Triple, ...] = tuple(triples)
-        self.lines: tuple[Triple, ...] = tuple(triples)
         self.index: dict[Triple, int] = {t: i for i, t in enumerate(triples)}
-        self.points_on = tuple(self._solve_line(l) for l in self.lines)
-        self._line_sets = tuple(frozenset(pts) for pts in self.points_on)
+        self.points_on = tuple(self._solve_line(l) for l in triples)
         lt: list[list[int]] = [[] for _ in triples]
         for lid, pts in enumerate(self.points_on):
             for pid in pts:
@@ -114,40 +107,53 @@ class ProjectivePlane:
             pts.append(idx[normalize(F, v)])
         return tuple(sorted(pts))
 
-    def incident(self, pid: int, lid: int) -> bool:
-        return pid in self._line_sets[lid]
-
 
 @lru_cache(maxsize=None)
 def projective_plane(F: Field) -> ProjectivePlane:
     return ProjectivePlane(F)
 
 
-@dataclass(frozen=True)
-class UnitaryPolarity:
-    """The conjugation polarity of PG(2, GF(q^2)) fixing the hermitian curve."""
-
-    q: int
-    field: Field  # GF(q^2)
-    half_degree: int  # e/2; conjugation is the half-degree Frobenius
-
-    def conj(self, a: int) -> int:
-        return self.field.frobenius(a, self.half_degree)
-
-    def point_to_line(self, P: Triple) -> Triple:
-        return normalize(self.field, tuple(self.conj(x) for x in P))  # type: ignore[arg-type]
-
-    def is_absolute(self, P: Triple) -> bool:
-        F = self.field
-        acc = 0
-        for x in P:
-            acc = F.add(acc, F.mul(x, self.conj(x)))
-        return acc == 0
+def frobenius_perm(plane: ProjectivePlane, k: int) -> Perm:
+    """The index permutation induced by the field map x ↦ x^(p^k).  Read as
+    point → line, it is a correlation of the plane; for PG(2, q²) with
+    q = p^m, ``frobenius_perm(plane, m)`` is the unitary polarity."""
+    F = plane.field
+    img = []
+    for t in plane.points:
+        u = (F.frobenius(t[0], k), F.frobenius(t[1], k), F.frobenius(t[2], k))
+        img.append(plane.index[u])  # normalized triples stay normalized
+    return tuple(img)
 
 
-def unitary_polarity(q: int) -> UnitaryPolarity:
-    p, m = prime_power(q)
-    return UnitaryPolarity(q=q, field=make_field(p, 2 * m), half_degree=m)
+def polar_unital(points_on: Sequence[tuple[int, ...]], lines_through: Sequence[tuple[int, ...]],
+                 polarity: Perm, order: int,
+                 labels: Sequence) -> tuple[Unital, tuple[int, ...], tuple[int, ...]]:
+    """The unital of order ``order`` cut out of a plane by a unitary polarity.
+
+    The plane comes as its incidence lists (ascending point ids per line,
+    line ids per point), the polarity as a point → line index map.  Returns
+    the unital of the absolute points, in index order and labelled from
+    ``labels``, with the traces of more than one point as blocks; the plane
+    point of each unital point; and the plane line of each block.
+    """
+    absolute = [pid for pid, ls in enumerate(lines_through) if polarity[pid] in ls]
+    v = order**3 + 1
+    if len(absolute) != v:
+        raise ArithmeticError(f"{len(absolute)} absolute points, expected {v}")
+    reindex = {pid: i for i, pid in enumerate(absolute)}
+    traced: list[tuple[tuple[int, ...], int]] = []
+    for lid, pts in enumerate(points_on):
+        tr = tuple(reindex[pid] for pid in pts if pid in reindex)
+        if len(tr) > 1:
+            if len(tr) != order + 1:
+                raise ArithmeticError(f"line {lid} meets the absolute points in {len(tr)} points")
+            traced.append((tr, lid))
+    traced.sort()
+    blocks = tuple(t for t, _ in traced)
+    U = Unital(v, blocks, order, point_labels=tuple(labels[pid] for pid in absolute))
+    if U.blocks != blocks:
+        raise AssertionError("block canonicalization changed the trace order")
+    return U, tuple(absolute), tuple(lid for _, lid in traced)
 
 
 def hermitian_unital(q: int) -> Unital:
@@ -156,20 +162,8 @@ def hermitian_unital(q: int) -> Unital:
     Point labels carry the homogeneous coordinates of the absolute points,
     in index order.
     """
-    pol = unitary_polarity(q)
-    plane = projective_plane(pol.field)
-    absolute = [pid for pid, P in enumerate(plane.points) if pol.is_absolute(P)]
-    if len(absolute) != q**3 + 1:
-        raise ArithmeticError(
-            f"absolute point count {len(absolute)} != {q**3 + 1}; construction is broken"
-        )
-    reindex = {pid: i for i, pid in enumerate(absolute)}
-    blocks = []
-    for pts in plane.points_on:
-        trace = [reindex[p] for p in pts if p in reindex]
-        if len(trace) > 1:
-            if len(trace) != q + 1:
-                raise ArithmeticError("line trace is neither tangent nor full secant")
-            blocks.append(tuple(sorted(trace)))
-    labels = tuple(plane.points[pid] for pid in absolute)
-    return Unital(len(absolute), blocks, q=q, point_labels=labels)
+    p, m = prime_power(q)
+    plane = projective_plane(make_field(p, 2 * m))
+    U, _, _ = polar_unital(plane.points_on, plane.lines_through,
+                           frobenius_perm(plane, m), q, plane.points)
+    return U

@@ -291,12 +291,17 @@ def translations_at(U: Unital, c: int, allow_fixed: bool = False) -> list[Perm]:
     """The group of all translations with center c, identity included.
 
     Exhaustive search; every permutation it finds is re-verified against the
-    definition (the identity is added, not found).  ``allow_fixed`` disables
-    the extra-fixed-point pruning rule (slower; used to cross-check that the
-    rule loses nothing).
+    definition (the identity is added, not found).  The search confines each
+    point to its block through c, so a point without one is a ``ValueError``.
+    ``allow_fixed`` disables the extra-fixed-point pruning rule (slower; used
+    to cross-check that the rule loses nothing).
     """
-    if not 0 <= c < U.v:
+    v = U.v
+    if not 0 <= c < v:
         raise ValueError(f"center {c} out of range")
+    for x in range(v):
+        if x != c and U.pair_table[c * v + x] == -1:
+            raise ValueError(f"point {x} shares no block with center {c}")
     found = _search_translations(
         U.v, U.blocks, U.block_sets, U.point_blocks, U.pair_table, c, allow_fixed
     )

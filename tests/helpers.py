@@ -6,6 +6,13 @@ explicit matrix groups) without touching the code paths under test.
 
 from unitals.incidence import Unital
 
+# Two 9-point files that are not unitals.  In the first, blocks 023 and 123
+# share the pair (2, 3); the pair (1, 5) is covered twice as well, but is
+# found second when the blocks are scanned in order.  In the second, the
+# three blocks are disjoint.  In both, some point shares no block with 0.
+DOUBLE_TXT = "unital v=9 k=3\n0 1 5\n0 2 3\n1 2 3\n1 5 8\n"
+MISSING_TXT = "unital v=9 k=3\n0 1 2\n3 4 5\n6 7 8\n"
+
 
 def ag23_unital() -> Unital:
     """The affine plane of order 3 as a unital: point (a, b) ↦ index 3a+b.
@@ -68,3 +75,53 @@ def is_translation_raw(U: Unital, perm, c: int) -> bool:
         if frozenset(pi[x] for x in blk) != frozenset(blk):
             return False
     return True
+
+
+def validate_plane_raw(points_on, n: int, size: int, quadrangle):
+    """The projective-plane axioms of order n by brute force: every pair of
+    points is marked in a size × size table as the lines are scanned, and
+    every pair of lines as the points are; a pair met twice is an error.
+    Returns the transpose (the ascending line ids through each point)."""
+    if len(points_on) != size or size != n * n + n + 1:
+        raise ArithmeticError(f"expected {n*n+n+1} lines, found {len(points_on)}")
+    for lid, pts in enumerate(points_on):
+        if len(pts) != n + 1:
+            raise ArithmeticError(f"line {lid} has {len(pts)} points, expected {n+1}")
+
+    cover = bytearray(size * size)
+    for lid, pts in enumerate(points_on):
+        m = len(pts)
+        for i in range(m):
+            base = pts[i] * size
+            for j in range(i + 1, m):
+                a = base + pts[j]
+                if cover[a]:
+                    raise ArithmeticError(f"points {pts[i]} and {pts[j]} lie on two lines")
+                cover[a] = 1
+    # (n²+n+1)·C(n+1,2) == C(n²+n+1,2) identically, so coverage is complete.
+
+    through = [[] for _ in range(size)]
+    for lid, pts in enumerate(points_on):
+        for pid in pts:
+            through[pid].append(lid)
+    for pid, ls in enumerate(through):
+        if len(ls) != n + 1:
+            raise ArithmeticError(f"point {pid} lies on {len(ls)} lines, expected {n+1}")
+
+    cover = bytearray(size * size)
+    for pid, ls in enumerate(through):
+        m = len(ls)
+        for i in range(m):
+            base = ls[i] * size
+            for j in range(i + 1, m):
+                a = base + ls[j]
+                if cover[a]:
+                    raise ArithmeticError(f"lines {ls[i]} and {ls[j]} meet in two points")
+                cover[a] = 1
+
+    sets = [frozenset(ls) for ls in through]
+    a, b, c, d = quadrangle
+    for x, y, z in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
+        if sets[x] & sets[y] & sets[z]:
+            raise ArithmeticError(f"quadrangle degenerate: {x},{y},{z} collinear")
+    return [tuple(ls) for ls in through]

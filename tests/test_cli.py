@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import unitals
+from helpers import DOUBLE_TXT, MISSING_TXT
 from unitals.cli import main
 from unitals.incidence import read_unital
 from unitals.permgroup import perm_order
@@ -219,6 +221,35 @@ def test_build_figueroa(capsys, tmp_path):
 def test_build_figueroa_requires_out(capsys):
     code, _, _ = run(capsys, "build-figueroa")
     assert code == 2
+
+
+def test_build_figueroa_rejects_too_large_a_plane(capsys, tmp_path):
+    out_path = tmp_path / "fig3.txt"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build-figueroa", "--q", "3", "--out", str(out_path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "532171 points" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,lone", [(MISSING_TXT, 3), (DOUBLE_TXT, 4)])
+@pytest.mark.parametrize("argv", [
+    ["translations"],
+    ["translations", "--center", "0"],
+    ["omega"],
+    ["subunital", "--p", "2"],
+    ["check-lemmas"],
+])
+def test_point_sharing_no_block_with_a_center_is_an_input_error(
+        capsys, tmp_path, text, lone, argv):
+    path = tmp_path / "u.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: point {lone} shares no block with center 0\n"
 
 
 def test_module_execution():

@@ -2,17 +2,78 @@
 
 import pytest
 
+from helpers import validate_plane_raw
 from unitals.figueroa import (
+    _validate_plane,
     build_figueroa_plane,
-    figueroa_unital,
+    figueroa_bundle,
     hermitian_restriction,
     verify_figueroa_theorems,
 )
+from unitals.gf import make_field
 from unitals.incidence import isomorphism_search, onan_search, validate_unital
 from unitals.permgroup import perm_order
-from unitals.plane import hermitian_unital
+from unitals.plane import hermitian_unital, projective_plane
 
 TYPE_COUNTS = {"I": 21, "II": 1260, "III": 2880}
+
+
+def quadrangle(plane):
+    return tuple(plane.index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
+
+class TestPlaneCheck:
+    """``_validate_plane`` against the pairwise brute force it replaced."""
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+    def test_agrees_on_desarguesian_planes(self, p, e):
+        plane = projective_plane(make_field(p, e))
+        args = (list(plane.points_on), plane.order, len(plane.points), quadrangle(plane))
+        through = _validate_plane(*args)
+        assert through == validate_plane_raw(*args)
+        assert through == list(plane.lines_through)
+
+    def test_agrees_on_the_twisted_plane(self, fig):
+        plane = fig.plane
+        args = (list(plane.points_on), plane.order, plane.size, quadrangle(plane.classical))
+        through = _validate_plane(*args)
+        assert through == validate_plane_raw(*args)
+        assert through == list(plane.lines_through)
+
+    @staticmethod
+    def broken(change, match, quad=None):
+        """PG(2, 3) with ``change`` applied to its lines must be rejected by
+        the check, with ``match`` in the message, and by the brute force."""
+        plane = projective_plane(make_field(3, 1))
+        lines = [list(pts) for pts in plane.points_on]
+        change(lines)
+        args = ([tuple(sorted(pts)) for pts in lines], 3, 13, quad or quadrangle(plane))
+        with pytest.raises(ArithmeticError, match=match):
+            _validate_plane(*args)
+        with pytest.raises(ArithmeticError):
+            validate_plane_raw(*args)
+
+    def test_rejects_a_short_line(self):
+        self.broken(lambda lines: lines[0].pop(), "line 0 has 3 points")
+
+    def test_rejects_two_lines_swapping_a_point(self):
+        # sizes and degrees stay the same; only the cover of a pencil fails
+        def swap(lines):
+            a, b = lines[0], lines[1]
+            x = next(pid for pid in a if pid not in b)
+            y = next(pid for pid in b if pid not in a)
+            a[a.index(x)], b[b.index(y)] = y, x
+        self.broken(swap, "meet again")
+
+    def test_rejects_a_point_moved_off_its_line(self):
+        def move(lines):
+            lines[0][0] = next(pid for pid in range(13) if pid not in lines[0])
+        self.broken(move, "point 0 lies on 5 lines")
+
+    def test_rejects_a_degenerate_quadrangle(self):
+        line = projective_plane(make_field(3, 1)).points_on[0]
+        off = next(pid for pid in range(13) if pid not in line)
+        self.broken(lambda lines: None, "collinear", quad=(*line[:3], off))
 
 
 class TestPlane:
@@ -101,7 +162,7 @@ class TestUnital:
         assert validate_unital(U, 8).valid
 
     def test_convenience_constructor(self, fig):
-        assert figueroa_unital(2).blocks == fig.unital.blocks
+        assert figueroa_bundle(2).unital.blocks == fig.unital.blocks
 
     def test_block_lines_carry_the_blocks(self, fig):
         plane = fig.plane

@@ -1,8 +1,9 @@
 """Golden CLI reports: stdout bytes and exit code pinned for fixed inputs.
 
 Small reports are compared byte for byte with ``golden/<name>.out``; large
-ones by the sha256 digest of their stdout.  Exit codes and digests are kept
-in ``golden/manifest.json``.  Every command runs in-process through ``main``
+ones by the sha256 digest of their stdout.  A case listed in ``WRITES`` also
+pins the sha256 of each file it writes.  Exit codes and digests are kept in
+``golden/manifest.json``.  Every command runs in-process through ``main``
 in one temporary working directory that holds the input files, so the file
 names inside the reports are stable and the cached Figueroa bundle is
 reused.  The cases run in list order: the Figueroa file cases read the file
@@ -23,16 +24,15 @@ from pathlib import Path
 
 import pytest
 
+from helpers import DOUBLE_TXT, MISSING_TXT
 from unitals.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
 FILES = {
-    # blocks 012 and 123 share the pair (2, 3); the pair (1, 5) is covered
-    # twice as well, but is found second when the blocks are scanned in order
-    "double.txt": "unital v=9 k=3\n0 1 5\n0 2 3\n1 2 3\n1 5 8\n",
-    "missing.txt": "unital v=9 k=3\n0 1 2\n3 4 5\n6 7 8\n",
+    "double.txt": DOUBLE_TXT,
+    "missing.txt": MISSING_TXT,
     "iso_a.txt": "unital v=7 k=3\n0 1 2\n0 1 3\n0 5 6\n2 3 4\n4 5 6\n",
     # the pairs (0, 6) and (1, 4) lie on two blocks each
     "iso_b.txt": "unital v=7 k=3\n0 2 6\n0 3 6\n1 4 5\n1 4 6\n2 3 5\n",
@@ -58,14 +58,22 @@ CASES = [
     ("isomorphic-two-files", ["isomorphic", "--in", "iso_a.txt", "iso_b.txt"], False),
     ("check-lemmas-q4", ["check-lemmas", "--q", "4"], True),
     ("classify-q4", ["classify", "--q", "4"], True),
+    *(
+        (f"build-hermitian-q{q}", ["build-hermitian", "--q", str(q)], True)
+        for q in (2, 3, 4, 5)
+    ),
     ("build-figueroa-q2", ["build-figueroa", "--q", "2", "--out", "fig.txt"], True),
     ("classify-fig", ["classify", "--in", "fig.txt"], True),
     ("check-lemmas-fig", ["check-lemmas", "--in", "fig.txt"], True),
 ]
 
+# name -> the files the case writes, pinned by digest
+WRITES = {"build-figueroa-q2": ("fig.txt", "fig.txt.json")}
+
 
 def run_cases() -> dict:
-    """name -> (exit code, stdout) for every case, in one working directory."""
+    """name -> (exit code, stdout, {written file: sha256}) for every case,
+    in one working directory."""
     out = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,14 +86,15 @@ def run_cases() -> dict:
                 with contextlib.redirect_stdout(buf), \
                         contextlib.redirect_stderr(io.StringIO()):
                     code = main(argv)
-                out[name] = (code, buf.getvalue())
+                written = {f: sha256(Path(f).read_bytes()) for f in WRITES.get(name, ())}
+                out[name] = (code, buf.getvalue(), written)
         finally:
             os.chdir(cwd)
     return out
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +105,11 @@ def reports():
 @pytest.mark.parametrize("name,digest", [(n, d) for n, _, d in CASES])
 def test_report_matches_golden(reports, name, digest):
     expected = json.loads(MANIFEST.read_text())[name]
-    code, stdout = reports[name]
+    code, stdout, written = reports[name]
     assert code == expected["exit"]
+    assert written == expected.get("files", {})
     if digest:
-        assert sha256(stdout) == expected["sha256"]
+        assert sha256(stdout.encode()) == expected["sha256"]
     else:
         assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
@@ -107,10 +117,12 @@ def test_report_matches_golden(reports, name, digest):
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
-    for (name, _, digest), (code, stdout) in zip(CASES, run_cases().values()):
+    for (name, _, digest), (code, stdout, written) in zip(CASES, run_cases().values()):
         manifest[name] = {"exit": code}
+        if written:
+            manifest[name]["files"] = written
         if digest:
-            manifest[name]["sha256"] = sha256(stdout)
+            manifest[name]["sha256"] = sha256(stdout.encode())
         else:
             (GOLDEN / f"{name}.out").write_bytes(stdout.encode())
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

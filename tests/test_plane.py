@@ -4,13 +4,19 @@ from helpers import ag23_unital
 from unitals.gf import make_field
 from unitals.incidence import isomorphism_search, validate_unital
 from unitals.plane import (
+    frobenius_perm,
     hermitian_unital,
     line_through,
-    meet,
     normalize,
     projective_plane,
-    unitary_polarity,
 )
+
+
+def unitary(q):
+    """PG(2, q²) and its unitary polarity x ↦ x^q, as a point → line map."""
+    p, m = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q]
+    plane = projective_plane(make_field(p, 2 * m))
+    return plane, frobenius_perm(plane, m)
 
 
 def test_plane_counts():
@@ -31,7 +37,7 @@ def test_two_points_one_line():
             assert p in plane.points_on[lid] and q in plane.points_on[lid]
             # uniqueness: no other line holds both
             others = [
-                l for l in plane.lines_through[p] if l != lid and q in plane._line_sets[l]
+                l for l in plane.lines_through[p] if l != lid and q in plane.points_on[l]
             ]
             assert others == []
 
@@ -41,7 +47,7 @@ def test_line_through_meet_are_dual():
     P, Q = (1, 0, 0), (0, 1, 0)
     l = line_through(F, P, Q)
     assert l == (0, 0, 1)
-    m = meet(F, (0, 0, 1), (0, 1, 0))
+    m = line_through(F, (0, 0, 1), (0, 1, 0))
     assert m == (1, 0, 0)
     with pytest.raises(ValueError):
         line_through(F, P, P)
@@ -57,23 +63,26 @@ def test_normalize():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_unitary_polarity_is_involutory(q):
-    pol = unitary_polarity(q)
-    plane = projective_plane(pol.field)
+    plane, sigma = unitary(q)
     for pid in range(len(plane.points)):
-        l = pol.point_to_line(plane.points[pid])
-        assert pol.point_to_line(l) == plane.points[pid]
+        assert sigma[sigma[pid]] == pid
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_absolute_point_count(q):
-    pol = unitary_polarity(q)
-    plane = projective_plane(pol.field)
-    absolute = [t for t in plane.points if pol.is_absolute(t)]
+    plane, sigma = unitary(q)
+    F = plane.field
+    # the hermitian form x0^(q+1) + x1^(q+1) + x2^(q+1), computed directly
+    absolute = [
+        t for t in plane.points
+        if F.add(F.add(F.pow(t[0], q + 1), F.pow(t[1], q + 1)), F.pow(t[2], q + 1)) == 0
+    ]
     assert len(absolute) == q**3 + 1
     # absolute means: the point lies on its own polar line
     for t in absolute:
-        lid = plane.index[pol.point_to_line(t)]
-        assert plane.index[t] in plane.points_on[lid]
+        pid = plane.index[t]
+        assert pid in plane.points_on[sigma[pid]]
+    assert hermitian_unital(q).point_labels == tuple(absolute)
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from helpers import ag23_unital, agl23_elements, is_translation_raw, relabel
-from unitals.incidence import Unital
+from helpers import (
+    DOUBLE_TXT,
+    MISSING_TXT,
+    ag23_unital,
+    agl23_elements,
+    is_translation_raw,
+    relabel,
+)
+from unitals.incidence import Unital, parse_unital
 from unitals.gf import prime_power
 from unitals.permgroup import (
     compose,
@@ -204,6 +211,17 @@ def test_thread_count_must_be_positive(h2):
 def test_center_out_of_range(h2):
     with pytest.raises(ValueError):
         translations_at(h2, 9)
+
+
+@pytest.mark.parametrize("text,center,lone", [
+    (MISSING_TXT, 0, 3), (MISSING_TXT, 4, 0), (DOUBLE_TXT, 0, 4), (DOUBLE_TXT, 8, 0),
+])
+def test_point_sharing_no_block_with_the_center(text, center, lone):
+    U = parse_unital(text)
+    with pytest.raises(ValueError, match=f"point {lone} shares no block with center {center}"):
+        translations_at(U, center)
+    with pytest.raises(ValueError):
+        build_atlas(U)
 
 
 def test_transitivity_check(atlas2, atlas3, atlas4):
