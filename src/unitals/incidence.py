@@ -347,73 +347,87 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
 
     Equivalent to the usual four-line/six-point configuration: each of the
     six points then lies on exactly two of the four blocks and each block
-    carries exactly three of the six points.  Requires that distinct blocks
-    share at most one point (true in any linear space).  The search is
-    lexicographic over ascending block quadruples, so the first witness is
-    canonical; ``budget`` caps the number of explored candidate extensions
-    (0 means exhaustive; a negative budget is rejected).
+    carries exactly three of the six points.  The search is lexicographic
+    over ascending block quadruples, so the first witness is canonical;
+    ``budget`` caps the number of explored candidate extensions (0 means
+    exhaustive; a negative budget is rejected).
+
+    Distinct blocks must share at most one point (true in any linear
+    space): the search raises ValueError naming two blocks once it reaches
+    a block that shares two points with another.
+
+    Block sets are bitmasks.  A block meeting the three sides of a triangle
+    b1 < b2 < b3 completes a configuration exactly when it avoids the
+    pencils of the three vertices, so the fourth level is one mask per
+    triangle, counted as one node per candidate up to the first witness.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    sets = I.block_sets
-    nblocks = len(I.blocks)
+    blocks = I.blocks
     pb = I.point_blocks
-    nodes = 0
+    pencil = [0] * I.v  # filled for the points of each block nb() reaches
+    nb_cache: dict[int, int] = {}
+    meet_cache: dict[int, dict[int, int]] = {}
 
-    def neighbors(b: int) -> list[int]:
-        out = set()
-        for x in I.blocks[b]:
-            out.update(pb[x])
-        out.discard(b)
-        return sorted(out)
-
-    def meet_pt(a: int, b: int) -> int:
-        common = sets[a] & sets[b]
-        if len(common) != 1:
-            raise ValueError(f"blocks {a} and {b} share {len(common)} points")
-        return next(iter(common))
-
-    nb_cache: dict[int, list[int]] = {}
-
-    def nb(b: int) -> list[int]:
+    def nb(b: int) -> int:
+        """The blocks meeting block b, as a mask; checks b against them."""
         if b not in nb_cache:
-            nb_cache[b] = neighbors(b)
+            own = 1 << b
+            acc = 0
+            for x in blocks[b]:
+                if not pencil[x]:
+                    pencil[x] = sum(1 << c for c in pb[x])
+                twice = acc & pencil[x] & ~own
+                if twice:
+                    other = (twice & -twice).bit_length() - 1
+                    raise ValueError(f"blocks {b} and {other} share more than one point")
+                acc |= pencil[x]
+            nb_cache[b] = acc & ~own
         return nb_cache[b]
 
-    for b1 in range(nblocks):
+    def meets(b: int) -> dict[int, int]:
+        """Each block meeting b (and b itself) -> a point they share."""
+        if b not in meet_cache:
+            meet_cache[b] = {c: x for x in blocks[b] for c in pb[x]}
+        return meet_cache[b]
+
+    nodes = 0
+    for b1 in range(len(blocks)):
         n1 = nb(b1)
-        for b2 in n1:
-            if b2 <= b1:
-                continue
+        m1 = meets(b1)
+        rest2 = n1 >> b1 + 1
+        while rest2:
+            low = rest2 & -rest2
+            rest2 ^= low
+            b2 = b1 + low.bit_length()
             nodes += 1
             if budget and nodes > budget:
-                return OnanResult("budget-exhausted", None, None, nodes)
-            p12 = meet_pt(b1, b2)
-            n2 = set(n1) & set(nb(b2))
-            for b3 in sorted(n2):
-                if b3 <= b2:
-                    continue
+                return OnanResult("budget-exhausted", None, None, budget + 1)
+            pen12 = pencil[m1[b2]]
+            m2 = meets(b2)
+            n12 = n1 & nb(b2)
+            rest3 = n12 >> b2 + 1
+            while rest3:
+                low = rest3 & -rest3
+                rest3 ^= low
+                b3 = b2 + low.bit_length()
                 nodes += 1
                 if budget and nodes > budget:
-                    return OnanResult("budget-exhausted", None, None, nodes)
-                p13 = meet_pt(b1, b3)
-                p23 = meet_pt(b2, b3)
-                if p13 == p12 or p23 == p12 or p13 == p23:
-                    continue
-                seen3 = {p12, p13, p23}
-                for b4 in sorted(n2 & set(nb(b3))):
-                    if b4 <= b3:
-                        continue
-                    nodes += 1
-                    if budget and nodes > budget:
-                        return OnanResult("budget-exhausted", None, None, nodes)
-                    p14 = meet_pt(b1, b4)
-                    p24 = meet_pt(b2, b4)
-                    p34 = meet_pt(b3, b4)
-                    pts = {p14, p24, p34}
-                    if len(pts) == 3 and not (pts & seen3):
-                        six = tuple(sorted(seen3 | pts))
-                        return OnanResult("witness", (b1, b2, b3, b4), six, nodes)
+                    return OnanResult("budget-exhausted", None, None, budget + 1)
+                if pen12 >> b3 & 1:
+                    continue  # b3 passes through p12: no triangle
+                p13 = m1[b3]
+                p23 = m2[b3]
+                cands = (n12 & nb(b3)) >> b3 + 1
+                good = cands & ~((pen12 | pencil[p13] | pencil[p23]) >> b3 + 1)
+                low = good & -good  # the first witness, or 0 (then low - 1 = -1)
+                nodes += (cands & (low - 1)).bit_count() + (good != 0)
+                if budget and nodes > budget:
+                    return OnanResult("budget-exhausted", None, None, budget + 1)
+                if good:
+                    b4 = b3 + low.bit_length()
+                    six = (m1[b2], p13, p23, m1[b4], m2[b4], meets(b3)[b4])
+                    return OnanResult("witness", (b1, b2, b3, b4), tuple(sorted(six)), nodes)
     return OnanResult("none", None, None, nodes)
 
 

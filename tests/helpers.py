@@ -4,7 +4,7 @@ Everything here is built from first principles (affine geometry over GF(3),
 explicit matrix groups) without touching the code paths under test.
 """
 
-from unitals.incidence import Unital
+from unitals.incidence import Incidence, OnanResult, Unital
 
 # Two 9-point files that are not unitals.  In the first, blocks 023 and 123
 # share the pair (2, 3); the pair (1, 5) is covered twice as well, but is
@@ -125,3 +125,71 @@ def validate_plane_raw(points_on, n: int, size: int, quadrangle):
         if sets[x] & sets[y] & sets[z]:
             raise ArithmeticError(f"quadrangle degenerate: {x},{y},{z} collinear")
     return [tuple(ls) for ls in through]
+
+
+def onan_search_raw(I: Incidence, budget: int = 0) -> OnanResult:
+    """The O'Nan search node by node, as the library ran it before the
+    bitmask search: every meet is a set intersection, and every candidate
+    fourth block is tried in turn.  The oracle of ``onan_search``."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    sets = I.block_sets
+    nblocks = len(I.blocks)
+    pb = I.point_blocks
+    nodes = 0
+
+    def neighbors(b: int) -> list[int]:
+        out = set()
+        for x in I.blocks[b]:
+            out.update(pb[x])
+        out.discard(b)
+        return sorted(out)
+
+    def meet_pt(a: int, b: int) -> int:
+        common = sets[a] & sets[b]
+        if len(common) != 1:
+            raise ValueError(f"blocks {a} and {b} share {len(common)} points")
+        return next(iter(common))
+
+    nb_cache: dict[int, list[int]] = {}
+
+    def nb(b: int) -> list[int]:
+        if b not in nb_cache:
+            nb_cache[b] = neighbors(b)
+        return nb_cache[b]
+
+    for b1 in range(nblocks):
+        n1 = nb(b1)
+        for b2 in n1:
+            if b2 <= b1:
+                continue
+            nodes += 1
+            if budget and nodes > budget:
+                return OnanResult("budget-exhausted", None, None, nodes)
+            p12 = meet_pt(b1, b2)
+            n2 = set(n1) & set(nb(b2))
+            for b3 in sorted(n2):
+                if b3 <= b2:
+                    continue
+                nodes += 1
+                if budget and nodes > budget:
+                    return OnanResult("budget-exhausted", None, None, nodes)
+                p13 = meet_pt(b1, b3)
+                p23 = meet_pt(b2, b3)
+                if p13 == p12 or p23 == p12 or p13 == p23:
+                    continue
+                seen3 = {p12, p13, p23}
+                for b4 in sorted(n2 & set(nb(b3))):
+                    if b4 <= b3:
+                        continue
+                    nodes += 1
+                    if budget and nodes > budget:
+                        return OnanResult("budget-exhausted", None, None, nodes)
+                    p14 = meet_pt(b1, b4)
+                    p24 = meet_pt(b2, b4)
+                    p34 = meet_pt(b3, b4)
+                    pts = {p14, p24, p34}
+                    if len(pts) == 3 and not (pts & seen3):
+                        six = tuple(sorted(seen3 | pts))
+                        return OnanResult("witness", (b1, b2, b3, b4), six, nodes)
+    return OnanResult("none", None, None, nodes)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import unitals
-from helpers import DOUBLE_TXT, MISSING_TXT
-from unitals.cli import main
+from helpers import DOUBLE_TXT, MISSING_TXT, onan_search_raw
+from unitals.cli import main, report_json
 from unitals.incidence import read_unital
 from unitals.permgroup import perm_order
 
@@ -126,6 +126,7 @@ def test_onan_exit_codes(capsys):
     code, out, _ = run(capsys, "onan", "--q", "2")
     assert code == 0
     assert json.loads(out)["payload"]["status"] == "none"
+    assert json.loads(out)["payload"]["nodes"] == 213
 
     code, out, _ = run(capsys, "onan", "--q", "2", "--budget", "1")
     assert code == 1
@@ -144,6 +145,24 @@ def test_onan_budget_zero_is_exhaustive(capsys):
     code, out, _ = run(capsys, "onan", "--q", "3", "--budget", "0")
     assert code == 0
     assert json.loads(out)["payload"]["status"] == "none"
+
+
+def test_onan_blocks_sharing_two_points_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "double.txt"
+    path.write_text(DOUBLE_TXT)
+    code, out, err = run(capsys, "onan", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: blocks 0 and 3 share more than one point\n"
+
+
+def test_onan_on_disjoint_blocks_matches_the_raw_search(capsys, tmp_path):
+    path = tmp_path / "missing.txt"
+    path.write_text(MISSING_TXT)
+    code, out, _ = run(capsys, "onan", "--in", str(path))
+    assert code == 0
+    expected = onan_search_raw(read_unital(path))
+    assert json.loads(out)["payload"] == report_json(expected)
 
 
 def test_isomorphic_exit_codes(capsys, tmp_path, h2_file):

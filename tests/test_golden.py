@@ -55,6 +55,9 @@ CASES = [
             ("onan", []),
         )
     ),
+    ("onan-q3-budget5000", ["onan", "--q", "3", "--budget", "5000"], False),
+    ("onan-q4", ["onan", "--q", "4"], True),
+    ("onan-q5", ["onan", "--q", "5"], True),
     ("isomorphic-two-files", ["isomorphic", "--in", "iso_a.txt", "iso_b.txt"], False),
     ("check-lemmas-q4", ["check-lemmas", "--q", "4"], True),
     ("classify-q4", ["classify", "--q", "4"], True),
@@ -65,6 +68,10 @@ CASES = [
     ("build-figueroa-q2", ["build-figueroa", "--q", "2", "--out", "fig.txt"], True),
     ("classify-fig", ["classify", "--in", "fig.txt"], True),
     ("check-lemmas-fig", ["check-lemmas", "--in", "fig.txt"], True),
+    # the canonical file's first witness is node 648
+    ("onan-fig", ["onan", "--in", "fig.txt"], False),
+    ("onan-fig-budget647", ["onan", "--in", "fig.txt", "--budget", "647"], False),
+    ("onan-fig-budget648", ["onan", "--in", "fig.txt", "--budget", "648"], False),
 ]
 
 # name -> the files the case writes, pinned by digest

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from helpers import ag23_unital, relabel
+from helpers import ag23_unital, onan_search_raw, relabel
 from unitals.incidence import (
     Incidence,
     fisher_check,
@@ -134,7 +136,8 @@ def test_onan_budget():
     I = Incidence(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
     res = onan_search(I, budget=1)
     assert res.status == "budget-exhausted"
-    assert res.nodes >= 1
+    assert res.nodes == 2
+    assert res.blocks is None
 
 
 def test_onan_rejects_negative_budget():
@@ -143,8 +146,58 @@ def test_onan_rejects_negative_budget():
 
 
 def test_onan_rejects_repeated_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocks 0 and 1 share more than one point"):
         onan_search(Incidence(4, [(0, 1, 2), (0, 1, 3)]))
+
+
+# Cases with at most this many nodes are compared at every budget up to
+# nodes + 1; larger ones at nodes - 1, nodes, nodes + 1 and a seeded sample
+# of budgets below ONAN_SAMPLE_BELOW.
+ONAN_EVERY_BUDGET = 400
+ONAN_SAMPLE_BELOW = 20000
+
+
+# (id, fixture, relabelling seed or None, random block subset number or None)
+ONAN_CASES = [
+    ("planted", None, None, None),
+    *((f"{h}{tag}", h, seed, None) for h in ("h2", "h3", "h4")
+      for tag, seed in (("", None), ("-relabelled", int(h[1])))),
+    ("fig", "fig", None, None),
+    ("fig-relabelled", "fig_relabelled", None, None),
+    *((f"{name}-subset{i}", name, None, i) for name in ("h3", "h4", "fig") for i in range(10)),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,seed,subset", [c[1:] for c in ONAN_CASES], ids=[c[0] for c in ONAN_CASES]
+)
+def test_onan_matches_raw_search(request, fixture, seed, subset):
+    if fixture is None:
+        I = Incidence(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+    else:
+        I = request.getfixturevalue(fixture)
+        I = getattr(I, "unital", I)
+    rng = random.Random(f"{fixture}-{seed}-{subset}")
+    if seed is not None:
+        perm = list(range(I.v))
+        random.Random(seed).shuffle(perm)
+        I = relabel(I, perm)
+    if subset is not None:
+        # blocks of a design still pairwise share at most one point
+        share = rng.uniform(0.2, 0.7)
+        I = Incidence(I.v, [b for b in I.blocks if rng.random() < share])
+    full = onan_search_raw(I)
+    assert onan_search(I) == full
+    n = full.nodes
+    if n <= ONAN_EVERY_BUDGET:
+        budgets = range(1, n + 2)
+    else:
+        budgets = {n - 1, n, n + 1, *rng.sample(range(1, min(n - 1, ONAN_SAMPLE_BELOW)), 5)}
+    for budget in sorted(budgets):
+        # the raw search never counts more than n nodes, so from n on it
+        # returns its exhaustive result
+        expected = onan_search_raw(I, budget) if budget < n else full
+        assert onan_search(I, budget) == expected, budget
 
 
 def test_isomorphism_identity_and_relabel(h3):
