@@ -17,13 +17,12 @@ from .figueroa import (
     hermitian_restriction,
     verify_figueroa_theorems,
 )
-from .gf import Field, make_field, make_field_of_order, prime_power
+from .gf import Field, make_field, prime_power
 from .incidence import (
     Incidence,
     OnanResult,
     Unital,
     ValidationReport,
-    fisher_check,
     format_unital,
     ideal_embedding_check,
     isomorphism_search,
@@ -32,15 +31,12 @@ from .incidence import (
     read_unital,
     restrict_to,
     validate_unital,
-    write_unital,
 )
 from .permgroup import (
     PermGroup,
     generalized_dihedral_check,
-    gleason_check,
     is_transitive,
     is_two_transitive,
-    two_point_stabilizer_orbits,
     unique_involution_check,
 )
 from .plane import ProjectivePlane, hermitian_unital, projective_plane
@@ -74,10 +70,8 @@ __all__ = [
     "classify",
     "constant_intersection_check",
     "figueroa_bundle",
-    "fisher_check",
     "format_unital",
     "generalized_dihedral_check",
-    "gleason_check",
     "hermitian_restriction",
     "hermitian_unital",
     "ideal_embedding_check",
@@ -86,7 +80,6 @@ __all__ = [
     "is_two_transitive",
     "isomorphism_search",
     "make_field",
-    "make_field_of_order",
     "onan_search",
     "orbit_congruence_check",
     "parse_unital",
@@ -98,9 +91,7 @@ __all__ = [
     "subunital_analysis",
     "translation_transitivity_check",
     "translations_at",
-    "two_point_stabilizer_orbits",
     "unique_involution_check",
     "validate_unital",
     "verify_figueroa_theorems",
-    "write_unital",
 ]

@@ -38,10 +38,7 @@ from .permgroup import (
     DihedralReport,
     Perm,
     PermGroup,
-    compose,
     generalized_dihedral_check,
-    identity_perm,
-    inverse,
     is_involution,
     is_transitive,
     validate_perm,
@@ -313,7 +310,6 @@ class SharpTransitivityReport:
     preconditions_ok: bool
     failed_preconditions: tuple[str, ...]
     domain_size: int
-    m_supplied: bool
     m_order: Optional[int]
     m_abelian: Optional[bool]
     m_regular: Optional[bool]
@@ -321,6 +317,7 @@ class SharpTransitivityReport:
     equivalences_agree: Optional[bool]
     all_conditions_hold: Optional[bool]
     dihedral: Optional[DihedralReport]
+    m_supplied: bool = False  # the complement is always computed; kept in reports
 
     @property
     def ok(self) -> bool:
@@ -347,15 +344,14 @@ def sharply_transitive_suite(
     G: PermGroup,
     domain: Iterable[int],
     tau: Sequence[int],
-    M: Optional[PermGroup] = None,
 ) -> SharpTransitivityReport:
     """Evaluate the abelian/regular/semiregular equivalence for ``G`` on a set.
 
     ``G`` must be transitive on ``domain`` and ``tau`` an involution in ``G``
-    fixing exactly one of its points.  ``M`` (a normal odd-order transitive
-    subgroup) may be supplied; otherwise the products of two involutions are
-    used.  All precondition failures are reported together; the three
-    equivalent conditions are evaluated independently and must agree.
+    fixing exactly one of its points; the complement is the set of products
+    of two involutions.  All precondition failures are reported together;
+    the three equivalent conditions are evaluated independently and must
+    agree.
     """
     dom = tuple(sorted(set(domain)))
     index = {x: i for i, x in enumerate(dom)}
@@ -373,7 +369,6 @@ def sharply_transitive_suite(
     if tau_r is None:
         failures.append("the point set is not invariant under tau")
 
-    G_r = None
     if not failures:
         G_r = PermGroup(gens_r, degree=len(dom))
         if not is_transitive(G_r, range(len(dom))):
@@ -389,39 +384,12 @@ def sharply_transitive_suite(
                     f"tau fixes {fixed} points of the domain instead of exactly one"
                 )
 
-    M_r = None
-    if M is not None and G_r is not None:
-        if M.order() % 2 == 0:
-            failures.append("M has even order")
-        m_gens = []
-        for g in M.generators:
-            r = _restrict_perm(g, dom, index)
-            if r is None:
-                failures.append("the point set is not invariant under M")
-                break
-            if g not in G:
-                failures.append("M is not a subgroup of the group")
-                break
-            m_gens.append(r)
-        else:
-            M_r = PermGroup(m_gens, degree=len(dom))
-            if not is_transitive(M_r, range(len(dom))):
-                failures.append("M is not transitive on the point set")
-            for g in gens_r:
-                gi = inverse(g)
-                if any(
-                    compose(gi, compose(m, g)) not in M_r for m in M_r.generators
-                ):
-                    failures.append("M is not normal in the group")
-                    break
-
     if failures:
         return SharpTransitivityReport(
             preconditions_ok=False,
             failed_preconditions=tuple(dict.fromkeys(failures)),
             domain_size=len(dom),
-            m_supplied=M is not None,
-            m_order=None if M is None else M.order(),
+            m_order=None,
             m_abelian=None,
             m_regular=None,
             tau_conjugation_semiregular=None,
@@ -431,27 +399,8 @@ def sharply_transitive_suite(
         )
 
     dihedral = generalized_dihedral_check(G_r, tau_r)
-
-    if M_r is not None:
-        elems = M_r.elements()
-        ident = identity_perm(len(dom))
-        abelian = all(
-            compose(a, b) == compose(b, a)
-            for i, a in enumerate(M_r.generators)
-            for b in M_r.generators[i + 1 :]
-        )
-        regular = M_r.order() == len(dom) and is_transitive(M_r, range(len(dom)))
-        semiregular = all(
-            compose(tau_r, compose(m, tau_r)) != m for m in elems if m != ident
-        )
-        m_order = M_r.order()
-    else:
-        abelian = dihedral.m_abelian
-        regular = dihedral.m_regular
-        semiregular = dihedral.tau_conjugation_semiregular
-        m_order = dihedral.m_order
-
-    flags = [abelian, regular, semiregular]
+    abelian = dihedral.m_abelian
+    flags = [abelian, dihedral.m_regular, dihedral.tau_conjugation_semiregular]
     agree = None if any(f is None for f in flags) else len(set(flags)) == 1
     all_hold = None if agree is None else agree and bool(abelian)
 
@@ -459,13 +408,11 @@ def sharply_transitive_suite(
         preconditions_ok=True,
         failed_preconditions=(),
         domain_size=len(dom),
-        m_supplied=M is not None,
-        m_order=m_order,
+        m_order=dihedral.m_order,
         m_abelian=abelian,
-        m_regular=regular,
-        tau_conjugation_semiregular=semiregular,
+        m_regular=dihedral.m_regular,
+        tau_conjugation_semiregular=dihedral.tau_conjugation_semiregular,
         equivalences_agree=agree,
         all_conditions_hold=all_hold,
         dihedral=dihedral,
     )
-

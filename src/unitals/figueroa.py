@@ -6,11 +6,11 @@ and the order-3 collineation α acting coordinatewise by x ↦ x^{q²}.  Points
 their α-orbit collinear (dually, concurrent), and type III have a triangle
 as orbit.  For type-III elements set
 
-    mu_point(P) = the classical line through αP and α²P,
-    mu_line(ℓ)  = the classical meet of αℓ and α²ℓ,
+    μ(P) = the classical line through αP and α²P,
+    μ(ℓ) = the classical meet of αℓ and α²ℓ,
 
 and define the twisted incidence: a type-III point P lies on a type-III
-line ℓ exactly when mu_line(ℓ) lies classically on mu_point(P); every other
+line ℓ exactly when μ(ℓ) lies classically on μ(P); every other
 point/line pair keeps its classical incidence.  The result is validated
 from scratch as a projective plane of order q⁶ (nothing is taken on faith
 from the construction), in one pass per point: every line has q⁶+1 points,
@@ -49,6 +49,7 @@ from .permgroup import (
     perm_order,
 )
 from .plane import (
+    MAX_PLANE_POINTS,
     ProjectivePlane,
     dot,
     frobenius_perm,
@@ -78,9 +79,6 @@ TYPE_I = "I"
 TYPE_II = "II"
 TYPE_III = "III"
 
-# q = 2 gives 4161 points; q = 3 gives 532,171 with 730 on each line.
-MAX_PLANE_POINTS = 100_000
-
 
 @dataclass(frozen=True)
 class FigPlane:
@@ -90,10 +88,10 @@ class FigPlane:
     order: int  # q**6
     classical: ProjectivePlane
     alpha_point: Perm  # x -> x^(q^2), coordinatewise; the same map on line triples
+    # Points and lines share their triples, so these serve lines too: a
+    # line's type, and μ of a type-III line as a classical point index.
     point_type: tuple[str, ...]
-    line_type: tuple[str, ...]
     mu_point: tuple[int, ...]  # type-III point -> classical line index (-1 else)
-    mu_line: tuple[int, ...]  # type-III line -> classical point index (-1 else)
     points_on: tuple[tuple[int, ...], ...]  # twisted incidence
     lines_through: tuple[tuple[int, ...], ...]
 
@@ -212,9 +210,7 @@ def build_figueroa_plane(q: int) -> FigPlane:
         classical=plane,
         alpha_point=alpha,
         point_type=tuple(types),
-        line_type=tuple(types),
         mu_point=tuple(mu),
-        mu_line=tuple(mu),
         points_on=tuple(points_on),
         lines_through=tuple(lines_through),
     )

@@ -225,21 +225,6 @@ class Field:
         """a ↦ a^(p^k), the k-fold Frobenius automorphism."""
         return self.pow(a, self.p ** (k % self.e))
 
-    def norm_to(self, a: int, d: int) -> int:
-        """Relative norm onto the subfield of degree d (d must divide e)."""
-        if d < 1 or self.e % d != 0:
-            raise ValueError(f"degree {d} does not divide {self.e}")
-        return self.pow(a, (self.order - 1) // (self.p**d - 1))
-
-    def subfield(self, d: int) -> frozenset[int]:
-        """Elements of the unique subfield GF(p^d), as raw encodings."""
-        if d < 1 or self.e % d != 0:
-            raise ValueError(f"degree {d} does not divide {self.e}")
-        return frozenset(a for a in range(self.order) if self.frobenius(a, d) == a)
-
-    def multiplicative_generator(self) -> int:
-        return self._exp[1] if self.order > 2 else 1
-
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -254,8 +239,3 @@ class Field:
 def make_field(p: int, e: int = 1) -> Field:
     """Shared, immutable Field instance for GF(p^e)."""
     return Field(p, e)
-
-
-def make_field_of_order(n: int) -> Field:
-    p, e = prime_power(n)
-    return make_field(p, e)

@@ -24,16 +24,13 @@ __all__ = [
     "Unital",
     "ValidationReport",
     "Restriction",
-    "FisherReport",
     "OnanResult",
     "validate_unital",
     "restrict_to",
     "ideal_embedding_check",
-    "fisher_check",
     "onan_search",
     "isomorphism_search",
     "read_unital",
-    "write_unital",
     "parse_unital",
     "format_unital",
 ]
@@ -287,48 +284,6 @@ def ideal_embedding_check(U: Incidence, subset: Iterable[int]):
             if len(sets[bid] & sub) < 2:
                 return False, (x, bid)
     return True, None
-
-
-# -- Fisher's inequality ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    v: int
-    k: int
-    line_count: int
-    r: int
-    fisher_holds: bool
-    projective_plane_flag: bool
-
-
-def fisher_check(I: Incidence) -> FisherReport:
-    """Per-point line count r = (v-1)/(k-1) and the bound r >= k.
-
-    Callers must feed a linear space with constant line size k > 2 and more
-    than one line; degenerate input raises ValueError.
-    """
-    if not I.blocks:
-        raise ValueError("no lines")
-    sizes = {len(b) for b in I.blocks}
-    if len(sizes) != 1:
-        raise ValueError(f"non-constant line size: {sorted(sizes)}")
-    k = sizes.pop()
-    if k <= 2:
-        raise ValueError("line size must exceed 2")
-    if len(I.blocks) < 2:
-        raise ValueError("more than one line is required")
-    if (I.v - 1) % (k - 1) != 0:
-        raise ValueError("not a linear space: (v-1)/(k-1) is not an integer")
-    r = (I.v - 1) // (k - 1)
-    return FisherReport(
-        v=I.v,
-        k=k,
-        line_count=len(I.blocks),
-        r=r,
-        fisher_holds=r >= k,
-        projective_plane_flag=r == k,
-    )
 
 
 # -- O'Nan configurations -----------------------------------------------------
@@ -699,7 +654,3 @@ def read_unital(path) -> Unital:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_unital(fh.read(), source=str(path))
 
-
-def write_unital(U: Unital, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_unital(U))

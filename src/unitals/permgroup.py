@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Sequence
 Perm = tuple[int, ...]
 
 ENUMERATION_LIMIT = 1_000_000
-CLOSURE_LIMIT = 10_000
 
 
 def identity_perm(n: int) -> Perm:
@@ -82,28 +81,6 @@ def validate_perm(p: Sequence[int], degree: Optional[int] = None) -> Perm:
     if sorted(t) != list(range(n)):
         raise ValueError("not a permutation: images are not 0..n-1 exactly once")
     return t
-
-
-def mulclose(gens: Iterable[Perm], limit: int = CLOSURE_LIMIT) -> set[Perm]:
-    """Brute-force closure of a generating set; the small-group oracle."""
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        raise ValueError("mulclose needs at least one permutation")
-    n = len(gens[0])
-    elems = {identity_perm(n)}
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                x = compose(h, g)
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-                    if len(elems) > limit:
-                        raise ValueError(f"closure exceeded {limit} elements")
-        frontier = new
-    return elems
 
 
 class PermGroup:
@@ -310,63 +287,7 @@ def two_point_stabilizer(G: PermGroup, x: int, y: int) -> PermGroup:
     return G.with_base((x, y)).level_group(2)
 
 
-def two_point_stabilizer_orbits(G: PermGroup, x: int, y: int) -> list[int]:
-    """Sorted orbit-length multiset of the two-point stabilizer on the domain."""
-    stab = two_point_stabilizer(G, x, y)
-    return sorted(len(o) for o in stab.orbits())
-
-
 # -- structure checks ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GleasonReport:
-    """Transitivity from local certificates: for each x in X an element of
-    prime order p whose only fixed point inside X is x.  If all certificates
-    verify, the group they generate is transitive on X."""
-
-    ok: bool
-    transitive: bool
-    certificate_failures: tuple[tuple[str, str], ...]
-    uncovered: tuple
-
-
-def gleason_check(certificates: Iterable[tuple[int, Sequence[int]]], X: Iterable[int],
-                  p: int) -> GleasonReport:
-    Xs = frozenset(X)
-    if not Xs:
-        raise ValueError("empty point set")
-    certs = [(x, tuple(g)) for x, g in certificates]
-    failures = []
-    covered = set()
-    perms = []
-    for x, g in certs:
-        if x not in Xs:
-            failures.append((x, "certificate point outside X"))
-            continue
-        if perm_order(g) != p:
-            failures.append((x, f"element order {perm_order(g)} != {p}"))
-            continue
-        fix_in_x = set(fixed_points(g)) & Xs
-        if fix_in_x != {x}:
-            failures.append((x, f"fixed points in X are {sorted(fix_in_x)}, expected [{x}]"))
-            continue
-        covered.add(x)
-        perms.append(g)
-    uncovered = tuple(sorted(Xs - covered))
-    transitive = False
-    if not failures and not uncovered:
-        G = PermGroup(perms)
-        try:
-            transitive = is_transitive(G, Xs)
-        except ValueError:
-            transitive = False
-    return GleasonReport(
-        ok=not failures and not uncovered and transitive,
-        transitive=transitive,
-        certificate_failures=tuple((str(x), msg) for x, msg in failures),
-        uncovered=uncovered,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ from .permgroup import Perm
 
 Triple = tuple[int, int, int]
 
+# The largest plane built: PG(2, q²) for q ≤ 17, and the twisted plane for
+# q = 2 (4161 points; q = 3 would give 532,171 with 730 on each line).
+MAX_PLANE_POINTS = 100_000
+
 
 def normalize(F: Field, v: Triple) -> Triple:
     """Scale a nonzero homogeneous triple so its first nonzero entry is 1."""
@@ -160,8 +164,13 @@ def hermitian_unital(q: int) -> Unital:
     """The hermitian unital of order q as a 2-(q^3+1, q+1, 1) design.
 
     Point labels carry the homogeneous coordinates of the absolute points,
-    in index order.
+    in index order.  A plane PG(2, q²) above ``MAX_PLANE_POINTS`` points
+    (q ≥ 19) is refused before anything is built.
     """
+    size = q**4 + q**2 + 1
+    if size > MAX_PLANE_POINTS:
+        raise ValueError(f"the plane PG(2, q²) for q = {q} has {size} points; "
+                         f"at most {MAX_PLANE_POINTS} can be built")
     p, m = prime_power(q)
     plane = projective_plane(make_field(p, 2 * m))
     U, _, _ = polar_unital(plane.points_on, plane.lines_through,

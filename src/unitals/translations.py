@@ -20,8 +20,7 @@ at most one point, so these forced constraints almost always collapse the
 search after two well-chosen assignments.  A non-center point is never
 offered itself as an image: a translation with an extra fixed point is the
 identity, so the nontrivial translations are exactly the fixed-point-free
-completions (the rule can be disabled for soundness checks, and every found
-permutation is re-verified against the definition either way).
+completions.  Every permutation found is re-verified against the definition.
 
 Transport.  If g is an automorphism with g(c) = c', then σ ↦ gσg⁻¹ maps the
 translations with center c onto those with center c'.  Every translation is
@@ -108,10 +107,14 @@ def _is_block(U: Unital, pts: tuple[int, ...]) -> bool:
     return not pts or any(U.blocks[bid] == pts for bid in U.point_blocks[pts[0]])
 
 
-def _search_translations(v: int, blocks, block_sets, point_blocks, pair_block,
-                         c: int, allow_fixed: bool) -> list[Perm]:
-    """All translation candidates at center c (identity excluded unless
-    ``allow_fixed``); results still need the raw re-verification."""
+def _search_translations(U: Unital, c: int) -> list[Perm]:
+    """The fixed-point-free translation candidates at center c; they still
+    need the re-verification that ``translations_at`` gives them."""
+    v = U.v
+    blocks = U.blocks
+    block_sets = U.block_sets
+    point_blocks = U.point_blocks
+    pair_block = U.pair_table
     nblocks = len(blocks)
     pencil = point_blocks[c]
     pencil_of = [-1] * v
@@ -198,9 +201,7 @@ def _search_translations(v: int, blocks, block_sets, point_blocks, pair_block,
                     cand = -1
                     multiple = False
                     for w in epts:
-                        if pre[w] != -1 or pencil_of[w] != pu:
-                            continue
-                        if w == u and not allow_fixed:
+                        if pre[w] != -1 or pencil_of[w] != pu or w == u:
                             continue
                         if cand == -1:
                             cand = w
@@ -239,7 +240,7 @@ def _search_translations(v: int, blocks, block_sets, point_blocks, pair_block,
             s = {
                 w
                 for w in blocks[e]
-                if pre[w] == -1 and pencil_of[w] == pu and (allow_fixed or w != u)
+                if pre[w] == -1 and pencil_of[w] == pu and w != u
             }
             base = s if base is None else base & s
             if len(base) <= 1:
@@ -287,14 +288,12 @@ def _search_translations(v: int, blocks, block_sets, point_blocks, pair_block,
     return results
 
 
-def translations_at(U: Unital, c: int, allow_fixed: bool = False) -> list[Perm]:
+def translations_at(U: Unital, c: int) -> list[Perm]:
     """The group of all translations with center c, identity included.
 
     Exhaustive search; every permutation it finds is re-verified against the
     definition (the identity is added, not found).  The search confines each
     point to its block through c, so a point without one is a ``ValueError``.
-    ``allow_fixed`` disables the extra-fixed-point pruning rule (slower; used
-    to cross-check that the rule loses nothing).
     """
     v = U.v
     if not 0 <= c < v:
@@ -302,11 +301,8 @@ def translations_at(U: Unital, c: int, allow_fixed: bool = False) -> list[Perm]:
     for x in range(v):
         if x != c and U.pair_table[c * v + x] == -1:
             raise ValueError(f"point {x} shares no block with center {c}")
-    found = _search_translations(
-        U.v, U.blocks, U.block_sets, U.point_blocks, U.pair_table, c, allow_fixed
-    )
     ident = identity_perm(U.v)
-    group = set(found) - {ident}
+    group = set(_search_translations(U, c))
     for p in group:
         if not is_translation(U, p, c):
             raise RuntimeError(

@@ -1,10 +1,16 @@
 """Independent reference constructions used as oracles by several test files.
 
 Everything here is built from first principles (affine geometry over GF(3),
-explicit matrix groups) without touching the code paths under test.
+explicit matrix groups, brute-force closures and enumerations) without
+touching the code paths under test.
 """
 
+from itertools import permutations, product
+
 from unitals.incidence import Incidence, OnanResult, Unital
+from unitals.permgroup import compose, identity_perm
+
+CLOSURE_LIMIT = 10_000
 
 # Two 9-point files that are not unitals.  In the first, blocks 023 and 123
 # share the pair (2, 3); the pair (1, 5) is covered twice as well, but is
@@ -75,6 +81,43 @@ def is_translation_raw(U: Unital, perm, c: int) -> bool:
         if frozenset(pi[x] for x in blk) != frozenset(blk):
             return False
     return True
+
+
+def translations_raw(U: Unital, c: int) -> list[tuple[int, ...]]:
+    """All translations with center c, identity included, by brute force:
+    every permutation that fixes c and permutes the other points of each
+    block through c among themselves, kept if it passes the definition."""
+    pencil = [[x for x in U.blocks[bid] if x != c] for bid in U.pencil(c)]
+    found = []
+    for images in product(*(permutations(pts) for pts in pencil)):
+        perm = list(range(U.v))
+        for pts, img in zip(pencil, images):
+            for x, y in zip(pts, img):
+                perm[x] = y
+        if is_translation_raw(U, perm, c):
+            found.append(tuple(perm))
+    return sorted(found)
+
+
+def mulclose(gens, limit: int = CLOSURE_LIMIT) -> set[tuple[int, ...]]:
+    """Brute-force closure of a generating set; the small-group oracle."""
+    gens = [tuple(g) for g in gens]
+    if not gens:
+        raise ValueError("mulclose needs at least one permutation")
+    elems = {identity_perm(len(gens[0]))}
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in gens:
+                x = compose(h, g)
+                if x not in elems:
+                    elems.add(x)
+                    new.append(x)
+                    if len(elems) > limit:
+                        raise ValueError(f"closure exceeded {limit} elements")
+        frontier = new
+    return elems
 
 
 def validate_plane_raw(points_on, n: int, size: int, quadrangle):

