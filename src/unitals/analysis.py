@@ -41,6 +41,7 @@ from .permgroup import (
     generalized_dihedral_check,
     is_involution,
     is_transitive,
+    orbit,
     validate_perm,
 )
 from .translations import TranslationAtlas, build_atlas
@@ -202,7 +203,8 @@ def constant_intersection_check(
     if constant:
         if mho_empty:
             covers = omega == frozenset(range(U.v))
-            transitive = is_transitive(atlas.group_for(p), range(U.v))
+            gens = [sigma for _, sigma in atlas.translations_of_order(p)]
+            transitive = len(orbit(gens, 0)) == U.v
         else:
             failure = "some points are the center of no nontrivial translation"
 
@@ -400,8 +402,7 @@ def sharply_transitive_suite(
 
     dihedral = generalized_dihedral_check(G_r, tau_r)
     abelian = dihedral.m_abelian
-    flags = [abelian, dihedral.m_regular, dihedral.tau_conjugation_semiregular]
-    agree = None if any(f is None for f in flags) else len(set(flags)) == 1
+    agree = dihedral.equivalences_agree
     all_hold = None if agree is None else agree and bool(abelian)
 
     return SharpTransitivityReport(

@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .gf import make_field, prime_power
-from .incidence import Unital, isomorphism_search, restrict_to, validate_unital
+from .incidence import Unital, carries_blocks, isomorphism_search, restrict_to, validate_unital
 from .permgroup import (
     Perm,
     PermGroup,
@@ -187,11 +187,11 @@ def _validate_plane(points_on: list[tuple[int, ...]], n: int, size: int,
 
 def build_figueroa_plane(q: int) -> FigPlane:
     """Construct and fully validate the twisted plane of order q⁶."""
-    p, e = prime_power(q)
     size = q**12 + q**6 + 1
     if size > MAX_PLANE_POINTS:
         raise ValueError(f"the twisted plane for q = {q} has {size} points; "
                          f"at most {MAX_PLANE_POINTS} can be built")
+    p, e = prime_power(q)
     F = make_field(p, 6 * e)
     plane = projective_plane(F)
     alpha = frobenius_perm(plane, 2 * e)
@@ -394,10 +394,7 @@ def verify_figueroa_theorems(q: int = 2, atlas: Optional[TranslationAtlas] = Non
     iso = isomorphism_search(sub, hermitian_unital(q))
 
     alpha = bundle.alpha_unital
-    blocks = set(U.blocks)
-    alpha_auto = all(
-        tuple(sorted(alpha[x] for x in blk)) in blocks for blk in U.blocks
-    )
+    alpha_auto = carries_blocks(U, alpha, U)
     alpha_ord = perm_order(alpha)
     alpha_trivial_on_centers = all(alpha[x] == x for x in omega2)
 

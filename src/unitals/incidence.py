@@ -6,7 +6,8 @@ a declared order q.  Design axioms are *not* enforced by constructors — that
 is :func:`validate_unital`'s job, so broken inputs can be loaded and reported.
 
 Also here: the plain-text unital file format.  Line one is
-``unital v=<points> k=<blocksize>``; every following non-comment line is one
+``unital v=<points> k=<blocksize>`` with 1 <= v <= ``MAX_FILE_POINTS`` and
+k >= 3; every following non-comment line is one
 block as space-separated ascending point indices; ``#`` starts a comment.
 Canonical form lists blocks in lexicographic order, which the constructors
 produce and the writer emits.
@@ -15,6 +16,7 @@ produce and the writer emits.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -30,10 +32,16 @@ __all__ = [
     "ideal_embedding_check",
     "onan_search",
     "isomorphism_search",
+    "carries_blocks",
     "read_unital",
     "parse_unital",
     "format_unital",
 ]
+
+
+# The largest hermitian unital built from --q (17³ + 1 points); the pair
+# table a loaded design gets has v² entries.
+MAX_FILE_POINTS = 17**3 + 1
 
 
 class Incidence:
@@ -172,6 +180,35 @@ class Unital(Incidence):
 
     def __hash__(self) -> int:
         return hash((self.v, self.blocks, self.q))
+
+
+def carries_blocks(A: Incidence, perm: Sequence[int], B: Incidence) -> bool:
+    """Whether the point map ``perm`` sends every block of A onto a block of B.
+
+    A block's image is the block B's pair table gives for the images of its
+    first two points, so the block maps onto a block exactly when the two
+    have the same size and every other image lies in it.  Blocks with fewer
+    than two points, and pairs the table marks as uncovered or covered twice
+    (invalid designs), are looked up among B's blocks as sorted tuples.
+    """
+    v = B.v
+    block_sets = B.block_sets
+    pair_block = B.pair_table
+    image_of = perm.__getitem__
+    for blk in A.blocks:
+        e = pair_block[perm[blk[0]] * v + perm[blk[1]]] if len(blk) >= 2 else -1
+        if e >= 0:
+            image = block_sets[e]
+            if len(image) != len(blk) or not image.issuperset(map(image_of, blk)):
+                return False
+            continue
+        pts = tuple(sorted(map(image_of, blk)))
+        if not pts:
+            if B.blocks[:1] != ((),):  # the empty block sorts first
+                return False
+        elif not any(B.blocks[bid] == pts for bid in B.point_blocks[pts[0]]):
+            return False
+    return True
 
 
 # -- design validation ------------------------------------------------------
@@ -389,27 +426,27 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
 # -- isomorphism --------------------------------------------------------------
 
 
-def _block_signatures(I: Incidence) -> list[tuple]:
-    """Per block: (size, sorted (intersection size, count) pairs vs all others)."""
-    sets = I.block_sets
+def _invariants(I: Incidence) -> tuple[list[tuple], list[tuple]]:
+    """Block signatures and point fingerprints, in one pass over the pencils.
+
+    A block's signature is its size and the sorted (intersection size,
+    count) pairs against every other block; a point's fingerprint is the
+    sorted signatures of the blocks through it.  Each block counts the other
+    blocks through each of its points; those it never reaches meet it in 0
+    points, a count listed only when positive.
+    """
+    pb = I.point_blocks
+    others = len(I.blocks) - 1
     sigs = []
-    for i, s in enumerate(sets):
-        counts: dict[int, int] = {}
-        for j, t in enumerate(sets):
-            if i == j:
-                continue
-            m = len(s & t)
-            counts[m] = counts.get(m, 0) + 1
-        sigs.append((len(s), tuple(sorted(counts.items()))))
-    return sigs
-
-
-def _point_fingerprints(I: Incidence, sig_ids: dict, sigs: list[tuple]) -> list[tuple]:
-    fps = []
-    for x in range(I.v):
-        fp = tuple(sorted(sig_ids[sigs[b]] for b in I.point_blocks[x]))
-        fps.append(fp)
-    return fps
+    for bid, blk in enumerate(I.blocks):
+        meets = Counter(c for x in blk for c in pb[x])
+        meets.pop(bid, None)
+        sizes = Counter(meets.values())
+        if others > len(meets):
+            sizes[0] = others - len(meets)
+        sigs.append((len(blk), tuple(sorted(sizes.items()))))
+    fps = [tuple(sorted(sigs[bid] for bid in pb[x])) for x in range(I.v)]
+    return sigs, fps
 
 
 def isomorphism_search(A: Incidence, B: Incidence):
@@ -424,18 +461,13 @@ def isomorphism_search(A: Incidence, B: Incidence):
     """
     if A.v != B.v or len(A.blocks) != len(B.blocks):
         return None
-    if sorted(map(len, A.blocks)) != sorted(map(len, B.blocks)):
+    sigs_a, fps_a = _invariants(A)
+    sigs_b, fps_b = _invariants(B)
+    if sorted(sigs_a) != sorted(sigs_b):
         return None
-
-    sigs_a = _block_signatures(A)
-    sigs_b = _block_signatures(B)
-    sig_ids: dict[tuple, int] = {}
-    for s in sigs_a + sigs_b:
-        sig_ids.setdefault(s, len(sig_ids))
-    if sorted(sig_ids[s] for s in sigs_a) != sorted(sig_ids[s] for s in sigs_b):
-        return None
-    fp_a = _point_fingerprints(A, sig_ids, sigs_a)
-    fp_b = _point_fingerprints(B, sig_ids, sigs_b)
+    fp_ids: dict[tuple, int] = {}
+    fp_a = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_a]
+    fp_b = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_b]
     if sorted(fp_a) != sorted(fp_b):
         return None
 
@@ -444,7 +476,7 @@ def isomorphism_search(A: Incidence, B: Incidence):
     b_pairs = B.pair_table
     b_point_blocks = B.point_blocks
 
-    fp_groups: dict[tuple, list[int]] = {}
+    fp_groups: dict[int, list[int]] = {}
     for y in range(v):
         fp_groups.setdefault(fp_b[y], []).append(y)
 
@@ -543,17 +575,6 @@ def isomorphism_search(A: Incidence, B: Incidence):
             else:  # cnt0
                 blk_cnt[a] = 0
 
-    bset_all = set(B.blocks)
-
-    def verify() -> bool:
-        images = set()
-        for blk in ablocks:
-            t = tuple(sorted(img[x] for x in blk))
-            if t not in bset_all or t in images:
-                return False
-            images.add(t)
-        return True
-
     def next_point():
         best = None
         best_key = None
@@ -572,7 +593,7 @@ def isomorphism_search(A: Incidence, B: Incidence):
     def search() -> bool:
         nxt = next_point()
         if nxt is None:
-            return verify()
+            return carries_blocks(A, img, B)
         u, cs = nxt
         for w in cs:
             mark = len(trail)
@@ -626,8 +647,9 @@ def parse_unital(text: str, source: str = "<string>") -> Unital:
                 k = int(parts[2][2:])
             except ValueError:
                 raise ValueError(f"{source}:{lineno}: malformed header numbers") from None
-            if v < 1 or k < 3:
-                raise ValueError(f"{source}:{lineno}: header v={v} k={k} out of range")
+            if not 1 <= v <= MAX_FILE_POINTS or k < 3:
+                raise ValueError(f"{source}:{lineno}: header v={v} k={k} out of range "
+                                 f"(1 <= v <= {MAX_FILE_POINTS}, k >= 3)")
             continue
         try:
             pts = tuple(int(tok) for tok in line.split())

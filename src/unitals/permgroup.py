@@ -83,6 +83,19 @@ def validate_perm(p: Sequence[int], degree: Optional[int] = None) -> Perm:
     return t
 
 
+def orbit(generators: Sequence[Perm], x: int) -> frozenset[int]:
+    """The orbit of x under the group the permutations generate (BFS)."""
+    seen = {x}
+    queue = [x]
+    for pt in queue:
+        for g in generators:
+            y = g[pt]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
 class PermGroup:
     """⟨generators⟩ with a stabilizer chain relative to an optional base prefix."""
 
@@ -216,18 +229,7 @@ class PermGroup:
     def orbit(self, x: int) -> frozenset[int]:
         if not 0 <= x < self.degree:
             raise ValueError(f"point {x} out of range")
-        seen = {x}
-        queue = [x]
-        while queue:
-            nxt = []
-            for pt in queue:
-                for g in self.generators:
-                    y = g[pt]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            queue = nxt
-        return frozenset(seen)
+        return orbit(self.generators, x)
 
     def orbits(self, domain: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
         pts = sorted(domain) if domain is not None else range(self.degree)

@@ -35,14 +35,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .incidence import Unital
+from .incidence import Unital, carries_blocks
 from .permgroup import (
     Perm,
     PermGroup,
     conjugate,
-    identity_perm,
-    perm_order,
     fixed_points,
+    identity_perm,
+    orbit,
+    perm_cycles,
+    perm_order,
 )
 
 __all__ = [
@@ -70,41 +72,17 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def is_translation(U: Unital, perm, c: int) -> bool:
-    """Automorphism fixing c and each block through c setwise.
-
-    A block's image is the block the pair table gives for the images of its
-    first two points, so the block maps onto a block exactly when the two
-    have the same size and every other image lies in it.  Blocks with fewer
-    than two points, and pairs the table marks as uncovered or covered twice
-    (invalid designs), are looked up as sorted tuples instead.
-    """
+    """Automorphism fixing c and each block through c setwise."""
     pi = tuple(perm)
     v = U.v
     if len(pi) != v or sorted(pi) != list(range(v)):
         raise ValueError("not a permutation of the point set")
-    if pi[c] != c:
+    if pi[c] != c or not carries_blocks(U, pi, U):
         return False
     block_sets = U.block_sets
-    pair_block = U.pair_table
     image_of = pi.__getitem__
-    for blk in U.blocks:
-        e = pair_block[pi[blk[0]] * v + pi[blk[1]]] if len(blk) >= 2 else -1
-        if e >= 0:
-            image = block_sets[e]
-            if len(image) != len(blk) or not image.issuperset(map(image_of, blk)):
-                return False
-        elif not _is_block(U, tuple(sorted(map(image_of, blk)))):
-            return False
-    for bid in U.pencil(c):
-        if not block_sets[bid].issuperset(map(image_of, U.blocks[bid])):
-            return False
-    return True
-
-
-def _is_block(U: Unital, pts: tuple[int, ...]) -> bool:
-    """Whether the sorted tuple ``pts`` is one of U's blocks (the empty tuple
-    only arises as the image of an empty block, so it is one)."""
-    return not pts or any(U.blocks[bid] == pts for bid in U.point_blocks[pts[0]])
+    return all(block_sets[bid].issuperset(map(image_of, U.blocks[bid]))
+               for bid in U.pencil(c))
 
 
 def _search_translations(U: Unital, c: int) -> list[Perm]:
@@ -458,29 +436,21 @@ def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> Transitiv
     if not omega_p:
         raise ValueError(f"no translations of order {p}")
 
-    group = atlas.group_for(p)
-    transitive = group.orbit(min(omega_p)) >= omega_p
+    pairs = atlas.translations_of_order(p)
+    transitive = orbit([sigma for _, sigma in pairs], min(omega_p)) >= omega_p
+    by_center: dict[int, list[Perm]] = {}
+    for c, sigma in pairs:
+        by_center.setdefault(c, []).append(sigma)
 
     block_failures = []
     checked = 0
-    by_center = {c: [q for q in perms if perm_order(q) == p]
-                 for c, perms in enumerate(atlas.nontrivial)}
     for bid, blk in enumerate(U.blocks):
         inside = sorted(set(blk) & omega_p)
         if len(inside) < 2:
             continue
         checked += 1
-        gens = [q for c in inside for q in by_center[c]]
-        orbit = {inside[0]}
-        queue = [inside[0]]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        if not orbit >= set(inside):
+        block_gens = [sigma for c in inside for sigma in by_center[c]]
+        if not orbit(block_gens, inside[0]) >= set(inside):
             block_failures.append((bid, tuple(inside)))
 
     divisor_failures = []
@@ -528,8 +498,6 @@ def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
         raise ValueError(f"no translations of order {n}")
     failures = []
     checked = 0
-    from .permgroup import perm_cycles
-
     for c, sigma in atlas.translations_of_order(n):
         checked += 1
         if set(fixed_points(sigma)) != {c}:

@@ -19,6 +19,11 @@ CLOSURE_LIMIT = 10_000
 DOUBLE_TXT = "unital v=9 k=3\n0 1 5\n0 2 3\n1 2 3\n1 5 8\n"
 MISSING_TXT = "unital v=9 k=3\n0 1 2\n3 4 5\n6 7 8\n"
 
+# Two isomorphic 7-point files of five triples, not linear spaces: in the
+# second, the pairs (0, 6) and (1, 4) lie on two blocks each.
+ISO_A_TXT = "unital v=7 k=3\n0 1 2\n0 1 3\n0 5 6\n2 3 4\n4 5 6\n"
+ISO_B_TXT = "unital v=7 k=3\n0 2 6\n0 3 6\n1 4 5\n1 4 6\n2 3 5\n"
+
 
 def ag23_unital() -> Unital:
     """The affine plane of order 3 as a unital: point (a, b) ↦ index 3a+b.
@@ -35,6 +40,14 @@ def ag23_unital() -> Unital:
             blocks.add(tuple(sorted((idx[P], idx[Q], idx[R]))))
     assert len(blocks) == 12
     return Unital(9, sorted(blocks), 2)
+
+
+def ag23_corrupted() -> Unital:
+    """AG(2, 3) with the line (0, 1, 2) replaced by (0, 1, 3): the pair 0-3
+    is covered twice, 0-2 and 1-2 not at all; a one-point block and an
+    empty block ride along."""
+    blocks = [b for b in ag23_unital().blocks if b != (0, 1, 2)]
+    return Unital(9, blocks + [(0, 1, 3), (4,), ()], 2)
 
 
 def agl23_elements() -> list[tuple[int, ...]]:
@@ -64,18 +77,21 @@ def relabel(U: Unital, g) -> Unital:
     return Unital(U.v, [tuple(g[x] for x in blk) for blk in U.blocks], U.q)
 
 
+def carries_blocks_raw(A: Incidence, perm, B: Incidence) -> bool:
+    """Every block of A maps onto a block of B, each image looked up as a
+    sorted tuple."""
+    blocks = set(B.blocks)
+    return all(tuple(sorted(perm[x] for x in blk)) in blocks for blk in A.blocks)
+
+
 def is_translation_raw(U: Unital, perm, c: int) -> bool:
     """The definition, with every block image looked up as a sorted tuple:
     an automorphism fixing c and each block through c setwise."""
     pi = tuple(perm)
     if len(pi) != U.v or sorted(pi) != list(range(U.v)):
         raise ValueError("not a permutation of the point set")
-    if pi[c] != c:
+    if pi[c] != c or not carries_blocks_raw(U, pi, U):
         return False
-    blocks = set(U.blocks)
-    for blk in U.blocks:
-        if tuple(sorted(pi[x] for x in blk)) not in blocks:
-            return False
     for bid in U.pencil(c):
         blk = U.blocks[bid]
         if frozenset(pi[x] for x in blk) != frozenset(blk):
@@ -236,3 +252,20 @@ def onan_search_raw(I: Incidence, budget: int = 0) -> OnanResult:
                         six = tuple(sorted(seen3 | pts))
                         return OnanResult("witness", (b1, b2, b3, b4), six, nodes)
     return OnanResult("none", None, None, nodes)
+
+
+def block_signatures_raw(I: Incidence) -> list[tuple]:
+    """Per block: its size and the sorted (intersection size, count) pairs
+    against every other block, by intersecting all pairs of blocks, as the
+    isomorphism search computed them before it counted along pencils."""
+    sets = I.block_sets
+    sigs = []
+    for i, s in enumerate(sets):
+        counts: dict[int, int] = {}
+        for j, t in enumerate(sets):
+            if i == j:
+                continue
+            m = len(s & t)
+            counts[m] = counts.get(m, 0) + 1
+        sigs.append((len(s), tuple(sorted(counts.items()))))
+    return sigs

@@ -11,7 +11,7 @@ from unitals.cli import report_json
 from unitals.incidence import Unital
 from unitals.permgroup import PermGroup
 from unitals.plane import hermitian_unital
-from unitals.translations import TranslationAtlas
+from unitals.translations import TranslationAtlas, translation_transitivity_check
 
 
 def collinear_center_atlas(h2, atlas2):
@@ -89,6 +89,22 @@ class TestConstantIntersection:
     def test_collinear_centers_rejected(self, h2, atlas2):
         with pytest.raises(ValueError):
             constant_intersection_check(h2, collinear_center_atlas(h2, atlas2), 2)
+
+
+def test_orbit_checks_build_no_stabilizer_chain(h4, atlas4, monkeypatch):
+    """Both checks read orbits only, so they take them from the generators."""
+    def checks():
+        return (translation_transitivity_check(atlas4, 2),
+                constant_intersection_check(h4, atlas4, 2))
+
+    expected = checks()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(PermGroup, "__init__", refuse)
+    assert checks() == expected
+    assert expected[0].ok and expected[1].ok
 
 
 class TestClassify:

@@ -242,15 +242,30 @@ def test_build_figueroa_requires_out(capsys):
     assert code == 2
 
 
-def test_build_figueroa_rejects_too_large_a_plane(capsys, tmp_path):
-    out_path = tmp_path / "fig3.txt"
+# 2^61 - 1 is prime: a trial-division factorization of it never ends
+@pytest.mark.parametrize("q", [3, 2**61 - 1])
+def test_build_figueroa_rejects_too_large_a_plane(capsys, tmp_path, q):
+    out_path = tmp_path / "fig.txt"
     start = time.perf_counter()
-    code, out, err = run(capsys, "build-figueroa", "--q", "3", "--out", str(out_path))
+    code, out, err = run(capsys, "build-figueroa", "--q", str(q), "--out", str(out_path))
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "532171 points" in err
+    assert err == (f"error: the twisted plane for q = {q} has {q**12 + q**6 + 1} points; "
+                   "at most 100000 can be built\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_file_with_too_many_points_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("unital v=4915 k=3\n0 1 2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--in", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:1: header v=4915 k=3 out of range")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("q,points", [(19, 130683), (32, 1049601)])

@@ -120,6 +120,9 @@ class TestPlane:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             build_figueroa_plane(6)
+        # small enough for the size bound, so the factorization rejects it
+        with pytest.raises(ValueError, match="1 is not a prime power"):
+            build_figueroa_plane(1)
 
 
 class TestPolarity:

@@ -19,23 +19,35 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from helpers import DOUBLE_TXT, MISSING_TXT
+from helpers import DOUBLE_TXT, ISO_A_TXT, ISO_B_TXT, MISSING_TXT, relabel
 from unitals.cli import main
+from unitals.incidence import format_unital
+from unitals.plane import hermitian_unital
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
+
+def h4_relabelled() -> str:
+    """H(4) with its points shuffled by a fixed seed, as a design file."""
+    H = hermitian_unital(4)
+    perm = list(range(H.v))
+    random.Random(2022).shuffle(perm)
+    return format_unital(relabel(H, perm))
+
+
 FILES = {
     "double.txt": DOUBLE_TXT,
     "missing.txt": MISSING_TXT,
-    "iso_a.txt": "unital v=7 k=3\n0 1 2\n0 1 3\n0 5 6\n2 3 4\n4 5 6\n",
-    # the pairs (0, 6) and (1, 4) lie on two blocks each
-    "iso_b.txt": "unital v=7 k=3\n0 2 6\n0 3 6\n1 4 5\n1 4 6\n2 3 5\n",
+    "iso_a.txt": ISO_A_TXT,
+    "iso_b.txt": ISO_B_TXT,
+    "h4r.txt": h4_relabelled(),
 }
 
 # (name, argv, compare by digest)
@@ -61,6 +73,10 @@ CASES = [
     ("isomorphic-two-files", ["isomorphic", "--in", "iso_a.txt", "iso_b.txt"], False),
     ("check-lemmas-q4", ["check-lemmas", "--q", "4"], True),
     ("classify-q4", ["classify", "--q", "4"], True),
+    # both orbit checks and the H(5)-against-H(5) isomorphism search
+    ("check-lemmas-q5", ["check-lemmas", "--q", "5"], True),
+    ("isomorphic-h4-relabelled", ["isomorphic", "--in", "h4r.txt", "--q", "4"], True),
+    ("classify-h4-relabelled", ["classify", "--in", "h4r.txt"], True),
     *(
         (f"build-hermitian-q{q}", ["build-hermitian", "--q", str(q)], True)
         for q in (2, 3, 4, 5)

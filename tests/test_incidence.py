@@ -1,10 +1,25 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import onan_search_raw, relabel
+from helpers import (
+    DOUBLE_TXT,
+    ISO_A_TXT,
+    ISO_B_TXT,
+    MISSING_TXT,
+    ag23_corrupted,
+    agl23_elements,
+    block_signatures_raw,
+    carries_blocks_raw,
+    onan_search_raw,
+    relabel,
+)
 from unitals.incidence import (
+    MAX_FILE_POINTS,
     Incidence,
+    _invariants,
+    carries_blocks,
     format_unital,
     ideal_embedding_check,
     isomorphism_search,
@@ -208,6 +223,75 @@ def test_isomorphism_distinguishes_hexagon_from_triangles():
     assert isomorphism_search(hexagon, rotated) is not None
 
 
+def fingerprint_classes(fps) -> list[int]:
+    """Each point's class, named by the first point that shares it."""
+    first: dict = {}
+    return [first.setdefault(fp, x) for x, fp in enumerate(fps)]
+
+
+@pytest.mark.parametrize("design", [
+    *("h2", "h3", "h4", "h5", "fig", "fig_relabelled"),
+    *(pytest.param(parse_unital(text), id=name) for name, text in (
+        ("double", DOUBLE_TXT), ("missing", MISSING_TXT),
+        ("iso_a", ISO_A_TXT), ("iso_b", ISO_B_TXT))),
+    pytest.param(Incidence(5, [(), (0,), (0, 1, 2), (2, 3, 4), (1, 3)]), id="small-blocks"),
+])
+def test_invariants_match_all_pairs_signatures(design, request):
+    if isinstance(design, str):
+        design = request.getfixturevalue(design)
+    I = getattr(design, "unital", design)
+    sigs, fps = _invariants(I)
+    raw = block_signatures_raw(I)
+    assert sigs == raw
+    sig_ids: dict = {}
+    for sig in raw:
+        sig_ids.setdefault(sig, len(sig_ids))
+    raw_fps = [tuple(sorted(sig_ids[raw[b]] for b in I.point_blocks[x])) for x in range(I.v)]
+    assert fingerprint_classes(fps) == fingerprint_classes(raw_fps)
+
+
+def test_carries_blocks_matches_sorted_tuple_lookup(h3, atlas3):
+    rng = random.Random(11)
+    perms = [tuple(rng.sample(range(28), 28)) for _ in range(200)]
+    autos = [p for perms_c in atlas3.nontrivial for p in perms_c]
+    g = tuple(rng.sample(range(28), 28))
+    other = relabel(h3, g)
+    for perm in perms + autos:
+        assert carries_blocks(h3, perm, h3) == carries_blocks_raw(h3, perm, h3)
+        # onto the relabelled copy: the automorphisms followed by g carry
+        # blocks, the same maps without g seldom do
+        moved = tuple(g[x] for x in perm)
+        for image in (perm, moved):
+            assert carries_blocks(h3, image, other) == carries_blocks_raw(h3, image, other)
+    assert all(carries_blocks(h3, p, h3) for p in autos)
+    assert all(carries_blocks(h3, tuple(g[x] for x in p), other) for p in autos)
+    assert not any(carries_blocks(h3, p, h3) for p in perms)
+
+    # pairs covered twice and uncovered, a one-point and an empty block
+    bad = ag23_corrupted()
+    good = Incidence(9, [b for b in bad.blocks if len(b) == 3])
+    verdicts = set()
+    for g in agl23_elements():
+        for A, B in ((bad, bad), (good, bad), (bad, good)):
+            raw = carries_blocks_raw(A, g, B)
+            assert carries_blocks(A, g, B) == raw
+            verdicts.add(raw)
+    assert verdicts == {True, False}
+
+    # every block's first pair is covered twice, so every lookup is by tuple
+    twice = Incidence(4, [(0, 1, 2), (0, 1, 3)])
+    perms = list(itertools.permutations(range(4)))
+    assert [carries_blocks(twice, p, twice) for p in perms] == \
+        [carries_blocks_raw(twice, p, twice) for p in perms]
+    assert carries_blocks(twice, (1, 0, 3, 2), twice)
+
+
+def test_empty_block_maps_only_onto_an_empty_block():
+    A = Incidence(3, [(), (0, 1, 2)])
+    assert carries_blocks(A, (1, 2, 0), A)
+    assert not carries_blocks(A, (1, 2, 0), Incidence(3, [(0,), (0, 1, 2)]))
+
+
 def test_format_parse_roundtrip(h3):
     text = format_unital(h3)
     assert text.startswith("unital v=28 k=4\n")
@@ -237,6 +321,7 @@ def test_parse_comments_and_blank_lines():
         ("unital v=9 k=3\n0 1 2\n0 1 2\n", "duplicate block (first seen on line 2)"),
         ("# nothing\n", "missing"),
         ("unital v=0 k=3\n", "out of range"),
+        ("unital v=4915 k=3\n0 1 2\n", "header v=4915 k=3 out of range"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -245,6 +330,11 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
     if fragment != "missing":
         assert "bad.unital:" in str(exc.value)  # line number prefix
+
+
+def test_header_accepts_the_largest_hermitian_unital():
+    assert MAX_FILE_POINTS == 17**3 + 1
+    assert parse_unital("unital v=4914 k=3\n0 1 2\n").v == 4914
 
 
 def test_parse_error_reports_line_number():

@@ -13,6 +13,7 @@ from unitals.permgroup import (
     is_involution,
     is_transitive,
     is_two_transitive,
+    orbit,
     perm_cycles,
     perm_order,
     two_point_stabilizer,
@@ -114,6 +115,15 @@ def test_orbits_and_transitivity():
     assert sorted(map(len, two_orbits.orbits(range(4)))) == [1, 1, 2]
     with pytest.raises(ValueError):
         is_transitive(two_orbits, [0, 2])  # not invariant
+
+
+@pytest.mark.parametrize("gens", [S4_GENS, A4_GENS, C6_GEN, [(1, 0, 2, 3)]])
+def test_orbit_matches_closure(gens):
+    elems = mulclose(gens)
+    for x in range(len(gens[0])):
+        assert orbit(gens, x) == {g[x] for g in elems}
+        assert PermGroup(gens).orbit(x) == orbit(gens, x)
+    assert orbit([], 3) == {3}
 
 
 def test_stabilizer_chain_orders():

@@ -5,13 +5,14 @@ import pytest
 from helpers import (
     DOUBLE_TXT,
     MISSING_TXT,
+    ag23_corrupted,
     ag23_unital,
     agl23_elements,
     is_translation_raw,
     relabel,
     translations_raw,
 )
-from unitals.incidence import Unital, parse_unital
+from unitals.incidence import parse_unital
 from unitals.gf import prime_power
 from unitals.permgroup import (
     compose,
@@ -162,10 +163,7 @@ def test_is_translation_matches_raw_definition_on_affine_maps():
     """Translations, automorphisms that are not translations, and (through
     a corrupted copy of the design) maps that are not automorphisms."""
     U = ag23_unital()
-    # (0, 1, 2) becomes (0, 1, 3): pair 0-3 is covered twice, 0-2 and 1-2
-    # not at all; a one-point block and an empty block ride along
-    corrupted = Unital(9, [b for b in U.blocks if b != (0, 1, 2)] + [(0, 1, 3), (4,), ()], 2)
-    for design in (U, corrupted):
+    for design in (U, ag23_corrupted()):
         verdicts = set()
         for g in agl23_elements():
             for c in range(9):
