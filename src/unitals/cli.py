@@ -185,10 +185,10 @@ def _cmd_translations(args) -> int:
             "center": c,
             "group_order": len(perms) + 1,
             "translations": [
-                {"order": perm_order(p), "image": list(p)} for p in perms
+                {"order": n, "image": list(p)} for p, n in zip(perms, orders)
             ],
         }
-        for c, perms in enumerate(atlas.nontrivial)
+        for c, (perms, orders) in enumerate(zip(atlas.nontrivial, atlas.perm_orders))
     ]
     payload = dict(_atlas_summary(atlas), centers=centers)
     _emit(args.out, "translations", desc, payload)
@@ -341,8 +341,10 @@ def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
                         help="accepted for compatibility (at least 1); the "
                              "translation search runs in one process, one point "
                              "per orbit of the group generated by the "
-                             "translations found so far, the rest transported "
-                             "and verified")
+                             "translations found so far; the rest are "
+                             "transported by conjugation, which keeps them "
+                             "automorphisms, and checked on their center's "
+                             "pencil only")
     if budget:
         sp.add_argument("--budget", type=_int_at_least(0), default=0,
                         help="search node cap; 0 = exhaustive")

@@ -5,11 +5,11 @@ block through c setwise.  ``translations_at`` enumerates the full group for
 one center by exhaustive backtracking.  ``build_atlas`` collects these
 groups for every center: it searches one point per orbit of the group
 generated by the translations found so far, transports the result to the
-rest of the orbit by conjugation, and verifies every transported
-translation.  The atlas then gives the center sets of each translation
-order, the points with only the trivial translation, the minimal primes of
-the orders present, and the groups generated by all translations of a given
-order.
+rest of the orbit by conjugation, and checks each transported translation
+on its center's pencil only.  The atlas then gives the center sets of each
+translation order, the points with only the trivial translation, the minimal
+primes of the orders present, and the groups generated by all translations
+of a given order.
 
 Search layout per center.  Every non-center point must stay inside its own
 pencil block (the block joining it to the center), so its candidate images
@@ -26,7 +26,12 @@ Transport.  If g is an automorphism with g(c) = c', then σ ↦ gσg⁻¹ maps t
 translations with center c onto those with center c'.  Every translation is
 an automorphism, so the translations found so far generate a group whose
 orbits can be covered from one searched point each; a Schreier forest
-records, for every other point, the generator that reached it.
+records, for every other point, the generator that reached it.  Every
+generator is a searched, fully verified translation, so by induction along
+the forest a transported translation is a product of automorphisms and an
+automorphism itself.  At run time it is only checked to fix its center c'
+and each of the q² blocks through c' (q²(q+1) lookups, against the b(q+1)
+of ``is_translation``, which the tests apply to every atlas entry).
 """
 
 from __future__ import annotations
@@ -77,12 +82,15 @@ def is_translation(U: Unital, perm, c: int) -> bool:
     v = U.v
     if len(pi) != v or sorted(pi) != list(range(v)):
         raise ValueError("not a permutation of the point set")
-    if pi[c] != c or not carries_blocks(U, pi, U):
-        return False
+    return _fixes_pencil(U, pi, c) and carries_blocks(U, pi, U)
+
+
+def _fixes_pencil(U: Unital, pi: Perm, c: int) -> bool:
+    """pi fixes c and maps each block through c into itself."""
     block_sets = U.block_sets
     image_of = pi.__getitem__
-    return all(block_sets[bid].issuperset(map(image_of, U.blocks[bid]))
-               for bid in U.pencil(c))
+    return pi[c] == c and all(block_sets[bid].issuperset(map(image_of, U.blocks[bid]))
+                              for bid in U.pencil(c))
 
 
 def _search_translations(U: Unital, c: int) -> list[Perm]:
@@ -298,12 +306,17 @@ class TranslationAtlas:
     nontrivial: tuple[tuple[Perm, ...], ...]  # per center, identity omitted
 
     @cached_property
+    def perm_orders(self) -> tuple[tuple[int, ...], ...]:
+        """The order of each translation in ``nontrivial``, in the same layout."""
+        return tuple(tuple(map(perm_order, perms)) for perms in self.nontrivial)
+
+    @cached_property
     def centers_by_order(self) -> dict[int, frozenset[int]]:
         """Order n ↦ the set of centers admitting an order-n translation."""
         acc: dict[int, set[int]] = {}
-        for c, perms in enumerate(self.nontrivial):
-            for p in perms:
-                acc.setdefault(perm_order(p), set()).add(c)
+        for c, orders in enumerate(self.perm_orders):
+            for n in orders:
+                acc.setdefault(n, set()).add(c)
         return {n: frozenset(s) for n, s in sorted(acc.items())}
 
     @cached_property
@@ -320,12 +333,9 @@ class TranslationAtlas:
 
     def translations_of_order(self, n: int) -> list[tuple[int, Perm]]:
         """(center, permutation) pairs for all order-n translations."""
-        out = []
-        for c, perms in enumerate(self.nontrivial):
-            for p in perms:
-                if perm_order(p) == n:
-                    out.append((c, p))
-        return out
+        return [(c, p)
+                for c, (perms, orders) in enumerate(zip(self.nontrivial, self.perm_orders))
+                for p, m in zip(perms, orders) if m == n]
 
     def group_for(self, n: int) -> PermGroup:
         """T[n]: the group generated by all order-n translations."""
@@ -344,8 +354,10 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     that group is extended by BFS from every covered point, and every point
     it reaches is covered.  A covered point c' = g(c) gets
     T(c') = {gσg⁻¹ : σ ∈ T(c)}, conjugated along the forest edge that reached
-    it, and every transported translation is verified with ``is_translation``
-    (the searched ones are verified by ``translations_at``).
+    it.  The searched translations are verified in full by
+    ``translations_at``; gσg⁻¹ is then an automorphism by construction (see
+    the module docstring), so it is only checked to fix c' and each block
+    through c'.  A transport that fails this raises ``RuntimeError``.
 
     ``threads`` must be at least 1 and has no other effect: the search runs
     in this process, since a process pool lost to one worker on every
@@ -394,7 +406,7 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
         x, g = edge[y]
         perms = sorted(conjugate(sigma, g) for sigma in per_center[x])
         for p in perms:
-            if not is_translation(U, p, y):
+            if not _fixes_pencil(U, p, y):
                 raise RuntimeError(
                     f"transport produced a non-translation at center {y}; this is a bug"
                 )

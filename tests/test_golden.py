@@ -79,8 +79,11 @@ CASES = [
     ("classify-h4-relabelled", ["classify", "--in", "h4r.txt"], True),
     *(
         (f"build-hermitian-q{q}", ["build-hermitian", "--q", str(q)], True)
-        for q in (2, 3, 4, 5)
+        for q in (2, 3, 4, 5, 7, 8)
     ),
+    # at scale: 16,512 transported translations, and the H(8) atlas
+    ("translations-q7", ["translations", "--q", "7"], True),
+    ("omega-q8", ["omega", "--q", "8"], True),
     ("build-figueroa-q2", ["build-figueroa", "--q", "2", "--out", "fig.txt"], True),
     ("classify-fig", ["classify", "--in", "fig.txt"], True),
     ("check-lemmas-fig", ["check-lemmas", "--in", "fig.txt"], True),

@@ -198,6 +198,58 @@ def test_atlas_matches_per_center_search(design, request):
         assert atlas.nontrivial[c] == tuple(p for p in translations_at(U, c) if p != ident)
 
 
+@pytest.fixture(scope="module")
+def h5_relabelled(h5):
+    perm = list(range(h5.v))
+    random.Random(1).shuffle(perm)
+    return relabel(h5, perm)
+
+
+@pytest.mark.parametrize("design", ["h3", "h5_relabelled", "fig_relabelled"])
+def test_every_atlas_entry_is_a_translation(design, request):
+    """Oracle for the transport: the atlas checks a transported translation
+    on its center's pencil only; here every entry gets the full definition."""
+    U = request.getfixturevalue(design)
+    atlas = build_atlas(U)
+    assert sum(map(len, atlas.nontrivial)) > 0
+    for c, perms in enumerate(atlas.nontrivial):
+        for sigma in perms:
+            assert is_translation(U, sigma, c)
+
+
+@pytest.mark.parametrize("design", ["h3", "h5_relabelled"])
+def test_transport_by_the_wrong_conjugate_is_caught(design, request, monkeypatch):
+    """The transport conjugates by g⁻¹σg instead of gσg⁻¹.  The generators
+    have odd order here, so the result fixes g⁻¹(x), not g(x); on H(2) and
+    H(4) they are involutions and the two conjugates coincide."""
+    import unitals.translations as tr
+
+    U = request.getfixturevalue(design)
+    monkeypatch.setattr(tr, "conjugate", lambda p, by: conjugate(p, inverse(by)))
+    with pytest.raises(RuntimeError, match="transport produced a non-translation"):
+        build_atlas(U)
+
+
+def test_orders_are_computed_once_per_translation(h3, monkeypatch, capsys):
+    import unitals.cli as cli
+    import unitals.translations as tr
+
+    calls = []
+    for module in (tr, cli):
+        monkeypatch.setattr(module, "perm_order", lambda p: calls.append(p) or perm_order(p))
+    atlas = build_atlas(h3)
+    for n in atlas.orders:
+        atlas.translations_of_order(n)
+    atlas.group_for(3)
+    assert atlas.centers_by_order == {3: frozenset(range(28))}
+    assert atlas.perm_orders == tuple((3, 3) for _ in range(28))
+    assert len(calls) == 56
+    # the translations report reads the atlas's table
+    calls.clear()
+    assert cli.main(["translations", "--q", "3"]) == 0
+    assert len(calls) == 56 and '"order": 3' in capsys.readouterr().out
+
+
 def test_threads_do_not_change_the_atlas(h2, fig_relabelled):
     for U in (h2, fig_relabelled):
         a1 = build_atlas(U, threads=1)
