@@ -161,20 +161,30 @@ def _validate_plane(points_on: list[tuple[int, ...]], n: int, size: int,
     Lines have n+1 points, points lie on n+1 lines, and the lines through
     each point hold all n²+n+1 points: n points each besides the common one,
     so they cannot overlap, and two points lie on exactly one line.  The
-    dual axiom follows, as in every symmetric design.
+    cover is the OR of the lines' bitmasks (bit i for point i), compared
+    with the all-ones mask.  The dual axiom follows, as in every symmetric
+    design.
     """
     if len(points_on) != size or size != n * n + n + 1:
         raise ArithmeticError(f"expected {n*n+n+1} lines, found {len(points_on)}")
     through: list[list[int]] = [[] for _ in range(size)]
+    masks: list[int] = []
     for lid, pts in enumerate(points_on):
         if len(pts) != n + 1:
             raise ArithmeticError(f"line {lid} has {len(pts)} points, expected {n+1}")
+        mask = 0
         for pid in pts:
             through[pid].append(lid)
+            mask |= 1 << pid
+        masks.append(mask)
+    full = (1 << size) - 1
     for pid, ls in enumerate(through):
         if len(ls) != n + 1:
             raise ArithmeticError(f"point {pid} lies on {len(ls)} lines, expected {n+1}")
-        if len(set().union(*(points_on[lid] for lid in ls))) != size:
+        cover = 0
+        for lid in ls:
+            cover |= masks[lid]
+        if cover != full:
             raise ArithmeticError(f"the lines through point {pid} meet again")
 
     sets = {x: frozenset(through[x]) for x in quadrangle}

@@ -24,7 +24,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[x] for x in p)
+    return tuple([q[x] for x in p])
 
 
 def inverse(p: Perm) -> Perm:
@@ -35,8 +35,12 @@ def inverse(p: Perm) -> Perm:
 
 
 def conjugate(p: Perm, by: Perm) -> Perm:
-    """by^-1 · p · by (apply inverse(by), then p, then by)."""
-    return compose(compose(inverse(by), p), by)
+    """by^-1 · p · by (apply inverse(by), then p, then by), in one pass:
+    the image of by[x] is by[p[x]]."""
+    out = [0] * len(p)
+    for bx, px in zip(by, p):
+        out[bx] = by[px]
+    return tuple(out)
 
 
 def perm_cycles(p: Perm) -> list[tuple[int, ...]]:

@@ -2,10 +2,16 @@
 
 Points and lines are homogeneous coordinate triples over a finite field,
 normalized so the first nonzero coordinate is 1; both live in the same
-index space (the plane is self-dual in coordinates).  ``polar_unital`` cuts
-a unital of order q out of any plane of order q² with a unitary polarity:
-the absolute points, with the traces of the non-tangent lines as blocks.
-The hermitian unital comes from PG(2, q²) and the polarity
+index space (the plane is self-dual in coordinates): (1, y, z) is y·n + z,
+(0, 1, z) is n² + z and (0, 0, 1) is n² + n.  Each line's point ids are
+written straight from that formula, with two n × n field tables (1 + b·y
+and −w/c) for the arithmetic.  Incidence t·s = 0 is symmetric, so the
+points on line i are the lines through point i, and ``points_on`` doubles
+as ``lines_through``.
+
+``polar_unital`` cuts a unital of order q out of any plane of order q² with
+a unitary polarity: the absolute points, with the traces of the non-tangent
+lines as blocks.  The hermitian unital comes from PG(2, q²) and the polarity
 (x0 : x1 : x2) ↦ [x0^q : x1^q : x2^q]; the Figueroa unital is another.
 """
 
@@ -71,11 +77,46 @@ def _normalized_triples(F: Field) -> list[Triple]:
     return out
 
 
+def _incidence(F: Field, lines: Sequence[Triple]) -> tuple[tuple[int, ...], ...]:
+    """The ascending point ids on each of ``lines`` (normalized triples),
+    written from the index formula.
+
+    Line (a, b, c) holds the points x with a·x0 + b·x1 + c·x2 = 0.  For
+    c ≠ 0 these are (1, y, −(a + b·y)/c) for each y, then (0, 1, −b/c); for
+    c = 0 and b ≠ 0 the points (1, −a/b, z), then (0, 0, 1); and the line
+    (1, 0, 0) holds the points (0, 1, z) and (0, 0, 1).  Ids come from one
+    list, so each is one int object however many lines hold it.
+    """
+    n = F.order
+    nn = n * n
+    ids = list(range(nn + n + 1))
+    rows = [ids[y * n:(y + 1) * n] for y in range(n)]  # the ids of (1, y, ·)
+    elems = range(n)
+    zeros = [0] * n
+    # neg_div[c][w] = −w/c (row 0 is never read), one_plus[b][y] = 1 + b·y
+    neg_div = [zeros] + [[F.neg(F.div(w, c)) for w in elems] for c in range(1, n)]
+    one_plus = [[F.add(1, F.mul(b, y)) for y in elems] for b in elems]
+    out = []
+    for a, b, c in lines:
+        if c:
+            d = neg_div[c]
+            ws = one_plus[b] if a else (elems if b else zeros)  # a + b·y
+            pts = [row[d[w]] for row, w in zip(rows, ws)]
+            pts.append(ids[nn + d[b]])
+        elif b:
+            pts = rows[neg_div[b][a]] + ids[-1:]
+        else:
+            pts = ids[nn:]
+        out.append(tuple(pts))
+    return tuple(out)
+
+
 class ProjectivePlane:
     """PG(2, F) with precomputed incidence lists.
 
-    ``points`` holds the normalized triples; line ``i`` is the line with the
-    coordinates ``points[i]``, so a triple has one index valid in both roles.
+    ``points`` holds the normalized triples in index order; line ``i`` is
+    the line with the coordinates ``points[i]``, so a triple has one index
+    valid in both roles, and ``lines_through`` is ``points_on``.
     """
 
     def __init__(self, F: Field):
@@ -84,32 +125,8 @@ class ProjectivePlane:
         triples = _normalized_triples(F)
         self.points: tuple[Triple, ...] = tuple(triples)
         self.index: dict[Triple, int] = {t: i for i, t in enumerate(triples)}
-        self.points_on = tuple(self._solve_line(l) for l in triples)
-        lt: list[list[int]] = [[] for _ in triples]
-        for lid, pts in enumerate(self.points_on):
-            for pid in pts:
-                lt[pid].append(lid)
-        self.lines_through = tuple(tuple(ls) for ls in lt)
-
-    def _solve_line(self, l: Triple) -> tuple[int, ...]:
-        """Indices of the points incident with l, ascending."""
-        F = self.field
-        a, b, c = l
-        if a == 0 and b == 0:
-            p0, p1 = (1, 0, 0), (0, 1, 0)
-        elif a == 0:
-            p0, p1 = (1, 0, 0), (0, F.neg(F.div(c, b)), 1)
-        else:
-            p0 = (F.neg(F.div(b, a)), 1, 0)
-            p1 = (F.neg(F.div(c, a)), 0, 1)
-        idx = self.index
-        pts = [idx[normalize(F, p1)]]
-        for t in range(F.order):
-            v = (F.add(p0[0], F.mul(t, p1[0])),
-                 F.add(p0[1], F.mul(t, p1[1])),
-                 F.add(p0[2], F.mul(t, p1[2])))
-            pts.append(idx[normalize(F, v)])
-        return tuple(sorted(pts))
+        self.points_on = _incidence(F, triples)
+        self.lines_through = self.points_on
 
 
 @lru_cache(maxsize=None)

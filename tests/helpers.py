@@ -9,6 +9,7 @@ from itertools import permutations, product
 
 from unitals.incidence import Incidence, OnanResult, Unital
 from unitals.permgroup import compose, identity_perm
+from unitals.plane import dot
 
 CLOSURE_LIMIT = 10_000
 
@@ -134,6 +135,18 @@ def mulclose(gens, limit: int = CLOSURE_LIMIT) -> set[tuple[int, ...]]:
                         raise ValueError(f"closure exceeded {limit} elements")
         frontier = new
     return elems
+
+
+def plane_incidence_raw(F) -> tuple[tuple, tuple]:
+    """PG(2, F) by brute force: the normalized triples in index order, and
+    for each line triple s the ascending ids of the triples t with
+    t·s = 0, found by trying every pair."""
+    n = F.order
+    triples = ([(1, y, z) for y in range(n) for z in range(n)]
+               + [(0, 1, z) for z in range(n)] + [(0, 0, 1)])
+    lines = tuple(tuple(i for i, t in enumerate(triples) if dot(F, t, s) == 0)
+                  for s in triples)
+    return tuple(triples), lines
 
 
 def validate_plane_raw(points_on, n: int, size: int, quadrangle):

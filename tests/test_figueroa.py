@@ -40,40 +40,59 @@ class TestPlaneCheck:
         assert through == validate_plane_raw(*args)
         assert through == list(plane.lines_through)
 
+    # PG(2, 3) has 13 points; PG(2, 8) and PG(2, 16) have 73 and 273, more
+    # than a machine word of mask bits
+    corrupted_planes = pytest.mark.parametrize("p,e", [(3, 1), (2, 3), (2, 4)])
+
     @staticmethod
-    def broken(change, match, quad=None):
-        """PG(2, 3) with ``change`` applied to its lines must be rejected by
+    def broken(p, e, change, match, quad=None):
+        """PG(2, p^e) with ``change`` applied to its lines must be rejected by
         the check, with ``match`` in the message, and by the brute force."""
-        plane = projective_plane(make_field(3, 1))
+        plane = projective_plane(make_field(p, e))
         lines = [list(pts) for pts in plane.points_on]
         change(lines)
-        args = ([tuple(sorted(pts)) for pts in lines], 3, 13, quad or quadrangle(plane))
+        args = ([tuple(sorted(pts)) for pts in lines], plane.order, len(plane.points),
+                quad or quadrangle(plane))
         with pytest.raises(ArithmeticError, match=match):
             _validate_plane(*args)
         with pytest.raises(ArithmeticError):
             validate_plane_raw(*args)
 
-    def test_rejects_a_short_line(self):
-        self.broken(lambda lines: lines[0].pop(), "line 0 has 3 points")
+    @corrupted_planes
+    def test_rejects_a_short_line(self, p, e):
+        self.broken(p, e, lambda lines: lines[0].pop(), f"line 0 has {p**e} points")
 
-    def test_rejects_two_lines_swapping_a_point(self):
-        # sizes and degrees stay the same; only the cover of a pencil fails
-        def swap(lines):
-            a, b = lines[0], lines[1]
-            x = next(pid for pid in a if pid not in b)
-            y = next(pid for pid in b if pid not in a)
-            a[a.index(x)], b[b.index(y)] = y, x
-        self.broken(swap, "meet again")
+    @staticmethod
+    def swap_a_point(a, b):
+        """Lines a and b trade a point each; sizes and degrees stay the same,
+        and only the cover of a pencil fails."""
+        x = next(pid for pid in a if pid not in b)
+        y = next(pid for pid in b if pid not in a)
+        a[a.index(x)], b[b.index(y)] = y, x
 
-    def test_rejects_a_point_moved_off_its_line(self):
+    @corrupted_planes
+    def test_rejects_two_lines_swapping_a_point(self, p, e):
+        self.broken(p, e, lambda lines: self.swap_a_point(lines[0], lines[1]), "meet again")
+
+    @corrupted_planes
+    def test_rejects_the_highest_lines_swapping_a_point(self, p, e):
+        # on PG(2, 16) every point a pencil then misses lies past bit 63, so
+        # a cover packed into, or compared on, one machine word passes it
+        self.broken(p, e, lambda lines: self.swap_a_point(*sorted(lines, key=min)[-2:]),
+                    "meet again")
+
+    @corrupted_planes
+    def test_rejects_a_point_moved_off_its_line(self, p, e):
         def move(lines):
-            lines[0][0] = next(pid for pid in range(13) if pid not in lines[0])
-        self.broken(move, "point 0 lies on 5 lines")
+            lines[0][0] = next(pid for pid in range(len(lines)) if pid not in lines[0])
+        self.broken(p, e, move, f"point 0 lies on {p**e + 2} lines")
 
-    def test_rejects_a_degenerate_quadrangle(self):
-        line = projective_plane(make_field(3, 1)).points_on[0]
-        off = next(pid for pid in range(13) if pid not in line)
-        self.broken(lambda lines: None, "collinear", quad=(*line[:3], off))
+    @corrupted_planes
+    def test_rejects_a_degenerate_quadrangle(self, p, e):
+        plane = projective_plane(make_field(p, e))
+        line = plane.points_on[0]
+        off = next(pid for pid in range(len(plane.points)) if pid not in line)
+        self.broken(p, e, lambda lines: None, "collinear", quad=(*line[:3], off))
 
 
 class TestPlane:

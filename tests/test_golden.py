@@ -84,6 +84,9 @@ CASES = [
     # at scale: 16,512 transported translations, and the H(8) atlas
     ("translations-q7", ["translations", "--q", "7"], True),
     ("omega-q8", ["omega", "--q", "8"], True),
+    ("classify-q7", ["classify", "--q", "7"], True),
+    ("check-lemmas-q7", ["check-lemmas", "--q", "7"], True),
+    ("classify-q8", ["classify", "--q", "8"], True),
     ("build-figueroa-q2", ["build-figueroa", "--q", "2", "--out", "fig.txt"], True),
     ("classify-fig", ["classify", "--in", "fig.txt"], True),
     ("check-lemmas-fig", ["check-lemmas", "--in", "fig.txt"], True),

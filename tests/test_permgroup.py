@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,17 @@ def test_conjugate_transports_action(p, g):
     c = conjugate(p, g)
     for x in range(8):
         assert c[g[x]] == g[p[x]]
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (9, 2), (65, 3), (513, 4)])
+def test_conjugate_matches_composition(n, seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        p, g = list(range(n)), list(range(n))
+        rng.shuffle(p)
+        rng.shuffle(g)
+        p, g = tuple(p), tuple(g)
+        assert conjugate(p, g) == compose(compose(inverse(g), p), g)
 
 
 @given(p=perms8)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import ag23_unital
+from helpers import ag23_unital, plane_incidence_raw
 from unitals.gf import make_field
 from unitals.incidence import isomorphism_search, validate_unital
 from unitals.plane import (
@@ -26,6 +26,21 @@ def test_plane_counts():
         assert len(plane.points) == n * n + n + 1
         assert all(len(pts) == n + 1 for pts in plane.points_on)
         assert all(len(ls) == n + 1 for ls in plane.lines_through)
+
+
+# both characteristics, prime and extension fields: every line shape
+# (1, b, c), (0, 1, c) and (0, 0, 1), with c and b zero and non-zero, occurs
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (2, 4), (5, 2)])
+def test_incidence_matches_brute_force(p, e):
+    F = make_field(p, e)
+    plane = projective_plane(F)
+    triples, lines = plane_incidence_raw(F)
+    assert plane.points == triples
+    assert plane.points_on == lines
+    assert plane.lines_through is plane.points_on
+    # one int object per point id, however many lines hold it
+    assert len({id(pid) for pts in plane.points_on for pid in pts}) == len(triples)
 
 
 def test_two_points_one_line():
