@@ -16,31 +16,12 @@ import json
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import (
-    classify,
-    constant_intersection_check,
-    sharply_transitive_suite,
-    subunital_analysis,
-)
-from .figueroa import figueroa_bundle, verify_figueroa_theorems
-from .incidence import (
-    Unital,
-    isomorphism_search,
-    onan_search,
-    read_unital,
-    format_unital,
-    validate_unital,
-)
-from .permgroup import identity_perm, perm_order
-from .plane import hermitian_unital
-from .translations import (
-    build_atlas,
-    orbit_congruence_check,
-    translation_transitivity_check,
-    translations_at,
-)
+
+if TYPE_CHECKING:
+    from .incidence import Unital
 
 
 class CliError(Exception):
@@ -55,10 +36,12 @@ def _load_input(args) -> tuple[Unital, dict]:
     if path:
         if len(path) != 1:
             raise CliError("expected exactly one --in path here")
+        from .incidence import read_unital
         u = read_unital(path[0])
         return u, {"in": path[0]}
     q = getattr(args, "q", None)
     if q is not None:
+        from .plane import hermitian_unital
         return hermitian_unital(q), {"q": q}
     raise CliError("one of --in or --q is required")
 
@@ -108,9 +91,13 @@ def _atlas_summary(atlas) -> dict:
 
 
 # -- subcommands ----------------------------------------------------------------
+# Each handler imports what it runs, so a command loads only those modules.
 
 
 def _cmd_build_hermitian(args) -> int:
+    from .incidence import format_unital
+    from .plane import hermitian_unital
+
     U = hermitian_unital(args.q)
     text = format_unital(U)
     if args.out:
@@ -121,6 +108,10 @@ def _cmd_build_hermitian(args) -> int:
 
 
 def _cmd_build_figueroa(args) -> int:
+    from .figueroa import figueroa_bundle, verify_figueroa_theorems
+    from .incidence import format_unital
+    from .translations import build_atlas
+
     if not args.out:
         raise CliError("build-figueroa requires --out (unital file; a .json sidecar is written next to it)")
     bundle = figueroa_bundle(args.q)
@@ -155,6 +146,8 @@ def _cmd_build_figueroa(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .incidence import validate_unital
+
     U, desc = _load_input(args)
     q = args.q if args.q is not None and getattr(args, "infile", None) else U.q
     report = validate_unital(U, q)
@@ -163,6 +156,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_translations(args) -> int:
+    from .permgroup import identity_perm, perm_order
+    from .translations import build_atlas, translations_at
+
     U, desc = _load_input(args)
     ident = identity_perm(U.v)
     if args.center is not None:
@@ -196,6 +192,8 @@ def _cmd_translations(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from .translations import build_atlas
+
     U, desc = _load_input(args)
     atlas = build_atlas(U, threads=args.threads)
     _emit(args.out, "omega", desc, _atlas_summary(atlas))
@@ -203,6 +201,8 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .analysis import classify
+
     U, desc = _load_input(args)
     report = classify(U)
     _emit(args.out, "classify", desc, report_json(report))
@@ -210,6 +210,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_subunital(args) -> int:
+    from .analysis import constant_intersection_check, subunital_analysis
+    from .translations import build_atlas
+
     U, desc = _load_input(args)
     if args.p is None:
         raise CliError("subunital requires --p")
@@ -229,6 +232,8 @@ def _cmd_subunital(args) -> int:
 
 
 def _cmd_onan(args) -> int:
+    from .incidence import onan_search
+
     U, desc = _load_input(args)
     result = onan_search(U, budget=args.budget)
     desc = dict(desc, budget=args.budget)
@@ -237,12 +242,16 @@ def _cmd_onan(args) -> int:
 
 
 def _cmd_isomorphic(args) -> int:
+    from .incidence import isomorphism_search, read_unital
+
     paths = args.infile or []
     if len(paths) == 2:
         A = read_unital(paths[0])
         B = read_unital(paths[1])
         desc = {"in": paths[0], "in2": paths[1]}
     elif len(paths) == 1 and args.q is not None:
+        from .plane import hermitian_unital
+
         A = read_unital(paths[0])
         B = hermitian_unital(args.q)
         desc = {"in": paths[0], "q": args.q}
@@ -258,6 +267,17 @@ def _cmd_isomorphic(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
+    from .analysis import (
+        constant_intersection_check,
+        sharply_transitive_suite,
+        subunital_analysis,
+    )
+    from .translations import (
+        build_atlas,
+        orbit_congruence_check,
+        translation_transitivity_check,
+    )
+
     U, desc = _load_input(args)
     atlas = build_atlas(U, threads=args.threads)
     all_ok = True

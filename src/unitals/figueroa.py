@@ -292,7 +292,7 @@ def _build_bundle(q: int) -> FigueroaBundle:
     pol = build_fig_polarity(fig)
     order = q**3
     U, absolute, block_lines = polar_unital(
-        fig.points_on, fig.lines_through, pol.point_to_line, order, fig.classical.points
+        fig.lines_through, pol.point_to_line, order, fig.classical.points
     )
     rep = validate_unital(U, order)
     if not rep.valid:

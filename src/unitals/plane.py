@@ -17,12 +17,15 @@ lines as blocks.  The hermitian unital comes from PG(2, q²) and the polarity
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .gf import Field, make_field, prime_power
 from .incidence import Unital
-from .permgroup import Perm
+
+if TYPE_CHECKING:
+    from .permgroup import Perm
 
 Triple = tuple[int, int, int]
 
@@ -146,29 +149,39 @@ def frobenius_perm(plane: ProjectivePlane, k: int) -> Perm:
     return tuple(img)
 
 
-def polar_unital(points_on: Sequence[tuple[int, ...]], lines_through: Sequence[tuple[int, ...]],
-                 polarity: Perm, order: int,
+def polar_unital(lines_through: Sequence[tuple[int, ...]], polarity: Perm, order: int,
                  labels: Sequence) -> tuple[Unital, tuple[int, ...], tuple[int, ...]]:
     """The unital of order ``order`` cut out of a plane by a unitary polarity.
 
-    The plane comes as its incidence lists (ascending point ids per line,
-    line ids per point), the polarity as a point → line index map.  Returns
-    the unital of the absolute points, in index order and labelled from
-    ``labels``, with the traces of more than one point as blocks; the plane
-    point of each unital point; and the plane line of each block.
+    The plane comes as its pencils (ascending line ids per point; a plane
+    has as many lines as points), the polarity as a point → line index map.
+    Returns the unital of the absolute points, in index order and labelled
+    from ``labels``, with the traces of more than one point as blocks; the
+    plane point of each unital point; and the plane line of each block.
+
+    A point is absolute when its polar line is in its pencil, found by
+    bisection.  The traces are written from the pencils of the absolute
+    points only, in ascending order, so no other incidence is read.
     """
-    absolute = [pid for pid, ls in enumerate(lines_through) if polarity[pid] in ls]
+    absolute = []
+    for pid, ls in enumerate(lines_through):
+        polar = polarity[pid]
+        i = bisect_left(ls, polar)
+        if i < len(ls) and ls[i] == polar:
+            absolute.append(pid)
     v = order**3 + 1
     if len(absolute) != v:
         raise ArithmeticError(f"{len(absolute)} absolute points, expected {v}")
-    reindex = {pid: i for i, pid in enumerate(absolute)}
+    traces: list[list[int]] = [[] for _ in lines_through]
+    for i, pid in enumerate(absolute):
+        for lid in lines_through[pid]:
+            traces[lid].append(i)
     traced: list[tuple[tuple[int, ...], int]] = []
-    for lid, pts in enumerate(points_on):
-        tr = tuple(reindex[pid] for pid in pts if pid in reindex)
+    for lid, tr in enumerate(traces):
         if len(tr) > 1:
             if len(tr) != order + 1:
                 raise ArithmeticError(f"line {lid} meets the absolute points in {len(tr)} points")
-            traced.append((tr, lid))
+            traced.append((tuple(tr), lid))
     traced.sort()
     blocks = tuple(t for t, _ in traced)
     U = Unital(v, blocks, order, point_labels=tuple(labels[pid] for pid in absolute))
@@ -190,6 +203,5 @@ def hermitian_unital(q: int) -> Unital:
                          f"at most {MAX_PLANE_POINTS} can be built")
     p, m = prime_power(q)
     plane = projective_plane(make_field(p, 2 * m))
-    U, _, _ = polar_unital(plane.points_on, plane.lines_through,
-                           frobenius_perm(plane, m), q, plane.points)
+    U, _, _ = polar_unital(plane.lines_through, frobenius_perm(plane, m), q, plane.points)
     return U

@@ -317,15 +317,51 @@ def test_point_sharing_no_block_with_a_center_is_an_input_error(
     assert err == f"error: point {lone} shares no block with center 0\n"
 
 
-def test_module_execution():
-    # the child imports the same package as this process, installed or not
+def _child_env() -> dict:
+    """The environment of a child that imports the same package as this
+    process, installed or not."""
     src = str(Path(unitals.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_execution():
     proc = subprocess.run(
         [sys.executable, "-m", "unitals.cli", "omega", "--q", "2"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["K"] == [2]
+
+
+# Runs ``python -m unitals.cli ARGS`` and then writes the loaded ``unitals``
+# modules to stderr, one line, whatever the exit code.
+FOOTPRINT = """
+import runpy, sys
+try:
+    runpy.run_module("unitals.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "unitals")),
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["--version"], []),
+    (["validate", "--in"], ["incidence"]),
+    (["onan", "--in"], ["incidence"]),
+    (["translations", "--in"], ["incidence", "permgroup", "translations"]),
+])
+def test_command_loads_only_the_modules_it_runs(h2_file, argv, modules):
+    if argv[-1] == "--in":
+        argv = [*argv, str(h2_file)]
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["unitals", *(f"unitals.{m}" for m in modules)]

@@ -8,6 +8,7 @@ from unitals.plane import (
     hermitian_unital,
     line_through,
     normalize,
+    polar_unital,
     projective_plane,
 )
 
@@ -98,6 +99,27 @@ def test_absolute_point_count(q):
         pid = plane.index[t]
         assert pid in plane.points_on[sigma[pid]]
     assert hermitian_unital(q).point_labels == tuple(absolute)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_polar_unital_blocks_are_the_line_traces(q):
+    plane, sigma = unitary(q)
+    U, absolute, block_lines = polar_unital(plane.lines_through, sigma, q, plane.points)
+    # every line of the plane intersected with the absolute points
+    index = {pid: i for i, pid in enumerate(absolute)}
+    traces = sorted((tuple(index[p] for p in pts if p in index), lid)
+                    for lid, pts in enumerate(plane.points_on))
+    traces = [(t, lid) for t, lid in traces if len(t) > 1]
+    assert U.blocks == tuple(t for t, _ in traces)
+    assert block_lines == tuple(lid for _, lid in traces)
+
+
+def test_polar_unital_rejects_a_correlation_that_is_not_unitary():
+    plane, _ = unitary(3)
+    # x ↦ [x]: the absolute points are the conic x·x = 0, 10 of them
+    identity = tuple(range(len(plane.points)))
+    with pytest.raises(ArithmeticError, match="^10 absolute points, expected 28$"):
+        polar_unital(plane.lines_through, identity, 3, plane.points)
 
 
 @pytest.mark.parametrize(

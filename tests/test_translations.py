@@ -232,10 +232,12 @@ def test_transport_by_the_wrong_conjugate_is_caught(design, request, monkeypatch
 
 def test_orders_are_computed_once_per_translation(h3, monkeypatch, capsys):
     import unitals.cli as cli
+    import unitals.permgroup as pg
     import unitals.translations as tr
 
     calls = []
-    for module in (tr, cli):
+    # the CLI imports perm_order from permgroup when a command runs
+    for module in (tr, pg):
         monkeypatch.setattr(module, "perm_order", lambda p: calls.append(p) or perm_order(p))
     atlas = build_atlas(h3)
     for n in atlas.orders:
