@@ -58,13 +58,6 @@ __all__ = [
 ]
 
 
-def _omega(atlas: TranslationAtlas, p: int) -> frozenset[int]:
-    omega = atlas.centers_by_order.get(p, frozenset())
-    if not omega:
-        raise ValueError(f"no translations of order {p}")
-    return omega
-
-
 # -- subunital induced on a center set ----------------------------------------
 
 
@@ -99,7 +92,7 @@ def restriction_as_unital(sub: Restriction) -> Optional[Unital]:
 
 def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalReport:
     """Study the structure induced on the set of order-p translation centers."""
-    omega = _omega(atlas, p)
+    omega = atlas.centers_of_order(p)
     contained = any(omega <= bs for bs in U.block_sets)
     sub = restrict_to(U, omega)
     ideal, witness = ideal_embedding_check(U, omega)
@@ -182,7 +175,7 @@ def constant_intersection_check(
     criterion does not apply and the report says so instead of flagging a
     contradiction.
     """
-    omega = _omega(atlas, p)
+    omega = atlas.centers_of_order(p)
     if any(omega <= bs for bs in U.block_sets):
         raise ValueError("center set is contained in a block")
 

@@ -64,15 +64,19 @@ def _json_value(x):
     return x
 
 
+def _json_text(doc) -> str:
+    """The one JSON serialization of every document a command writes."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(out, command: str, input_desc: dict, payload) -> None:
     """Write the report envelope to the file ``out``, or to stdout."""
-    doc = {
+    text = _json_text({
         "version": __version__,
         "command": command,
         "input": input_desc,
         "payload": payload,
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    })
     if out:
         Path(out).write_text(text)
     else:
@@ -134,9 +138,7 @@ def _cmd_build_figueroa(args) -> int:
         ],
         "block_plane_lines": list(bundle.block_lines),
     }
-    Path(str(args.out) + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    )
+    Path(str(args.out) + ".json").write_text(_json_text(sidecar))
 
     atlas = build_atlas(bundle.unital, threads=args.threads)
     report = verify_figueroa_theorems(args.q, atlas=atlas, bundle=bundle)
@@ -304,11 +306,19 @@ def _cmd_check_lemmas(args) -> int:
             constants[str(p)] = report_json(ci)
             all_ok = all_ok and ci.ok
 
+    # The dihedral lemma presumes exactly one involutory translation at each
+    # center that has one; the order table settles that without building T[2].
     suite = None
-    pairs = atlas.translations_of_order(2) if 2 in atlas.centers_by_order else []
-    if pairs:
-        omega2 = atlas.centers_by_order[2]
-        tau = pairs[0][1]
+    omega2 = atlas.centers_by_order.get(2, frozenset())
+    involutions = {c: atlas.perm_orders[c].count(2) for c in sorted(omega2)}
+    crowded = next((c for c, k in involutions.items() if k != 1), None)
+    if crowded is not None:
+        suite = {"not-applicable": (
+            f"center {crowded} carries {involutions[crowded]} involutory translations "
+            f"in a translation group of order {atlas.group_order(crowded)}; "
+            "the suite needs exactly one at every center of an involutory translation")}
+    elif omega2:
+        tau = atlas.translations_of_order(2)[0][1]
         rep = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
         suite = report_json(rep)
         all_ok = all_ok and rep.ok

@@ -43,7 +43,6 @@ from .incidence import Unital, carries_blocks, isomorphism_search, restrict_to, 
 from .permgroup import (
     Perm,
     PermGroup,
-    is_involution,
     is_transitive,
     is_two_transitive,
     perm_order,
@@ -291,9 +290,7 @@ def _build_bundle(q: int) -> FigueroaBundle:
     fig = build_figueroa_plane(q)
     pol = build_fig_polarity(fig)
     order = q**3
-    U, absolute, block_lines = polar_unital(
-        fig.lines_through, pol.point_to_line, order, fig.classical.points
-    )
+    U, absolute, block_lines = polar_unital(fig.lines_through, pol.point_to_line, order)
     rep = validate_unital(U, order)
     if not rep.valid:
         raise ArithmeticError(f"absolute points do not form a unital: {rep.violations}")
@@ -413,7 +410,7 @@ def verify_figueroa_theorems(q: int = 2, atlas: Optional[TranslationAtlas] = Non
         center_count=len(omega2),
         omega2_equals_h=omega2 == H,
         mho_is_complement=atlas.trivial_centers == frozenset(range(U.v)) - H,
-        all_translations_involutions=all(is_involution(p) for p in all_trans),
+        all_translations_involutions=all(n == 2 for orders in atlas.perm_orders for n in orders),
         per_center_orders_on_h=per_center,
         t2_order_on_h=t2_order,
         t2_transitive_on_h=transitive,

@@ -14,11 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-MAX_FIELD_SIZE = 1 << 20
-
-# Full addition tables are only built for small odd-characteristic fields;
-# beyond this size addition falls back to a digit loop.
-_ADD_TABLE_LIMIT = 2048
+# Every accepted field of odd characteristic gets a full addition table.
+MAX_FIELD_SIZE = 2048
 
 
 def is_prime(n: int) -> bool:
@@ -135,18 +132,15 @@ class Field:
             self._neg_table = None
         else:
             self._neg_table = [self.from_coeffs([(-c) % p for c in self.coeffs(a)]) for a in range(n)]
-            if n <= _ADD_TABLE_LIMIT:
-                tbl = []
-                for a in range(n):
-                    ca = self.coeffs(a)
-                    row = [0] * n
-                    for b in range(n):
-                        cb = self.coeffs(b)
-                        row[b] = self.from_coeffs([(x + y) % p for x, y in zip(ca, cb)])
-                    tbl.append(row)
-                self._add_table = tbl
-            else:
-                self._add_table = None
+            tbl = []
+            for a in range(n):
+                ca = self.coeffs(a)
+                row = [0] * n
+                for b in range(n):
+                    cb = self.coeffs(b)
+                    row[b] = self.from_coeffs([(x + y) % p for x, y in zip(ca, cb)])
+                tbl.append(row)
+            self._add_table = tbl
 
     # -- encoding ---------------------------------------------------------
 
@@ -173,17 +167,7 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        p = self.p
-        enc = 0
-        mul = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            enc += ((ra + rb) % p) * mul
-            mul *= p
-        return enc
+        return self._add_table[a][b]
 
     def neg(self, a: int) -> int:
         if self.p == 2:

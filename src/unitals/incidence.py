@@ -142,17 +142,14 @@ class Unital(Incidence):
     """An incidence structure with a declared unital order q.
 
     Whether it actually is a 2-(q^3+1, q+1, 1) design is checked by
-    :func:`validate_unital`.  ``point_labels`` may carry provenance (for
-    instance homogeneous coordinates) and is ignored by equality.
+    :func:`validate_unital`.
     """
 
-    def __init__(self, v: int, blocks: Iterable[Sequence[int]], q: int,
-                 point_labels: Optional[tuple] = None):
+    def __init__(self, v: int, blocks: Iterable[Sequence[int]], q: int):
         super().__init__(v, blocks)
         if q < 2:
             raise ValueError("unital order must be at least 2")
         self.q = q
-        self.point_labels = point_labels
 
     def block_through(self, x: int, y: int) -> int:
         """Id of the unique block joining two distinct points."""

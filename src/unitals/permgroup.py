@@ -220,10 +220,11 @@ class PermGroup:
         h, _ = self._sift(g)
         return h == self._identity
 
-    def elements(self, limit: int = ENUMERATION_LIMIT) -> list[Perm]:
-        """All elements, by transversal products.  Guarded by ``limit``."""
-        if self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds enumeration limit {limit}")
+    def elements(self) -> list[Perm]:
+        """All elements, by transversal products, up to ``ENUMERATION_LIMIT``."""
+        if self.order() > ENUMERATION_LIMIT:
+            raise ValueError(f"group order {self.order()} exceeds enumeration limit "
+                             f"{ENUMERATION_LIMIT}")
         elems = [self._identity]
         for i in range(len(self._base) - 1, -1, -1):
             reps = [self._transversal[i][t] for t in sorted(self._transversal[i])]
@@ -371,27 +372,3 @@ def generalized_dihedral_check(G: PermGroup, tau: Sequence[int]) -> DihedralRepo
         coset_all_involutions=coset_all_inv,
         tau_inverts_m=tau_inverts,
     )
-
-
-@dataclass(frozen=True)
-class UniqueInvolutionReport:
-    ok: bool
-    count: int
-    involution: Optional[Perm]
-    inverts_other: Optional[bool]
-
-
-def unique_involution_check(Q: PermGroup, N: Optional[PermGroup] = None) -> UniqueInvolutionReport:
-    """Does Q contain exactly one involution, and does it invert N elementwise?"""
-    ident = identity_perm(Q.degree)
-    invs = [g for g in Q.elements() if g != ident and compose(g, g) == ident]
-    count = len(invs)
-    if count != 1:
-        return UniqueInvolutionReport(False, count, None, None)
-    t = invs[0]
-    inverts = None
-    if N is not None:
-        if N.degree != Q.degree:
-            raise ValueError("groups act on different domains")
-        inverts = all(compose(compose(t, n), t) == inverse(n) for n in N.elements())
-    return UniqueInvolutionReport(inverts is not False, count, t, inverts)

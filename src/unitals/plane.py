@@ -149,15 +149,15 @@ def frobenius_perm(plane: ProjectivePlane, k: int) -> Perm:
     return tuple(img)
 
 
-def polar_unital(lines_through: Sequence[tuple[int, ...]], polarity: Perm, order: int,
-                 labels: Sequence) -> tuple[Unital, tuple[int, ...], tuple[int, ...]]:
+def polar_unital(lines_through: Sequence[tuple[int, ...]], polarity: Perm,
+                 order: int) -> tuple[Unital, tuple[int, ...], tuple[int, ...]]:
     """The unital of order ``order`` cut out of a plane by a unitary polarity.
 
     The plane comes as its pencils (ascending line ids per point; a plane
     has as many lines as points), the polarity as a point → line index map.
-    Returns the unital of the absolute points, in index order and labelled
-    from ``labels``, with the traces of more than one point as blocks; the
-    plane point of each unital point; and the plane line of each block.
+    Returns the unital of the absolute points, in index order, with the
+    traces of more than one point as blocks; the plane point of each unital
+    point; and the plane line of each block.
 
     A point is absolute when its polar line is in its pencil, found by
     bisection.  The traces are written from the pencils of the absolute
@@ -184,7 +184,7 @@ def polar_unital(lines_through: Sequence[tuple[int, ...]], polarity: Perm, order
             traced.append((tuple(tr), lid))
     traced.sort()
     blocks = tuple(t for t, _ in traced)
-    U = Unital(v, blocks, order, point_labels=tuple(labels[pid] for pid in absolute))
+    U = Unital(v, blocks, order)
     if U.blocks != blocks:
         raise AssertionError("block canonicalization changed the trace order")
     return U, tuple(absolute), tuple(lid for _, lid in traced)
@@ -193,9 +193,9 @@ def polar_unital(lines_through: Sequence[tuple[int, ...]], polarity: Perm, order
 def hermitian_unital(q: int) -> Unital:
     """The hermitian unital of order q as a 2-(q^3+1, q+1, 1) design.
 
-    Point labels carry the homogeneous coordinates of the absolute points,
-    in index order.  A plane PG(2, q²) above ``MAX_PLANE_POINTS`` points
-    (q ≥ 19) is refused before anything is built.
+    Its points are the absolute points of PG(2, q²), in index order.  A
+    plane above ``MAX_PLANE_POINTS`` points (q ≥ 19) is refused before
+    anything is built.
     """
     size = q**4 + q**2 + 1
     if size > MAX_PLANE_POINTS:
@@ -203,5 +203,5 @@ def hermitian_unital(q: int) -> Unital:
                          f"at most {MAX_PLANE_POINTS} can be built")
     p, m = prime_power(q)
     plane = projective_plane(make_field(p, 2 * m))
-    U, _, _ = polar_unital(plane.lines_through, frobenius_perm(plane, m), q, plane.points)
+    U, _, _ = polar_unital(plane.lines_through, frobenius_perm(plane, m), q)
     return U

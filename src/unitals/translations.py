@@ -331,6 +331,13 @@ class TranslationAtlas:
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(self.centers_by_order))
 
+    def centers_of_order(self, n: int) -> frozenset[int]:
+        """The centers admitting an order-n translation; ``ValueError`` if none."""
+        centers = self.centers_by_order.get(n)
+        if not centers:
+            raise ValueError(f"no translations of order {n}")
+        return centers
+
     def translations_of_order(self, n: int) -> list[tuple[int, Perm]]:
         """(center, permutation) pairs for all order-n translations."""
         return [(c, p)
@@ -444,9 +451,7 @@ class TransitivityReport:
 
 def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> TransitivityReport:
     U = atlas.unital
-    omega_p = atlas.centers_by_order.get(p, frozenset())
-    if not omega_p:
-        raise ValueError(f"no translations of order {p}")
+    omega_p = atlas.centers_of_order(p)
 
     pairs = atlas.translations_of_order(p)
     transitive = orbit([sigma for _, sigma in pairs], min(omega_p)) >= omega_p
@@ -505,9 +510,7 @@ def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
     """Every order-n translation must move points in cycles of length
     exactly n, each cycle lying entirely inside or outside the center set,
     and the center set size must be ≡ 1 (mod n)."""
-    omega_n = atlas.centers_by_order.get(n, frozenset())
-    if not omega_n:
-        raise ValueError(f"no translations of order {n}")
+    omega_n = atlas.centers_of_order(n)
     failures = []
     checked = 0
     for c, sigma in atlas.translations_of_order(n):

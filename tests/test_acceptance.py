@@ -15,6 +15,7 @@ from unitals.cli import main
 from unitals.figueroa import verify_figueroa_theorems
 from unitals.gf import prime_power
 from unitals.incidence import (
+    format_unital,
     isomorphism_search,
     onan_search,
     validate_unital,
@@ -193,3 +194,15 @@ def test_c11_deterministic_reports(tmp_path):
         first, second = (p.read_bytes() for p in paths)
         assert first == second
         json.loads(first)
+
+
+def test_c12_check_lemmas_holds_on_every_reference_design(tmp_path, fig):
+    # on H(q) for even q ≥ 4 each center carries q − 1 involutions, so the
+    # dihedral suite reports itself not applicable instead of refuted
+    fig_file = tmp_path / "fig.txt"
+    fig_file.write_text(format_unital(fig.unital))
+    inputs = [["--q", str(q)] for q in (2, 3, 4, 5, 7, 8)] + [["--in", str(fig_file)]]
+    for i, source in enumerate(inputs):
+        out = tmp_path / f"{i}.json"
+        assert main(["check-lemmas", *source, "--out", str(out)]) == 0, source
+        assert json.loads(out.read_text())["payload"]["ok"] is True

@@ -11,7 +11,7 @@ import unitals
 from helpers import DOUBLE_TXT, MISSING_TXT, onan_search_raw
 from unitals.cli import main, report_json
 from unitals.incidence import read_unital
-from unitals.permgroup import perm_order
+from unitals.permgroup import PermGroup, perm_order
 
 
 def run(capsys, *argv):
@@ -197,6 +197,23 @@ def test_check_lemmas(capsys):
     assert payload["congruence"]["2"]["ok"] is True
     assert payload["transitivity"]["2"]["ok"] is True
     assert payload["dihedral_suite"]["ok"] is True
+
+
+def test_check_lemmas_reads_the_dihedral_hypothesis_off_the_order_table(capsys, monkeypatch):
+    # every center of H(4) carries three involutions, so the dihedral suite
+    # does not apply, and deciding that must not enumerate T[2] ≅ PSU(3, 4)
+    def refuse(self):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    code, out, _ = run(capsys, "check-lemmas", "--q", "4")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["ok"] is True
+    assert payload["dihedral_suite"] == {"not-applicable": (
+        "center 0 carries 3 involutory translations in a translation group of "
+        "order 4; the suite needs exactly one at every center of an involutory "
+        "translation")}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from unitals import gf
 from unitals.gf import (
     is_prime,
     make_field,
@@ -38,6 +39,16 @@ def test_prime_power():
         prime_power(12)
     with pytest.raises(ValueError):
         prime_power(1)
+
+
+def test_field_above_the_size_limit_is_refused_before_any_table(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(gf, "_find_modulus", unreachable)
+    monkeypatch.setattr(gf.Field, "_build_tables", unreachable)
+    with pytest.raises(ValueError, match="^field size 3\\^7 exceeds limit 2048$"):
+        make_field(3, 7)
 
 
 def test_is_prime_small():

@@ -86,6 +86,8 @@ CASES = [
     ("omega-q8", ["omega", "--q", "8"], True),
     ("classify-q7", ["classify", "--q", "7"], True),
     ("check-lemmas-q7", ["check-lemmas", "--q", "7"], True),
+    # T[2] ≅ PSU(3, 8) has order 5,515,776; the dihedral suite is not applicable
+    ("check-lemmas-q8", ["check-lemmas", "--q", "8"], True),
     ("classify-q8", ["classify", "--q", "8"], True),
     ("build-figueroa-q2", ["build-figueroa", "--q", "2", "--out", "fig.txt"], True),
     ("classify-fig", ["classify", "--in", "fig.txt"], True),

@@ -21,7 +21,6 @@ from unitals.permgroup import (
     identity_perm,
     inverse,
     perm_order,
-    unique_involution_check,
     two_point_stabilizer,
 )
 from unitals.translations import (
@@ -131,13 +130,13 @@ def test_two_point_stabilizer_structure(atlas3):
     G = atlas3.group_for(3)
     Q = two_point_stabilizer(G, 0, 1)
     assert Q.order() == 8
-    rep = unique_involution_check(Q)
-    assert rep.ok and rep.count == 1
-    # Q is cyclic of order 8, so its involution is central and cannot invert
-    # the whole group elementwise
-    assert sorted(perm_order(g) for g in Q.elements()) == [1, 2, 4, 4, 8, 8, 8, 8]
-    rep = unique_involution_check(Q, Q)
-    assert rep.count == 1 and rep.inverts_other is False and not rep.ok
+    # Q is cyclic of order 8: exactly one involution, which is central and so
+    # inverts only the elements of order at most 2
+    elements = Q.elements()
+    assert sorted(perm_order(g) for g in elements) == [1, 2, 4, 4, 8, 8, 8, 8]
+    (t,) = [g for g in elements if perm_order(g) == 2]
+    assert [perm_order(g) for g in elements
+            if compose(compose(t, g), t) == inverse(g)] == [1, 2]
 
 
 def test_search_matches_brute_force_oracle(h2):
