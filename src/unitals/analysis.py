@@ -27,21 +27,21 @@ from typing import Iterable, Optional, Sequence
 
 from .gf import prime_power
 from .incidence import (
-    Restriction,
     Unital,
     ideal_embedding_check,
     isomorphism_search,
     restrict_to,
+    restriction_as_unital,
     validate_unital,
 )
 from .permgroup import (
     DihedralReport,
-    Perm,
     PermGroup,
     generalized_dihedral_check,
     is_involution,
     is_transitive,
     orbit,
+    restrict_perm,
     validate_perm,
 )
 from .translations import TranslationAtlas, build_atlas
@@ -76,20 +76,6 @@ class SubunitalReport:
     isomorphism: Optional[tuple[int, ...]]
 
 
-def restriction_as_unital(sub: Restriction) -> Optional[Unital]:
-    """Package a restriction as a unital when its parameters fit one."""
-    inc = sub.incidence
-    sizes = {len(b) for b in inc.blocks}
-    if len(sizes) != 1:
-        return None
-    s = sizes.pop() - 1
-    if s < 2 or inc.v != s**3 + 1:
-        return None
-    if not validate_unital(inc, s).valid:
-        return None
-    return Unital(inc.v, inc.blocks, s)
-
-
 def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalReport:
     """Study the structure induced on the set of order-p translation centers."""
     omega = atlas.centers_of_order(p)
@@ -97,15 +83,19 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
     sub = restrict_to(U, omega)
     ideal, witness = ideal_embedding_check(U, omega)
 
-    # Kernel of the order-p translation group acting on the center set: the
-    # pointwise stabilizer of the center set.  Acting on everything, the
-    # kernel is trivial by definition and no chain needs to be built.
+    # Kernel of the order-p translation group T acting on the center set:
+    # |T| over the order of T's image there (first isomorphism theorem).
+    # Conjugating an order-p translation by an automorphism gives one at the
+    # image center, so T preserves the center set.  Acting on everything,
+    # the kernel is trivial by definition and no chain needs to be built.
     if omega == frozenset(range(U.v)):
         kernel_order = 1
     else:
         group = atlas.group_for(p)
-        chain = group.with_base(tuple(sorted(omega)))
-        kernel_order = chain.level_group(len(omega)).order()
+        image = [restrict_perm(g, omega) for g in group.generators]
+        if None in image:
+            raise RuntimeError(f"T[{p}] does not preserve its center set; this is a bug")
+        kernel_order = group.order() // PermGroup(image, degree=len(omega)).order()
 
     hermitian_order = None
     isomorphic = None
@@ -305,13 +295,13 @@ class SharpTransitivityReport:
     preconditions_ok: bool
     failed_preconditions: tuple[str, ...]
     domain_size: int
-    m_order: Optional[int]
-    m_abelian: Optional[bool]
-    m_regular: Optional[bool]
-    tau_conjugation_semiregular: Optional[bool]
-    equivalences_agree: Optional[bool]
-    all_conditions_hold: Optional[bool]
-    dihedral: Optional[DihedralReport]
+    m_order: Optional[int] = None
+    m_abelian: Optional[bool] = None
+    m_regular: Optional[bool] = None
+    tau_conjugation_semiregular: Optional[bool] = None
+    equivalences_agree: Optional[bool] = None
+    all_conditions_hold: Optional[bool] = None
+    dihedral: Optional[DihedralReport] = None
     m_supplied: bool = False  # the complement is always computed; kept in reports
 
     @property
@@ -323,16 +313,6 @@ class SharpTransitivityReport:
         if self.all_conditions_hold:
             return bool(self.dihedral and self.dihedral.ok)
         return True
-
-
-def _restrict_perm(p: Perm, domain: Sequence[int], index: dict) -> Optional[Perm]:
-    img = []
-    for x in domain:
-        y = p[x]
-        if y not in index:
-            return None
-        img.append(index[y])
-    return tuple(img)
 
 
 def sharply_transitive_suite(
@@ -348,19 +328,14 @@ def sharply_transitive_suite(
     the three equivalent conditions are evaluated independently and must
     agree.
     """
-    dom = tuple(sorted(set(domain)))
-    index = {x: i for i, x in enumerate(dom)}
+    dom = frozenset(domain)
     failures: list[str] = []
 
     tau = validate_perm(tau, G.degree)
-    gens_r = []
-    for g in G.generators:
-        r = _restrict_perm(g, dom, index)
-        if r is None:
-            failures.append("the point set is not invariant under the group")
-            break
-        gens_r.append(r)
-    tau_r = _restrict_perm(tau, dom, index)
+    gens_r = [restrict_perm(g, dom) for g in G.generators]
+    if None in gens_r:
+        failures.append("the point set is not invariant under the group")
+    tau_r = restrict_perm(tau, dom)
     if tau_r is None:
         failures.append("the point set is not invariant under tau")
 
@@ -384,13 +359,6 @@ def sharply_transitive_suite(
             preconditions_ok=False,
             failed_preconditions=tuple(dict.fromkeys(failures)),
             domain_size=len(dom),
-            m_order=None,
-            m_abelian=None,
-            m_regular=None,
-            tau_conjugation_semiregular=None,
-            equivalences_agree=None,
-            all_conditions_hold=None,
-            dihedral=None,
         )
 
     dihedral = generalized_dihedral_check(G_r, tau_r)

@@ -39,13 +39,21 @@ from functools import lru_cache
 from typing import Optional
 
 from .gf import make_field, prime_power
-from .incidence import Unital, carries_blocks, isomorphism_search, restrict_to, validate_unital
+from .incidence import (
+    Unital,
+    carries_blocks,
+    isomorphism_search,
+    restrict_to,
+    restriction_as_unital,
+    validate_unital,
+)
 from .permgroup import (
     Perm,
     PermGroup,
     is_transitive,
     is_two_transitive,
     perm_order,
+    restrict_perm,
 )
 from .plane import (
     MAX_PLANE_POINTS,
@@ -61,12 +69,10 @@ from .translations import TranslationAtlas, build_atlas
 
 __all__ = [
     "FigPlane",
-    "FigPolarity",
     "FigueroaBundle",
     "build_figueroa_plane",
     "build_fig_polarity",
     "figueroa_bundle",
-    "hermitian_restriction",
     "FigueroaVerification",
     "verify_figueroa_theorems",
     "TYPE_I",
@@ -97,12 +103,6 @@ class FigPlane:
     @property
     def size(self) -> int:
         return len(self.classical.points)
-
-    def type_counts(self) -> dict[str, int]:
-        out = {TYPE_I: 0, TYPE_II: 0, TYPE_III: 0}
-        for t in self.point_type:
-            out[t] += 1
-        return out
 
 
 def _classify(plane: ProjectivePlane, alpha: Perm) -> tuple[list[str], list[int]]:
@@ -231,16 +231,11 @@ def build_figueroa_plane(q: int) -> FigPlane:
     return fig
 
 
-@dataclass(frozen=True)
-class FigPolarity:
-    """The verified point↔line correspondence x ↦ x^{q³} of the twisted plane."""
+def build_fig_polarity(fig: FigPlane) -> Perm:
+    """The point↔line correspondence x ↦ x^{q³}, verified to be a polarity.
 
-    plane: FigPlane
-    point_to_line: Perm  # an involution, so also the line-to-point map
-
-
-def build_fig_polarity(fig: FigPlane) -> FigPolarity:
-    """Build the candidate correspondence and verify it is a polarity.
+    Points and lines share their indices, and the correspondence is an
+    involution, so the one permutation maps points to lines and back.
 
     Verification is exhaustive: involutory on every element, commuting with
     the twisting map, and incidence-reversing on every point/line pair (the
@@ -268,7 +263,7 @@ def build_fig_polarity(fig: FigPlane) -> FigPolarity:
                 f"incidence reversal fails at point {pid}: "
                 f"pencil {sorted(expected)[:4]}... vs polar image {sorted(got)[:4]}..."
             )
-    return FigPolarity(plane=fig, point_to_line=sigma)
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -277,7 +272,7 @@ class FigueroaBundle:
 
     q: int
     plane: FigPlane
-    polarity: FigPolarity
+    polarity: Perm  # point -> line and line -> point, from build_fig_polarity
     unital: Unital
     plane_points: tuple[int, ...]  # unital point -> plane point index
     point_types: tuple[str, ...]  # unital point -> I/II/III
@@ -290,14 +285,13 @@ def _build_bundle(q: int) -> FigueroaBundle:
     fig = build_figueroa_plane(q)
     pol = build_fig_polarity(fig)
     order = q**3
-    U, absolute, block_lines = polar_unital(fig.lines_through, pol.point_to_line, order)
+    U, absolute, block_lines = polar_unital(fig.lines_through, pol, order)
     rep = validate_unital(U, order)
     if not rep.valid:
         raise ArithmeticError(f"absolute points do not form a unital: {rep.violations}")
 
-    reindex = {pid: i for i, pid in enumerate(absolute)}
-    alpha_u = tuple(reindex.get(fig.alpha_point[pid], -1) for pid in absolute)
-    if -1 in alpha_u:
+    alpha_u = restrict_perm(fig.alpha_point, absolute)
+    if alpha_u is None:
         raise ArithmeticError("twisting map does not preserve the absolute points")
 
     types = tuple(fig.point_type[pid] for pid in absolute)
@@ -318,13 +312,6 @@ def _build_bundle(q: int) -> FigueroaBundle:
 @lru_cache(maxsize=None)
 def figueroa_bundle(q: int = 2) -> FigueroaBundle:
     return _build_bundle(q)
-
-
-def hermitian_restriction(bundle: FigueroaBundle) -> Unital:
-    """The subunital induced on the α-fixed points, as a standalone unital."""
-    sub = restrict_to(bundle.unital, bundle.hermitian_points)
-    inc = sub.incidence
-    return Unital(inc.v, inc.blocks, bundle.q)
 
 
 @dataclass(frozen=True)
@@ -381,13 +368,11 @@ def verify_figueroa_theorems(q: int = 2, atlas: Optional[TranslationAtlas] = Non
 
     per_center = tuple(len(atlas.nontrivial[c]) + 1 for c in sorted(H))
 
-    hidx = {x: i for i, x in enumerate(sorted(H))}
-    all_trans = [p for perms in atlas.nontrivial for p in perms]
-    h_invariant = all(frozenset(p[x] for x in H) == H for p in all_trans)
+    h_invariant = all(restrict_perm(p, H) is not None
+                      for perms in atlas.nontrivial for p in perms)
 
     if h_invariant and omega2:
-        gens = [p for _, p in atlas.translations_of_order(2)]
-        restricted = [tuple(hidx[p[x]] for x in sorted(H)) for p in gens]
+        restricted = [restrict_perm(p, H) for _, p in atlas.translations_of_order(2)]
         T2h = PermGroup(restricted, degree=len(H))
         t2_order = T2h.order()
         transitive = is_transitive(T2h, range(len(H)))
@@ -397,8 +382,8 @@ def verify_figueroa_theorems(q: int = 2, atlas: Optional[TranslationAtlas] = Non
         transitive = False
         two_transitive = False
 
-    sub = hermitian_restriction(bundle)
-    iso = isomorphism_search(sub, hermitian_unital(q))
+    sub = restriction_as_unital(restrict_to(U, H))
+    iso = None if sub is None else isomorphism_search(sub, hermitian_unital(q))
 
     alpha = bundle.alpha_unital
     alpha_auto = carries_blocks(U, alpha, U)

@@ -107,9 +107,7 @@ class Field:
         self.e = e
         self.order = p**e
         self.modulus = _find_modulus(p, e)
-        self._powers = [p**i for i in range(e)]
         self._build_tables()
-        self.zero = 0
         self.one = 1
 
     def _build_tables(self) -> None:

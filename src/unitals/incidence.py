@@ -29,6 +29,7 @@ __all__ = [
     "OnanResult",
     "validate_unital",
     "restrict_to",
+    "restriction_as_unital",
     "ideal_embedding_check",
     "onan_search",
     "isomorphism_search",
@@ -150,17 +151,6 @@ class Unital(Incidence):
         if q < 2:
             raise ValueError("unital order must be at least 2")
         self.q = q
-
-    def block_through(self, x: int, y: int) -> int:
-        """Id of the unique block joining two distinct points."""
-        if x == y:
-            raise ValueError("a pair of distinct points is required")
-        bid = self.pair_table[x * self.v + y]
-        if bid == -1:
-            raise ValueError(f"no block joins {x} and {y}")
-        if bid == -2:
-            raise ValueError(f"more than one block joins {x} and {y}")
-        return bid
 
     def pencil(self, c: int) -> tuple[int, ...]:
         """Ids of all blocks through c."""
@@ -303,6 +293,20 @@ def restrict_to(I: Incidence, subset: Iterable[int]) -> Restriction:
     _, double, missing = inc._pair_coverage
     ok = double is None and missing is None
     return Restriction(incidence=inc, points=pts, block_ids=block_ids, is_linear_space=ok)
+
+
+def restriction_as_unital(sub: Restriction) -> Optional[Unital]:
+    """Package a restriction as a unital when its parameters fit one."""
+    inc = sub.incidence
+    sizes = {len(b) for b in inc.blocks}
+    if len(sizes) != 1:
+        return None
+    s = sizes.pop() - 1
+    if s < 2 or inc.v != s**3 + 1:
+        return None
+    if not validate_unital(inc, s).valid:
+        return None
+    return Unital(inc.v, inc.blocks, s)
 
 
 def ideal_embedding_check(U: Incidence, subset: Iterable[int]):

@@ -1,10 +1,12 @@
 """Permutation groups via a deterministic Schreier–Sims stabilizer chain.
 
 Permutations are tuples of images: ``p[i]`` is where point i goes, and
-``compose(p, q)`` applies p first, then q.  The chain construction takes an
-optional ``base_prefix`` so pointwise stabilizers of chosen points fall out
-of the chain directly (used for one- and two-point stabilizers).  Everything
-is deterministic: no randomized sifting, fixed iteration orders.
+``compose(p, q)`` applies p first, then q.  Group questions are answered
+from the chain's order and from orbits: the kernel of an action on an
+invariant set is |G| divided by the order of G's image on it (the first
+isomorphism theorem), and G is 2-transitive on X when the ordered pairs of
+distinct points of X form one orbit of the generators restricted to X.
+Everything is deterministic: no randomized sifting, fixed iteration orders.
 """
 
 from __future__ import annotations
@@ -87,6 +89,17 @@ def validate_perm(p: Sequence[int], degree: Optional[int] = None) -> Perm:
     return t
 
 
+def restrict_perm(p: Perm, points: Iterable[int]) -> Optional[Perm]:
+    """p on an invariant point set, the i-th least point of ``points``
+    renamed i; None when p does not map the points into themselves."""
+    pts = sorted(set(points))
+    index = {x: i for i, x in enumerate(pts)}
+    try:
+        return tuple([index[p[x]] for x in pts])
+    except KeyError:
+        return None
+
+
 def orbit(generators: Sequence[Perm], x: int) -> frozenset[int]:
     """The orbit of x under the group the permutations generate (BFS)."""
     seen = {x}
@@ -101,10 +114,9 @@ def orbit(generators: Sequence[Perm], x: int) -> frozenset[int]:
 
 
 class PermGroup:
-    """⟨generators⟩ with a stabilizer chain relative to an optional base prefix."""
+    """⟨generators⟩ with a stabilizer chain."""
 
-    def __init__(self, generators: Iterable[Sequence[int]], degree: Optional[int] = None,
-                 base_prefix: Sequence[int] = ()):
+    def __init__(self, generators: Iterable[Sequence[int]], degree: Optional[int] = None):
         gens = [tuple(g) for g in generators]
         if degree is None:
             if not gens:
@@ -118,14 +130,6 @@ class PermGroup:
         self._base: list[int] = []
         self._gens_at: list[list[Perm]] = []
         self._transversal: list[dict[int, Perm]] = []
-        for b in base_prefix:
-            if not 0 <= b < degree:
-                raise ValueError(f"base point {b} out of range")
-            if b in self._base:
-                raise ValueError("base prefix repeats a point")
-            self._base.append(b)
-            self._gens_at.append([])
-            self._transversal.append({b: ident})
         for g in self.generators:
             self._add(g)
         self._order: Optional[int] = None
@@ -231,67 +235,34 @@ class PermGroup:
             elems = [compose(h, u) for u in reps for h in elems]
         return elems
 
-    def orbit(self, x: int) -> frozenset[int]:
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} out of range")
-        return orbit(self.generators, x)
 
-    def orbits(self, domain: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
-        pts = sorted(domain) if domain is not None else range(self.degree)
-        seen: set[int] = set()
-        out = []
-        for x in pts:
-            if x not in seen:
-                orb = self.orbit(x)
-                seen |= orb
-                out.append(orb)
-        return out
-
-    def level_group(self, k: int) -> "PermGroup":
-        """Pointwise stabilizer of the first k base points.
-
-        If the chain ran out of levels before k, the stabilizer is trivial.
-        """
-        gens = self._gens_at[k] if k < len(self._gens_at) else []
-        return PermGroup(gens, degree=self.degree)
-
-    def with_base(self, base_prefix: Sequence[int]) -> "PermGroup":
-        return PermGroup(self.generators, degree=self.degree, base_prefix=base_prefix)
-
-
-def _check_invariant(G: PermGroup, X: frozenset[int]) -> None:
-    for g in G.generators:
-        if {g[x] for x in X} != X:
-            raise ValueError("the point set is not invariant under the group")
+def _restricted_generators(G: PermGroup, X: frozenset[int]) -> list[Perm]:
+    gens = [restrict_perm(g, X) for g in G.generators]
+    if None in gens:
+        raise ValueError("the point set is not invariant under the group")
+    return gens
 
 
 def is_transitive(G: PermGroup, X: Iterable[int]) -> bool:
     Xs = frozenset(X)
     if not Xs:
         raise ValueError("empty point set")
-    _check_invariant(G, Xs)
-    if len(Xs) == 1:
-        return True
-    return G.orbit(min(Xs)) >= Xs
+    return len(orbit(_restricted_generators(G, Xs), 0)) == len(Xs)
 
 
 def is_two_transitive(G: PermGroup, X: Iterable[int]) -> bool:
+    """Do the ordered pairs of distinct points of X form one orbit?
+
+    The generators are restricted to X first, so the pair action has |X|²
+    points, the pair (a, b) of restricted points being a·|X| + b.
+    """
     Xs = frozenset(X)
     if len(Xs) < 2:
         raise ValueError("two-transitivity needs at least two points")
-    _check_invariant(G, Xs)
-    if not is_transitive(G, Xs):
-        return False
-    x0 = min(Xs)
-    stab = G.with_base((x0,)).level_group(1)
-    rest = Xs - {x0}
-    return stab.orbit(min(rest)) >= rest
-
-
-def two_point_stabilizer(G: PermGroup, x: int, y: int) -> PermGroup:
-    if x == y:
-        raise ValueError("two distinct points are required")
-    return G.with_base((x, y)).level_group(2)
+    gens = _restricted_generators(G, Xs)
+    n = len(Xs)
+    pair_gens = [tuple([g[i // n] * n + g[i % n] for i in range(n * n)]) for g in gens]
+    return len(orbit(pair_gens, 1)) == n * (n - 1)
 
 
 # -- structure checks ----------------------------------------------------------
@@ -302,15 +273,15 @@ class DihedralReport:
     """Outcome of the generalized-dihedral decomposition G = ⟨τ⟩M."""
 
     ok: bool
-    reason: Optional[str]
-    m_order: Optional[int]
-    m_abelian: Optional[bool]
-    m_regular: Optional[bool]
-    tau_conjugation_semiregular: Optional[bool]
-    equivalences_agree: Optional[bool]
-    coset_is_conjugacy_class: Optional[bool]
-    coset_all_involutions: Optional[bool]
-    tau_inverts_m: Optional[bool]
+    reason: Optional[str] = None
+    m_order: Optional[int] = None
+    m_abelian: Optional[bool] = None
+    m_regular: Optional[bool] = None
+    tau_conjugation_semiregular: Optional[bool] = None
+    equivalences_agree: Optional[bool] = None
+    coset_is_conjugacy_class: Optional[bool] = None
+    coset_all_involutions: Optional[bool] = None
+    tau_inverts_m: Optional[bool] = None
 
 
 def generalized_dihedral_check(G: PermGroup, tau: Sequence[int]) -> DihedralReport:
@@ -331,22 +302,20 @@ def generalized_dihedral_check(G: PermGroup, tau: Sequence[int]) -> DihedralRepo
     elems = G.elements()
     involutions = [g for g in elems if g != ident and compose(g, g) == ident]
     if not involutions:
-        return DihedralReport(False, "group has no involutions", None, None, None,
-                              None, None, None, None, None)
+        return DihedralReport(False, "group has no involutions")
     M = {compose(a, b) for a in involutions for b in involutions}
     closed = all(compose(a, b) in M for a in M for b in M)
     if not closed:
-        return DihedralReport(False, "products of involutions do not form a subgroup",
-                              None, None, None, None, None, None, None, None)
+        return DihedralReport(False, "products of involutions do not form a subgroup")
     m_order = len(M)
     if m_order % 2 == 0:
         return DihedralReport(False, f"subgroup of involution products has even order {m_order}",
-                              m_order, None, None, None, None, None, None, None)
+                              m_order=m_order)
     if len(elems) != 2 * m_order:
         return DihedralReport(
             False,
             f"subgroup of involution products has index {len(elems) / m_order:g}, expected 2",
-            m_order, None, None, None, None, None, None, None)
+            m_order=m_order)
 
     tau_inverts = all(compose(compose(t, m), t) == inverse(m) for m in M)
     coset = {compose(t, m) for m in M}

@@ -137,6 +137,43 @@ def mulclose(gens, limit: int = CLOSURE_LIMIT) -> set[tuple[int, ...]]:
     return elems
 
 
+def pointwise_stabilizer(G, points) -> list[tuple[int, ...]]:
+    """The elements of G fixing every one of ``points``, by brute force over
+    ``G.elements()``."""
+    return [g for g in G.elements() if all(g[x] == x for x in points)]
+
+
+def orbits(elements, points) -> list[frozenset[int]]:
+    """The orbits on ``points`` of a group given by all its elements, in the
+    order of their least points: the orbit of x is every image g[x]."""
+    out: list[frozenset[int]] = []
+    for x in sorted(points):
+        if not any(x in orb for orb in out):
+            out.append(frozenset(g[x] for g in elements))
+    return out
+
+
+def block_through(U: Unital, x: int, y: int) -> int:
+    """Id of the unique block joining two distinct points, read off the
+    pair table."""
+    if x == y:
+        raise ValueError("a pair of distinct points is required")
+    bid = U.pair_table[x * U.v + y]
+    if bid == -1:
+        raise ValueError(f"no block joins {x} and {y}")
+    if bid == -2:
+        raise ValueError(f"more than one block joins {x} and {y}")
+    return bid
+
+
+def type_counts(plane) -> dict[str, int]:
+    """How many points of a twisted plane have each type I, II and III."""
+    out = {"I": 0, "II": 0, "III": 0}
+    for t in plane.point_type:
+        out[t] += 1
+    return out
+
+
 def plane_incidence_raw(F) -> tuple[tuple, tuple]:
     """PG(2, F) by brute force: the normalized triples in index order, and
     for each line triple s the ascending ids of the triples t with

@@ -6,21 +6,25 @@ from unitals.analysis import (
     sharply_transitive_suite,
     subunital_analysis,
 )
-from helpers import relabel
+from helpers import pointwise_stabilizer, relabel
 from unitals.cli import report_json
 from unitals.incidence import Unital
-from unitals.permgroup import PermGroup
+from unitals.permgroup import PermGroup, perm_order
 from unitals.plane import hermitian_unital
 from unitals.translations import TranslationAtlas, translation_transitivity_check
 
 
-def collinear_center_atlas(h2, atlas2):
-    """Atlas pruned so the surviving centers are the three points of a block."""
-    block = h2.blocks[0]
+def pruned_atlas(h2, atlas2, centers):
+    """Atlas pruned so only the given centers keep their translations."""
     pruned = tuple(
-        atlas2.nontrivial[c] if c in block else () for c in range(h2.v)
+        atlas2.nontrivial[c] if c in centers else () for c in range(h2.v)
     )
     return TranslationAtlas(unital=h2, nontrivial=pruned)
+
+
+def collinear_center_atlas(h2, atlas2):
+    """Atlas pruned so the surviving centers are the three points of a block."""
+    return pruned_atlas(h2, atlas2, h2.blocks[0])
 
 
 class TestSubunital:
@@ -56,6 +60,31 @@ class TestSubunital:
         rep = subunital_analysis(h2, collinear_center_atlas(h2, atlas2), 2)
         assert rep.contained_in_block
         assert rep.isomorphic_to_hermitian is None
+
+    def test_kernel_is_the_pointwise_stabilizer_of_the_centers(self, h2, atlas2,
+                                                                fig, fig_atlas):
+        """The kernel order, |T| over the order of T's image on the center
+        set, against the elements of T that fix every center."""
+        # center 0's one involution alone: T = ⟨σ⟩ fixes its center set {0}
+        (sigma,) = atlas2.nontrivial[0]
+        assert perm_order(sigma) == 2
+        for U, atlas, kernel in (
+            (fig.unital, fig_atlas, 1),
+            (h2, collinear_center_atlas(h2, atlas2), 1),
+            (h2, pruned_atlas(h2, atlas2, {0}), 2),
+        ):
+            rep = subunital_analysis(U, atlas, 2)
+            omega = atlas.centers_of_order(2)
+            assert omega != frozenset(range(U.v))  # no shortcut
+            assert rep.kernel_order == kernel
+            assert len(pointwise_stabilizer(atlas.group_for(2), omega)) == kernel
+            assert rep.action_faithful == (kernel == 1)
+
+    def test_center_set_not_invariant_is_a_bug(self, h2, atlas2):
+        # σ at center 0 fixes the block through 0 and 1 setwise and moves 1,
+        # so the centers {0, 1} are not T[2]-invariant, as no true atlas can be
+        with pytest.raises(RuntimeError, match="this is a bug"):
+            subunital_analysis(h2, pruned_atlas(h2, atlas2, {0, 1}), 2)
 
     def test_missing_order_rejected(self, h2, atlas2):
         with pytest.raises(ValueError):

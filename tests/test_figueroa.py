@@ -2,16 +2,21 @@
 
 import pytest
 
-from helpers import validate_plane_raw
+from helpers import type_counts, validate_plane_raw
 from unitals.figueroa import (
     _validate_plane,
     build_figueroa_plane,
     figueroa_bundle,
-    hermitian_restriction,
     verify_figueroa_theorems,
 )
 from unitals.gf import make_field
-from unitals.incidence import isomorphism_search, onan_search, validate_unital
+from unitals.incidence import (
+    isomorphism_search,
+    onan_search,
+    restrict_to,
+    restriction_as_unital,
+    validate_unital,
+)
 from unitals.permgroup import perm_order
 from unitals.plane import hermitian_unital, projective_plane
 
@@ -98,7 +103,7 @@ class TestPlaneCheck:
 class TestPlane:
     def test_type_counts(self, fig):
         plane = fig.plane
-        assert plane.type_counts() == TYPE_COUNTS  # lines too: they share the triples
+        assert type_counts(plane) == TYPE_COUNTS  # lines too: they share the triples
 
     def test_orbit_structure(self, fig):
         plane = fig.plane
@@ -147,25 +152,25 @@ class TestPlane:
 class TestPolarity:
     def test_involutory(self, fig):
         pol = fig.polarity
-        n = len(pol.point_to_line)
-        assert sorted(pol.point_to_line) == list(range(n))
-        assert all(pol.point_to_line[pol.point_to_line[P]] == P for P in range(n))
+        n = len(pol)
+        assert sorted(pol) == list(range(n))
+        assert all(pol[pol[P]] == P for P in range(n))
 
     def test_commutes_with_twisting_collineation(self, fig):
         plane, pol = fig.plane, fig.polarity
         for P in range(4161):
-            assert pol.point_to_line[plane.alpha_point[P]] == plane.alpha_point[pol.point_to_line[P]]
+            assert pol[plane.alpha_point[P]] == plane.alpha_point[pol[P]]
 
     def test_reverses_incidence(self, fig):
         plane, pol = fig.plane, fig.polarity
         for P in range(0, 4161, 97):
             for L in plane.lines_through[P]:
-                assert pol.point_to_line[L] in plane.points_on[pol.point_to_line[P]]
+                assert pol[L] in plane.points_on[pol[P]]
 
     def test_absolute_points(self, fig):
         plane, pol = fig.plane, fig.polarity
         absolute = [
-            P for P in range(4161) if pol.point_to_line[P] in plane.lines_through[P]
+            P for P in range(4161) if pol[P] in plane.lines_through[P]
         ]
         assert len(absolute) == 513
         assert absolute == list(fig.plane_points)
@@ -195,8 +200,8 @@ class TestUnital:
         assert all(fig.point_types[i] == "I" for i in fig.hermitian_points)
 
     def test_restriction_is_hermitian(self, fig):
-        sub = hermitian_restriction(fig)
-        assert (sub.v, len(sub.blocks)) == (9, 12)
+        sub = restriction_as_unital(restrict_to(fig.unital, fig.hermitian_points))
+        assert (sub.v, len(sub.blocks), sub.q) == (9, 12, 2)
         assert all(len(b) == 3 for b in sub.blocks)
         assert isomorphism_search(sub, hermitian_unital(2)) is not None
 

@@ -11,6 +11,7 @@ from helpers import (
     ag23_corrupted,
     agl23_elements,
     block_signatures_raw,
+    block_through,
     carries_blocks_raw,
     onan_search_raw,
     relabel,
@@ -50,11 +51,11 @@ def test_incidence_canonicalization():
 def test_unital_pair_lookup(h3):
     for x in range(h3.v):
         for y in range(x + 1, h3.v):
-            bid = h3.block_through(x, y)
+            bid = block_through(h3, x, y)
             assert x in h3.blocks[bid] and y in h3.blocks[bid]
     assert len(h3.pencil(0)) == 9  # q^2 blocks through a point
     with pytest.raises(ValueError):
-        h3.block_through(0, 0)
+        block_through(h3, 0, 0)
 
 
 def test_validate_unital_accepts(h2, h3):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import mulclose
+from helpers import mulclose, orbits, pointwise_stabilizer
 from unitals.permgroup import (
     PermGroup,
     compose,
@@ -18,13 +18,15 @@ from unitals.permgroup import (
     orbit,
     perm_cycles,
     perm_order,
-    two_point_stabilizer,
+    restrict_perm,
     validate_perm,
 )
 
 S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
 A4_GENS = [(1, 2, 0, 3), (0, 2, 3, 1)]
 C6_GEN = [(1, 2, 3, 4, 5, 0)]
+S3_GENS = [(1, 0, 2), (1, 2, 0)]
+D8_GENS = [(1, 2, 3, 0), (3, 2, 1, 0)]  # dihedral of order 8, on a square
 
 perms8 = st.permutations(range(8)).map(tuple)
 
@@ -119,13 +121,13 @@ def test_membership():
 
 def test_orbits_and_transitivity():
     G = PermGroup(C6_GEN)
-    assert G.orbit(0) == frozenset(range(6))
+    assert orbit(G.generators, 0) == frozenset(range(6))
     assert is_transitive(G, range(6))
     assert not is_two_transitive(G, range(6))
     S3 = PermGroup([(1, 0, 2), (1, 2, 0)])
     assert is_two_transitive(S3, range(3))
     two_orbits = PermGroup([(1, 0, 2, 3)], degree=4)
-    assert sorted(map(len, two_orbits.orbits(range(4)))) == [1, 1, 2]
+    assert sorted(map(len, orbits(two_orbits.elements(), range(4)))) == [1, 1, 2]
     with pytest.raises(ValueError):
         is_transitive(two_orbits, [0, 2])  # not invariant
 
@@ -135,25 +137,70 @@ def test_orbit_matches_closure(gens):
     elems = mulclose(gens)
     for x in range(len(gens[0])):
         assert orbit(gens, x) == {g[x] for g in elems}
-        assert PermGroup(gens).orbit(x) == orbit(gens, x)
     assert orbit([], 3) == {3}
 
 
 def test_stabilizer_chain_orders():
+    """The chain's order is the orbit length times the stabilizer order, the
+    stabilizers counted from the chain's own elements."""
     S4 = PermGroup(S4_GENS)
-    stab0 = S4.with_base((0,)).level_group(1)
-    assert stab0.order() == 6
-    assert all(g[0] == 0 for g in stab0.elements())
-    stab01 = two_point_stabilizer(S4, 0, 1)
-    assert stab01.order() == 2
-    assert sorted(len(o) for o in stab01.orbits()) == [1, 1, 2]
+    stab0 = pointwise_stabilizer(S4, (0,))
+    assert len(stab0) == 6 and S4.order() == len(orbit(S4.generators, 0)) * len(stab0)
+    stab01 = pointwise_stabilizer(S4, (0, 1))
+    assert len(stab01) == 2
+    assert sorted(len(o) for o in orbits(stab01, range(4))) == [1, 1, 2]
+
+
+def two_transitive_raw(G, X) -> bool:
+    """G is transitive on X, and the stabilizer of min X, taken from
+    ``G.elements()``, is transitive on the rest of X."""
+    x0 = min(X)
+    rest = frozenset(X) - {x0}
+    stab = pointwise_stabilizer(G, (x0,))
+    return ({g[x0] for g in G.elements()} == set(X)
+            and {g[min(rest)] for g in stab} == rest)
+
+
+@pytest.mark.parametrize("gens,degree,X,expected", [
+    (S3_GENS, 3, range(3), True),
+    (S4_GENS, 4, range(4), True),
+    (A4_GENS, 4, range(4), True),
+    (C6_GEN, 6, range(6), False),
+    (D8_GENS, 4, range(4), False),
+    ([(1, 0, 2, 3)], 4, range(4), False),  # not transitive
+    ([], 3, range(3), False),  # the trivial group
+    # S3 on the proper invariant subset {1, 2, 4}, with 0 and 3 swapped
+    ([(3, 2, 4, 0, 1), (3, 2, 1, 0, 4)], 5, (1, 2, 4), True),
+    ([(3, 2, 4, 0, 1)], 5, (1, 2, 4), False),  # C3 there
+    ([(3, 2, 4, 0, 1)], 5, (0, 3), True),  # the swap of 0 and 3
+])
+def test_two_transitivity_matches_stabilizer_oracle(gens, degree, X, expected):
+    G = PermGroup(gens, degree=degree)
+    assert is_two_transitive(G, X) == two_transitive_raw(G, X) == expected
+
+
+def test_two_transitivity_rejects_small_or_moved_sets():
+    S4 = PermGroup(S4_GENS)
+    with pytest.raises(ValueError, match="at least two"):
+        is_two_transitive(S4, [0])
+    with pytest.raises(ValueError, match="not invariant"):
+        is_two_transitive(S4, [0, 1, 2])
+
+
+def test_restrict_perm():
+    p = (3, 2, 4, 0, 1)  # (0 3)(1 2 4)
+    assert restrict_perm(p, (4, 2, 1)) == (1, 2, 0)  # 1 -> 2 -> 4 -> 1, relabelled
+    assert restrict_perm(p, (0, 3)) == (1, 0)
+    assert restrict_perm(p, range(5)) == p
+    assert restrict_perm(p, (0, 1)) is None  # 0 -> 3 leaves the set
+    assert restrict_perm(p, (1, 2)) is None  # 2 -> 4 leaves the set
 
 
 def test_trivial_group():
     G = PermGroup([], degree=5)
     assert G.order() == 1
     assert G.elements() == [identity_perm(5)]
-    assert G.orbit(3) == frozenset({3})
+    assert orbit(G.generators, 3) == frozenset({3})
 
 
 def test_generalized_dihedral_s3():
@@ -181,3 +228,14 @@ def test_generalized_dihedral_requires_involution():
         generalized_dihedral_check(S3, (1, 2, 0))
     with pytest.raises(ValueError):
         generalized_dihedral_check(S3, identity_perm(3))
+
+
+def test_two_transitivity_on_the_figueroa_subunital(fig, fig_atlas):
+    """T[2] of the Figueroa unital on its 9-point hermitian subunital, asked
+    on all 513 points and on its restriction to the subunital."""
+    H = fig.hermitian_points
+    T2 = fig_atlas.group_for(2)
+    T2h = PermGroup([restrict_perm(g, H) for g in T2.generators], degree=len(H))
+    assert T2h.order() == T2.order() == 18
+    assert is_two_transitive(T2, H) == two_transitive_raw(T2, H) is False
+    assert is_two_transitive(T2h, range(9)) == two_transitive_raw(T2h, range(9)) is False
