@@ -59,14 +59,22 @@ class Incidence:
         canon = []
         for blk in blocks:
             t = tuple(blk)
-            if any(not isinstance(x, int) for x in t):
-                raise ValueError("block entries must be integers")
-            if any(x < 0 or x >= v for x in t):
+            prev = -1
+            in_range = ascending = True
+            for x in t:  # a non-integer anywhere outranks an out-of-range entry
+                if not isinstance(x, int):
+                    raise ValueError("block entries must be integers")
+                if not 0 <= x < v:
+                    in_range = False
+                elif x <= prev:
+                    ascending = False
+                prev = x
+            if not in_range:
                 raise ValueError(f"block {t} has out-of-range entries for v={v}")
-            if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+            if not ascending:
                 t = tuple(sorted(t))
-            if len(set(t)) != len(t):
-                raise ValueError(f"block {t} repeats a point")
+                if len(set(t)) != len(t):
+                    raise ValueError(f"block {t} repeats a point")
             canon.append(t)
         canon.sort()
         for i in range(len(canon) - 1):
@@ -353,18 +361,38 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
     b1 < b2 < b3 completes a configuration exactly when it avoids the
     pencils of the three vertices, so the fourth level is one mask per
     triangle, counted as one node per candidate up to the first witness.
+
+    Most meeting pairs b1 < b2 hold no witness, and are cleared in one
+    sweep.  Their transversals are the blocks above b2 that meet b1 and b2
+    away from the shared point p12: exactly the third blocks of a
+    triangle.  Each transversal meets b1 and b2 once, so two of them form
+    a configuration with b1 and b2 exactly when they share a point on
+    neither.  The sweep ORs each transversal's points off b1 and b2 into
+    one mask; a transversal meeting that mask is a clash.  Without a
+    clash the pair's nodes are counted in bulk: one for b2, one per third
+    block above b2, and one popcount of fourth candidates per
+    transversal.  On a clash, or when a block the sweep reaches shares two
+    points with another, the pair is walked again node by node from its
+    first node; that walk finds the first witness, its node number and
+    every ValueError just as a search walked node by node throughout.
+    The budget is checked after each cleared pair, and at every node of a
+    walked one, so an exhausted search does at most one pair of work past
+    its budget.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     blocks = I.blocks
     pb = I.point_blocks
     pencil = [0] * I.v  # filled for the points of each block nb() reaches
-    nb_cache: dict[int, int] = {}
+    # per block, filled when first reached
+    nb_masks: list[Optional[int]] = [None] * len(blocks)
+    point_masks = [0] * len(blocks)
     meet_cache: dict[int, dict[int, int]] = {}
 
     def nb(b: int) -> int:
-        """The blocks meeting block b, as a mask; checks b against them."""
-        if b not in nb_cache:
+        """The blocks above b that meet it, as a mask; checks b against
+        every block."""
+        if nb_masks[b] is None:
             own = 1 << b
             acc = 0
             for x in blocks[b]:
@@ -375,8 +403,8 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
                     other = (twice & -twice).bit_length() - 1
                     raise ValueError(f"blocks {b} and {other} share more than one point")
                 acc |= pencil[x]
-            nb_cache[b] = acc & ~own
-        return nb_cache[b]
+            nb_masks[b] = acc & -(own << 1)
+        return nb_masks[b]
 
     def meets(b: int) -> dict[int, int]:
         """Each block meeting b (and b itself) -> a point they share."""
@@ -384,43 +412,90 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
             meet_cache[b] = {c: x for x in blocks[b] for c in pb[x]}
         return meet_cache[b]
 
+    def points(b: int) -> int:
+        """The points of block b, as a mask."""
+        if not point_masks[b]:
+            point_masks[b] = sum(1 << x for x in blocks[b])
+        return point_masks[b]
+
+    def sweep(n1: int, m1: dict[int, int], pts1: int, b2: int) -> Optional[int]:
+        """The nodes of the pair (b1, b2), counted in bulk, or None when it
+        must be walked: two of its transversals share a point off b1 and
+        b2, or a block the sweep reaches shares two points with another."""
+        try:
+            n12 = n1 & nb(b2)
+            counted = 1 + n12.bit_count()
+            off = ~(pts1 | points(b2))
+            seen = 0
+            rest3 = (n12 & ~pencil[m1[b2]]) >> b2 + 1  # the transversals
+            while rest3:
+                low = rest3 & -rest3
+                rest3 ^= low
+                b3 = b2 + low.bit_length()
+                pts = (point_masks[b3] or points(b3)) & off
+                if pts & seen:
+                    return None
+                seen |= pts
+                n3 = nb_masks[b3]
+                if n3 is None:
+                    n3 = nb(b3)
+                counted += (n12 & n3).bit_count()
+        except ValueError:
+            return None
+        return counted
+
+    def walk(b1: int, n1: int, m1: dict[int, int], b2: int, nodes: int):
+        """The pair (b1, b2) node by node, from ``nodes`` counted before it:
+        the result that ends the search, or None, and the nodes counted."""
+        nodes += 1
+        if budget and nodes > budget:
+            return OnanResult("budget-exhausted", None, None, budget + 1), nodes
+        pen12 = pencil[m1[b2]]
+        m2 = meets(b2)
+        n12 = n1 & nb(b2)
+        rest3 = n12 >> b2 + 1
+        while rest3:
+            low = rest3 & -rest3
+            rest3 ^= low
+            b3 = b2 + low.bit_length()
+            nodes += 1
+            if budget and nodes > budget:
+                return OnanResult("budget-exhausted", None, None, budget + 1), nodes
+            if pen12 >> b3 & 1:
+                continue  # b3 passes through p12: no triangle
+            p13 = m1[b3]
+            p23 = m2[b3]
+            cands = (n12 & nb(b3)) >> b3 + 1
+            good = cands & ~((pen12 | pencil[p13] | pencil[p23]) >> b3 + 1)
+            low = good & -good  # the first witness, or 0 (then low - 1 = -1)
+            nodes += (cands & (low - 1)).bit_count() + (good != 0)
+            if budget and nodes > budget:
+                return OnanResult("budget-exhausted", None, None, budget + 1), nodes
+            if good:
+                b4 = b3 + low.bit_length()
+                six = (m1[b2], p13, p23, m1[b4], m2[b4], meets(b3)[b4])
+                return OnanResult("witness", (b1, b2, b3, b4), tuple(sorted(six)), nodes), nodes
+        return None, nodes
+
     nodes = 0
     for b1 in range(len(blocks)):
         n1 = nb(b1)
         m1 = meets(b1)
         rest2 = n1 >> b1 + 1
+        pts1 = points(b1)
         while rest2:
             low = rest2 & -rest2
             rest2 ^= low
             b2 = b1 + low.bit_length()
-            nodes += 1
-            if budget and nodes > budget:
-                return OnanResult("budget-exhausted", None, None, budget + 1)
-            pen12 = pencil[m1[b2]]
-            m2 = meets(b2)
-            n12 = n1 & nb(b2)
-            rest3 = n12 >> b2 + 1
-            while rest3:
-                low = rest3 & -rest3
-                rest3 ^= low
-                b3 = b2 + low.bit_length()
-                nodes += 1
+            counted = sweep(n1, m1, pts1, b2)
+            if counted is None:
+                found, nodes = walk(b1, n1, m1, b2, nodes)
+                if found:
+                    return found
+            else:
+                nodes += counted
                 if budget and nodes > budget:
                     return OnanResult("budget-exhausted", None, None, budget + 1)
-                if pen12 >> b3 & 1:
-                    continue  # b3 passes through p12: no triangle
-                p13 = m1[b3]
-                p23 = m2[b3]
-                cands = (n12 & nb(b3)) >> b3 + 1
-                good = cands & ~((pen12 | pencil[p13] | pencil[p23]) >> b3 + 1)
-                low = good & -good  # the first witness, or 0 (then low - 1 = -1)
-                nodes += (cands & (low - 1)).bit_count() + (good != 0)
-                if budget and nodes > budget:
-                    return OnanResult("budget-exhausted", None, None, budget + 1)
-                if good:
-                    b4 = b3 + low.bit_length()
-                    six = (m1[b2], p13, p23, m1[b4], m2[b4], meets(b3)[b4])
-                    return OnanResult("witness", (b1, b2, b3, b4), tuple(sorted(six)), nodes)
     return OnanResult("none", None, None, nodes)
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     DOUBLE_TXT,
@@ -16,9 +18,11 @@ from helpers import (
     onan_search_raw,
     relabel,
 )
+from unitals.gf import Field
 from unitals.incidence import (
     MAX_FILE_POINTS,
     Incidence,
+    OnanResult,
     _invariants,
     carries_blocks,
     format_unital,
@@ -30,6 +34,7 @@ from unitals.incidence import (
     restrict_to,
     validate_unital,
 )
+from unitals.plane import ProjectivePlane
 
 FANO = Incidence(
     7,
@@ -46,6 +51,28 @@ def test_incidence_canonicalization():
         Incidence(3, [(0, 4)])
     with pytest.raises(ValueError):
         Incidence(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("v,blocks,message", [
+    (-1, [], "point count must be nonnegative"),
+    (3, [(0, 1.0)], "block entries must be integers"),
+    # a non-integer anywhere in a block outranks an out-of-range entry before it
+    (3, [(7, -1, "2")], "block entries must be integers"),
+    (3, [(0, 3)], "block (0, 3) has out-of-range entries for v=3"),
+    (3, [(-1, 0)], "block (-1, 0) has out-of-range entries for v=3"),
+    # reported as given, before any sorting or repeat check
+    (3, [(2, 9, 2)], "block (2, 9, 2) has out-of-range entries for v=3"),
+    (3, [(1, 1)], "block (1, 1) repeats a point"),
+    (3, [(2, 0, 2)], "block (0, 2, 2) repeats a point"),
+    (3, [(0, 1), (1, 0)], "duplicate block (0, 1)"),
+    # blocks are checked in the order given
+    (3, [(0, 5), (0, "x")], "block (0, 5) has out-of-range entries for v=3"),
+    (3, [(1, 1), (0, 5)], "block (1, 1) repeats a point"),
+])
+def test_incidence_constructor_messages(v, blocks, message):
+    with pytest.raises(ValueError) as exc:
+        Incidence(v, blocks)
+    assert str(exc.value) == message
 
 
 def test_unital_pair_lookup(h3):
@@ -149,9 +176,11 @@ def test_onan_rejects_repeated_pairs():
 
 
 # Cases with at most this many nodes are compared at every budget up to
-# nodes + 1; larger ones at nodes - 1, nodes, nodes + 1 and a seeded sample
-# of budgets below ONAN_SAMPLE_BELOW.
+# nodes + 1; larger ones at nodes - 1, nodes, nodes + 1, ONAN_FIXED_BUDGETS
+# (the early pairs, and around the Figueroa witness at node 648) and a
+# seeded sample of budgets below ONAN_SAMPLE_BELOW.
 ONAN_EVERY_BUDGET = 400
+ONAN_FIXED_BUDGETS = (*range(1, 61), *range(640, 651))
 ONAN_SAMPLE_BELOW = 20000
 
 
@@ -190,12 +219,55 @@ def test_onan_matches_raw_search(request, fixture, seed, subset):
     if n <= ONAN_EVERY_BUDGET:
         budgets = range(1, n + 2)
     else:
-        budgets = {n - 1, n, n + 1, *rng.sample(range(1, min(n - 1, ONAN_SAMPLE_BELOW)), 5)}
+        budgets = {n - 1, n, n + 1, *ONAN_FIXED_BUDGETS,
+                   *rng.sample(range(1, min(n - 1, ONAN_SAMPLE_BELOW)), 5)}
+    assert_onan_matches_raw_at(I, full, budgets)
+
+
+def assert_onan_matches_raw_at(I, full, budgets):
+    n = full.nodes
     for budget in sorted(budgets):
         # the raw search never counts more than n nodes, so from n on it
         # returns its exhaustive result
         expected = onan_search_raw(I, budget) if budget < n else full
         assert onan_search(I, budget) == expected, budget
+
+
+PG23_LINES = ProjectivePlane(Field(3, 1)).points_on
+
+
+@st.composite
+def pg23_partial_spaces(draw):
+    """At least four lines of PG(2, 3), each cut to at least two of its
+    points, with the 13 points relabelled: blocks still share at most one
+    point, and where a witness exists it falls in varied pairs and
+    positions."""
+    lines = draw(st.sets(st.sampled_from(range(13)), min_size=4))
+    blocks = [draw(st.sets(st.sampled_from(PG23_LINES[lid]), min_size=2)) for lid in sorted(lines)]
+    perm = draw(st.permutations(range(13)))
+    return Incidence(13, [tuple(perm[x] for x in blk) for blk in blocks])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pg23_partial_spaces())
+def test_onan_matches_raw_search_on_partial_planes(I):
+    full = onan_search_raw(I)
+    assert onan_search(I) == full
+    assert_onan_matches_raw_at(I, full, range(1, full.nodes + 2))
+
+
+def test_onan_witness_before_a_transversal_sharing_two_points():
+    # (0,1,2), (0,3,4), (1,3,5), (2,4,5) form a configuration.  The pair of
+    # the first two has the transversals (1,3,5), (1,4,6) and (2,4,5), in
+    # that order; (1,4,6) shares the points 4 and 6 with (4,6,7), so any
+    # pass that checks it before settling the witness raises.
+    I = Incidence(8, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 4, 6), (2, 4, 5), (4, 6, 7)])
+    full = onan_search_raw(I)
+    assert full == OnanResult("witness", (0, 1, 2, 4), (0, 1, 2, 3, 4, 5), 4)
+    assert onan_search(I) == full
+    assert_onan_matches_raw_at(I, full, range(1, full.nodes + 2))
+    with pytest.raises(ValueError, match="blocks 3 and 4 share more than one point"):
+        onan_search(Incidence(8, [b for b in I.blocks if b != (2, 4, 5)]))
 
 
 def test_isomorphism_identity_and_relabel(h3):
