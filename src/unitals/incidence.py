@@ -102,6 +102,11 @@ class Incidence:
         points x and y, -1 if no block does, -2 if more than one does."""
         return self._pair_coverage[0]
 
+    @property
+    def doubly_covered_pair(self) -> Optional[tuple[int, int]]:
+        """The first pair met on a second block in block order, else None."""
+        return self._pair_coverage[1]
+
     @cached_property
     def _pair_coverage(self) -> tuple[list[int], Optional[tuple[int, int]],
                                       Optional[tuple[int, int]]]:

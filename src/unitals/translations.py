@@ -2,25 +2,42 @@
 
 A translation with center c is an automorphism fixing c and fixing every
 block through c setwise.  ``translations_at`` enumerates the full group for
-one center by exhaustive backtracking.  ``build_atlas`` collects these
-groups for every center: it searches one point per orbit of the group
-generated by the translations found so far, transports the result to the
-rest of the orbit by conjugation, and checks each transported translation
-on its center's pencil only.  The atlas then gives the center sets of each
-translation order, the points with only the trivial translation, the minimal
-primes of the orders present, and the groups generated by all translations
-of a given order.
+one center: it builds each candidate from one point's image and the c-lines
+its blocks meet, and verifies it.  ``build_atlas`` collects these groups for
+every center: it searches one point per orbit of the group generated by the
+translations found so far, transports the result to the rest of the orbit
+by conjugation, and checks each transported translation on its center's
+pencil only.  The atlas then gives the center sets of each translation
+order, the points with only the trivial translation, the minimal primes of
+the orders present, and the groups generated by all translations of a given
+order.
 
-Search layout per center.  Every non-center point must stay inside its own
-pencil block (the block joining it to the center), so its candidate images
-start as that block minus the center.  Once two points of any block have
-images, the whole block's image is forced (the block joining the two image
-points) and its remaining points are constrained to it; two blocks meet in
-at most one point, so these forced constraints almost always collapse the
-search after two well-chosen assignments.  A non-center point is never
-offered itself as an image: a translation with an extra fixed point is the
-identity, so the nontrivial translations are exactly the fixed-point-free
-completions.  Every permutation found is re-verified against the definition.
+Search layout per center.  Every point x other than c lies on exactly one
+block through c, its c-line L_x, and a translation τ fixes each c-line, so
+τ(x) lies on L_x.  The search takes the first point u ≠ c and tries each
+point w of L_u as τ(u).  The star of u, its blocks other than L_u, then maps
+block by block: τ(b) is a block through w that meets the same c-lines as b
+(the same signature), so it is one of the pair-table blocks joining w to a
+point of L_x, for any other point x of b.  With one such block, each point
+of b goes to that block's point on its own c-line; with none, no
+translation sends u to w; with several, the search branches over them, and
+drops a branch once another block through a point it mapped holds two mapped
+points whose images no block of that block's signature joins.  The star of
+u maps every point joined to u.  A point still free is mapped from
+the star of a mapped point joined to it, where each block's image is the
+pair-table block through two mapped points; in a unital one such star maps
+the rest of L_u.  A point joined to no mapped point is tried at every free
+point of its c-line, as u was.  A complete, injective candidate is the only
+map with its choices that can be a translation, and it is kept only if
+``is_translation`` accepts it, so every permutation returned satisfies the
+definition.  The branch τ(u) = u holds the translations fixing u; it is
+skipped when a sufficient test shows that only the identity fixes u (every
+block of the star has a signature no other has, and every other point lies
+on a block with two fixed points), as it does at every center of H(2)–H(5)
+and of the Figueroa unital; searched, it would rebuild the identity by a
+walk that maps every point, the main cost at a center with no translation.
+A translation of a design that is not a unital can fix a second point: an
+elation of a projective plane fixes its axis.
 
 Transport.  If g is an automorphism with g(c) = c', then σ ↦ gσg⁻¹ maps the
 translations with center c onto those with center c'.  Every translation is
@@ -36,6 +53,7 @@ of ``is_translation``, which the tests apply to every atlas entry).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -93,193 +111,168 @@ def _fixes_pencil(U: Unital, pi: Perm, c: int) -> bool:
                               for bid in U.pencil(c))
 
 
+def _line_signature(line_of: list[int], blk: tuple[int, ...]) -> frozenset[int]:
+    """The c-lines a block meets, as the ids of the blocks through c."""
+    return frozenset(map(line_of.__getitem__, blk))
+
+
 def _search_translations(U: Unital, c: int) -> list[Perm]:
-    """The fixed-point-free translation candidates at center c; they still
-    need the re-verification that ``translations_at`` gives them."""
+    """The identity and every other complete candidate the star construction
+    builds at center c (see the module docstring); ``translations_at``
+    verifies the others."""
     v = U.v
     blocks = U.blocks
     block_sets = U.block_sets
     point_blocks = U.point_blocks
     pair_block = U.pair_table
-    nblocks = len(blocks)
-    pencil = point_blocks[c]
-    pencil_of = [-1] * v
-    for bid in pencil:
-        for x in blocks[bid]:
-            if x != c:
-                pencil_of[x] = bid
-    pencil_set = frozenset(pencil)
+    # point -> id of its c-line (the block through c and it); -1 at c
+    line_of = pair_block[c * v:(c + 1) * v]
+    sigs: list[Optional[frozenset[int]]] = [None] * len(blocks)
+
+    def sig(bid: int) -> frozenset[int]:
+        s = sigs[bid]
+        if s is None:
+            s = sigs[bid] = _line_signature(line_of, blocks[bid])
+        return s
 
     img = [-1] * v
     pre = [-1] * v
-    img[c] = c
-    pre[c] = c
-    bimg = [-1] * nblocks
-    bcnt = [0] * nblocks
-    brep = [0] * nblocks
-    used_images = [False] * nblocks
-    for bid in pencil:
-        bimg[bid] = bid
-        bcnt[bid] = 1
-        brep[bid] = c
-        used_images[bid] = True
-
-    sig_cache: dict[int, frozenset] = {}
-
-    def pencil_sig(bid: int) -> frozenset:
-        s = sig_cache.get(bid)
-        if s is None:
-            s = frozenset(pencil_of[x] for x in blocks[bid])
-            sig_cache[bid] = s
-        return s
-
-    trail: list[tuple[int, int, int]] = []
+    img[c] = pre[c] = c
+    image_of = img.__getitem__
+    trail: list[int] = []  # points given an image, in order
     results: list[Perm] = []
-
-    def assign_and_propagate(u0: int, w0: int) -> bool:
-        stack = [(u0, w0)]
-        scans: list[int] = []
-        while stack or scans:
-            if stack:
-                u, w = stack.pop()
-                if img[u] != -1:
-                    if img[u] != w:
-                        return False
-                    continue
-                if pre[w] != -1:
-                    return False
-                img[u] = w
-                pre[w] = u
-                trail.append((0, u, w))
-                for bid in point_blocks[u]:
-                    e = bimg[bid]
-                    if e != -1:
-                        if w not in block_sets[e]:
-                            return False
-                        bcnt[bid] += 1
-                        trail.append((1, bid, 0))
-                        continue
-                    if bcnt[bid] == 0:
-                        bcnt[bid] = 1
-                        brep[bid] = u
-                        trail.append((2, bid, 0))
-                        continue
-                    # second assigned point: the block's image is forced
-                    a = img[brep[bid]]
-                    e2 = pair_block[a * v + w]
-                    if e2 < 0 or e2 in pencil_set or used_images[e2]:
-                        return False
-                    if pencil_sig(bid) != pencil_sig(e2):
-                        return False
-                    bimg[bid] = e2
-                    used_images[e2] = True
-                    bcnt[bid] += 1
-                    trail.append((3, bid, e2))
-                    scans.append(bid)
-            else:
-                bid = scans.pop()
-                e = bimg[bid]
-                epts = blocks[e]
-                for u in blocks[bid]:
-                    if img[u] != -1:
-                        continue
-                    pu = pencil_of[u]
-                    cand = -1
-                    multiple = False
-                    for w in epts:
-                        if pre[w] != -1 or pencil_of[w] != pu or w == u:
-                            continue
-                        if cand == -1:
-                            cand = w
-                        else:
-                            multiple = True
-                            break
-                    if cand == -1:
-                        return False
-                    if not multiple:
-                        stack.append((u, cand))
-        return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            kind, a, b = trail.pop()
-            if kind == 0:
-                img[a] = -1
-                pre[b] = -1
-            elif kind == 1:
-                bcnt[a] -= 1
-            elif kind == 2:
-                bcnt[a] = 0
+            x = trail.pop()
+            pre[img[x]] = -1
+            img[x] = -1
+
+    def fill(bid: int, e: int) -> bool:
+        """Map each point of block ``bid`` to the point of block e on its c-line."""
+        on_line = {line_of[z]: z for z in blocks[e]}
+        for y in blocks[bid]:
+            w = on_line.get(line_of[y], -1)
+            if img[y] == -1:
+                if w == -1 or pre[w] != -1:
+                    return False
+                img[y] = w
+                pre[w] = y
+                trail.append(y)
+            elif img[y] != w:
+                return False
+        return True
+
+    def agrees(bid: int) -> bool:
+        """Whether every other block through a point of block ``bid`` with two
+        mapped points can map onto the block through their images: it must
+        have the same signature and hold the block's other images."""
+        for y in blocks[bid]:
+            for b in point_blocks[y]:
+                if b == bid or b == line_of[y]:
+                    continue
+                ims = [img[x] for x in blocks[b] if img[x] != -1]
+                if len(ims) > 1:
+                    e = pair_block[ims[0] * v + ims[1]]
+                    if e < 0 or sig(e) != sig(b) or not block_sets[e].issuperset(ims):
+                        return False
+        return True
+
+    def walk(hub: int, star: list[int], i: int) -> None:
+        """Map the blocks star[i:] through the hub, branching where a block
+        has several possible images; a block already mapped is skipped."""
+        h = img[hub] * v
+        while i < len(star):
+            bid = star[i]
+            i += 1
+            blk = blocks[bid]
+            mapped = list(map(image_of, blk))
+            free = mapped.count(-1)
+            if not free:
+                continue
+            s = sig(bid)
+            # τ(blk) joins τ(hub) to the image of another point of blk: a
+            # mapped one if there is one, else some free point of its c-line
+            if len(blk) - free > 1:
+                zs = [next(w for y, w in zip(blk, mapped) if w != -1 and y != hub)]
             else:
-                bimg[a] = -1
-                bcnt[a] -= 1
-                used_images[b] = False
-
-    def free_candidates(u: int) -> list[int]:
-        """Intersection of the images allowed by every determined block at u."""
-        pu = pencil_of[u]
-        base: Optional[set[int]] = None
-        for bid in point_blocks[u]:
-            e = bimg[bid]
-            if e == -1:
-                continue
-            s = {
-                w
-                for w in blocks[e]
-                if pre[w] == -1 and pencil_of[w] == pu and w != u
-            }
-            base = s if base is None else base & s
-            if len(base) <= 1:
+                zs = [z for z in blocks[line_of[blk[0] if blk[0] != hub else blk[1]]]
+                      if pre[z] == -1]
+            es = [e for z in zs if (e := pair_block[h + z]) >= 0 and sig(e) == s]
+            if len(es) != 1:
                 break
-        assert base is not None  # the pencil block of u is always determined
-        return sorted(base)
-
-    def choose(depth: int):
-        if depth == 0:
-            u = 0 if c != 0 else 1
-            return u, free_candidates(u)
-        if depth == 1:
-            first = next(x for x in range(v) if img[x] != -1 and x != c)
-            b0 = pencil_of[first]
-            u = next(x for x in range(v) if img[x] == -1 and pencil_of[x] != b0)
-            return u, free_candidates(u)
-        best = None
-        best_key = None
-        for u in range(v):
-            if img[u] != -1:
-                continue
-            cs = free_candidates(u)
-            half = sum(1 for bid in point_blocks[u] if bimg[bid] == -1 and bcnt[bid] > 0)
-            key = (len(cs), -half, u)
-            if best_key is None or key < best_key:
-                best, best_key = (u, cs), key
-                if not cs:
-                    break
-        return best
-
-    def search(depth: int) -> None:
-        nxt = choose(depth)
-        if nxt is None:
-            results.append(tuple(img))
+            if not fill(bid, es[0]):
+                return
+        else:
+            search()
             return
-        u, cands = nxt
-        for w in cands:
+        for e in es:  # each branch is checked against the blocks it meets
             mark = len(trail)
-            if assign_and_propagate(u, w):
-                search(depth + 1)
+            if fill(bid, e) and agrees(bid):
+                walk(hub, star, i)
             undo(mark)
 
-    if v > 1:
-        search(0)
+    def star(p: int) -> list[int]:
+        lp = line_of[p]
+        return [bid for bid in point_blocks[p] if bid != lp]
+
+    def only_identity_fixes(u: int) -> bool:
+        """A sufficient test that only the identity fixes u.  A translation
+        fixing u maps each block through u onto one with the same signature,
+        so it fixes each point of a block whose signature no other block
+        through u has, and of a block holding two fixed points."""
+        blks = star(u)
+        counts = Counter(map(sig, blks))
+        fixed = {c, u}
+        fixed.update(*[blocks[bid] for bid in blks if counts[sigs[bid]] == 1])
+        for z in sorted(set(range(v)).difference(fixed)):
+            if not any(len(fixed.intersection(blocks[bid])) > 1
+                       for bid in point_blocks[z] if bid != line_of[z]):
+                return False
+            fixed.add(z)
+        return True
+
+    def search() -> None:
+        if -1 not in img:
+            results.append(tuple(img))
+            return
+        z = img.index(-1)
+        if trail:
+            # a mapped point joined to z maps z through its star
+            for bid in point_blocks[z]:
+                if bid != line_of[z]:
+                    hub = next((x for x in blocks[bid] if img[x] != -1), -1)
+                    if hub != -1:
+                        walk(hub, star(hub), 0)
+                        return
+        # z is the hub: try every free point of its c-line as its image
+        todo = star(z)
+        for w in blocks[line_of[z]]:
+            if pre[w] == -1:
+                if w == z and not trail and only_identity_fixes(z):
+                    results.append(tuple(range(v)))
+                    continue
+                mark = len(trail)
+                img[z] = w
+                pre[w] = z
+                trail.append(z)
+                walk(z, todo, 0)
+                undo(mark)
+
+    search()
     return results
 
 
 def translations_at(U: Unital, c: int) -> list[Perm]:
     """The group of all translations with center c, identity included.
 
-    Exhaustive search; every permutation it finds is re-verified against the
-    definition (the identity is added, not found).  The search confines each
-    point to its block through c, so a point without one is a ``ValueError``.
+    Exhaustive: the star construction (see the module docstring) builds each
+    candidate from one point's image and the c-lines its blocks meet,
+    branching where a block has several possible images, and keeps every
+    candidate but the identity only if ``is_translation`` accepts it.  It
+    reads block images off the pair table, so a point sharing no block with
+    c, or a pair of points on two blocks, is a ``ValueError`` (checked in
+    that order).
     """
     v = U.v
     if not 0 <= c < v:
@@ -287,15 +280,12 @@ def translations_at(U: Unital, c: int) -> list[Perm]:
     for x in range(v):
         if x != c and U.pair_table[c * v + x] == -1:
             raise ValueError(f"point {x} shares no block with center {c}")
-    ident = identity_perm(U.v)
-    group = set(_search_translations(U, c))
-    for p in group:
-        if not is_translation(U, p, c):
-            raise RuntimeError(
-                f"search produced a non-translation at center {c}; this is a bug"
-            )
-    group.add(ident)
-    return sorted(group)
+    double = U.doubly_covered_pair
+    if double is not None:
+        raise ValueError(f"pair {double} lies on more than one block")
+    ident = identity_perm(v)
+    return sorted(p for p in _search_translations(U, c)
+                  if p == ident or is_translation(U, p, c))
 
 
 @dataclass(frozen=True)
@@ -361,10 +351,12 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     that group is extended by BFS from every covered point, and every point
     it reaches is covered.  A covered point c' = g(c) gets
     T(c') = {gσg⁻¹ : σ ∈ T(c)}, conjugated along the forest edge that reached
-    it.  The searched translations are verified in full by
-    ``translations_at``; gσg⁻¹ is then an automorphism by construction (see
-    the module docstring), so it is only checked to fix c' and each block
-    through c'.  A transport that fails this raises ``RuntimeError``.
+    it.  A searched center gets ``translations_at``: each candidate is built
+    from the image of one point and the c-lines its blocks meet, branching
+    where a block has several images, and verified in full.  gσg⁻¹ is then an
+    automorphism by construction (see the module docstring), so it is only
+    checked to fix c' and each block through c'.  A transport that fails
+    this raises ``RuntimeError``.
 
     ``threads`` must be at least 1 and has no other effect: the search runs
     in this process, since a process pool lost to one worker on every

@@ -5,7 +5,10 @@ explicit matrix groups, brute-force closures and enumerations) without
 touching the code paths under test.
 """
 
+from collections import Counter
 from itertools import permutations, product
+from operator import getitem
+from typing import Optional
 
 from unitals.incidence import Incidence, OnanResult, Unital
 from unitals.permgroup import compose, identity_perm
@@ -49,6 +52,13 @@ def ag23_corrupted() -> Unital:
     empty block ride along."""
     blocks = [b for b in ag23_unital().blocks if b != (0, 1, 2)]
     return Unital(9, blocks + [(0, 1, 3), (4,), ()], 2)
+
+
+def ag23_doubled() -> Unital:
+    """AG(2, 3) with the blocks (1, 2, 7) and (1, 6, 7) added: the pair
+    (1, 2) is met a second time first when the blocks are scanned in order,
+    and every point still shares a block with every other."""
+    return Unital(9, list(ag23_unital().blocks) + [(1, 2, 7), (1, 6, 7)], 2)
 
 
 def agl23_elements() -> list[tuple[int, ...]]:
@@ -114,6 +124,194 @@ def translations_raw(U: Unital, c: int) -> list[tuple[int, ...]]:
         if is_translation_raw(U, perm, c):
             found.append(tuple(perm))
     return sorted(found)
+
+
+def search_translations_raw(U: Unital, c: int) -> list[tuple[int, ...]]:
+    """The translation search by constraint propagation, as the library ran
+    it before the star construction; the oracle of ``translations_at``.
+
+    Every point starts confined to its block through c; once two points of a
+    block have images, the block's image is forced and its other points are
+    confined to it.  Only fixed-point-free maps are tried, so on a design
+    where a translation can fix a second point (not a unital) it misses
+    translations.  Returns the candidates found, unverified and without the
+    identity."""
+    v = U.v
+    blocks = U.blocks
+    block_sets = U.block_sets
+    point_blocks = U.point_blocks
+    pair_block = U.pair_table
+    nblocks = len(blocks)
+    pencil = point_blocks[c]
+    pencil_of = [-1] * v
+    for bid in pencil:
+        for x in blocks[bid]:
+            if x != c:
+                pencil_of[x] = bid
+    pencil_set = frozenset(pencil)
+
+    img = [-1] * v
+    pre = [-1] * v
+    img[c] = c
+    pre[c] = c
+    bimg = [-1] * nblocks
+    bcnt = [0] * nblocks
+    brep = [0] * nblocks
+    used_images = [False] * nblocks
+    for bid in pencil:
+        bimg[bid] = bid
+        bcnt[bid] = 1
+        brep[bid] = c
+        used_images[bid] = True
+
+    sig_cache: dict[int, frozenset] = {}
+
+    def pencil_sig(bid: int) -> frozenset:
+        s = sig_cache.get(bid)
+        if s is None:
+            s = frozenset(pencil_of[x] for x in blocks[bid])
+            sig_cache[bid] = s
+        return s
+
+    trail: list[tuple[int, int, int]] = []
+    results: list[tuple[int, ...]] = []
+
+    def assign_and_propagate(u0: int, w0: int) -> bool:
+        stack = [(u0, w0)]
+        scans: list[int] = []
+        while stack or scans:
+            if stack:
+                u, w = stack.pop()
+                if img[u] != -1:
+                    if img[u] != w:
+                        return False
+                    continue
+                if pre[w] != -1:
+                    return False
+                img[u] = w
+                pre[w] = u
+                trail.append((0, u, w))
+                for bid in point_blocks[u]:
+                    e = bimg[bid]
+                    if e != -1:
+                        if w not in block_sets[e]:
+                            return False
+                        bcnt[bid] += 1
+                        trail.append((1, bid, 0))
+                        continue
+                    if bcnt[bid] == 0:
+                        bcnt[bid] = 1
+                        brep[bid] = u
+                        trail.append((2, bid, 0))
+                        continue
+                    # second assigned point: the block's image is forced
+                    a = img[brep[bid]]
+                    e2 = pair_block[a * v + w]
+                    if e2 < 0 or e2 in pencil_set or used_images[e2]:
+                        return False
+                    if pencil_sig(bid) != pencil_sig(e2):
+                        return False
+                    bimg[bid] = e2
+                    used_images[e2] = True
+                    bcnt[bid] += 1
+                    trail.append((3, bid, e2))
+                    scans.append(bid)
+            else:
+                bid = scans.pop()
+                e = bimg[bid]
+                epts = blocks[e]
+                for u in blocks[bid]:
+                    if img[u] != -1:
+                        continue
+                    pu = pencil_of[u]
+                    cand = -1
+                    multiple = False
+                    for w in epts:
+                        if pre[w] != -1 or pencil_of[w] != pu or w == u:
+                            continue
+                        if cand == -1:
+                            cand = w
+                        else:
+                            multiple = True
+                            break
+                    if cand == -1:
+                        return False
+                    if not multiple:
+                        stack.append((u, cand))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            kind, a, b = trail.pop()
+            if kind == 0:
+                img[a] = -1
+                pre[b] = -1
+            elif kind == 1:
+                bcnt[a] -= 1
+            elif kind == 2:
+                bcnt[a] = 0
+            else:
+                bimg[a] = -1
+                bcnt[a] -= 1
+                used_images[b] = False
+
+    def free_candidates(u: int) -> list[int]:
+        """Intersection of the images allowed by every determined block at u."""
+        pu = pencil_of[u]
+        base: Optional[set[int]] = None
+        for bid in point_blocks[u]:
+            e = bimg[bid]
+            if e == -1:
+                continue
+            s = {
+                w
+                for w in blocks[e]
+                if pre[w] == -1 and pencil_of[w] == pu and w != u
+            }
+            base = s if base is None else base & s
+            if len(base) <= 1:
+                break
+        assert base is not None  # the pencil block of u is always determined
+        return sorted(base)
+
+    def choose(depth: int):
+        if depth == 0:
+            u = 0 if c != 0 else 1
+            return u, free_candidates(u)
+        if depth == 1:
+            first = next(x for x in range(v) if img[x] != -1 and x != c)
+            b0 = pencil_of[first]
+            u = next(x for x in range(v) if img[x] == -1 and pencil_of[x] != b0)
+            return u, free_candidates(u)
+        best = None
+        best_key = None
+        for u in range(v):
+            if img[u] != -1:
+                continue
+            cs = free_candidates(u)
+            half = sum(1 for bid in point_blocks[u] if bimg[bid] == -1 and bcnt[bid] > 0)
+            key = (len(cs), -half, u)
+            if best_key is None or key < best_key:
+                best, best_key = (u, cs), key
+                if not cs:
+                    break
+        return best
+
+    def search(depth: int) -> None:
+        nxt = choose(depth)
+        if nxt is None:
+            results.append(tuple(img))
+            return
+        u, cands = nxt
+        for w in cands:
+            mark = len(trail)
+            if assign_and_propagate(u, w):
+                search(depth + 1)
+            undo(mark)
+
+    if v > 1:
+        search(0)
+    return results
 
 
 def mulclose(gens, limit: int = CLOSURE_LIMIT) -> set[tuple[int, ...]]:
@@ -306,16 +504,15 @@ def onan_search_raw(I: Incidence, budget: int = 0) -> OnanResult:
 
 def block_signatures_raw(I: Incidence) -> list[tuple]:
     """Per block: its size and the sorted (intersection size, count) pairs
-    against every other block, by intersecting all pairs of blocks, as the
-    isomorphism search computed them before it counted along pencils."""
+    against every other block, as the isomorphism search computed them
+    before it counted along pencils.  Each unordered pair of blocks is
+    intersected once, and its size counts for both blocks."""
     sets = I.block_sets
+    # after[i][j - i - 1] is the size of the meet of blocks i and j > i
+    after = [[len(s & t) for t in sets[i + 1:]] for i, s in enumerate(sets)]
     sigs = []
     for i, s in enumerate(sets):
-        counts: dict[int, int] = {}
-        for j, t in enumerate(sets):
-            if i == j:
-                continue
-            m = len(s & t)
-            counts[m] = counts.get(m, 0) + 1
+        counts = Counter(after[i])
+        counts.update(map(getitem, after[:i], range(i - 1, -1, -1)))  # after[j][i - j - 1]
         sigs.append((len(s), tuple(sorted(counts.items()))))
     return sigs

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import unitals
-from helpers import DOUBLE_TXT, MISSING_TXT, onan_search_raw
+from helpers import DOUBLE_TXT, MISSING_TXT, ag23_doubled, onan_search_raw
 from unitals.cli import main, report_json
-from unitals.incidence import read_unital
+from unitals.incidence import format_unital, read_unital
 from unitals.permgroup import PermGroup, perm_order
 
 
@@ -332,6 +332,25 @@ def test_point_sharing_no_block_with_a_center_is_an_input_error(
     assert code == 2
     assert out == ""
     assert err == f"error: point {lone} shares no block with center 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["translations"],
+    ["translations", "--center", "4"],
+    ["omega"],
+    ["subunital", "--p", "2"],
+    ["check-lemmas"],
+])
+def test_pair_on_two_blocks_is_an_input_error(capsys, tmp_path, argv):
+    """Every point shares a block with every center here, but the pair (1, 2)
+    lies on two blocks, which the translation search cannot read off the
+    pair table."""
+    path = tmp_path / "u.txt"
+    path.write_text(format_unital(ag23_doubled()))
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: pair (1, 2) lies on more than one block\n"
 
 
 def _child_env() -> dict:

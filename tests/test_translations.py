@@ -6,15 +6,18 @@ from helpers import (
     DOUBLE_TXT,
     MISSING_TXT,
     ag23_corrupted,
+    ag23_doubled,
     ag23_unital,
     agl23_elements,
     is_translation_raw,
     pointwise_stabilizer,
     relabel,
+    search_translations_raw,
     translations_raw,
 )
-from unitals.incidence import parse_unital
-from unitals.gf import prime_power
+from unitals.incidence import Unital, parse_unital
+from unitals.plane import projective_plane
+from unitals.gf import make_field, prime_power
 from unitals.permgroup import (
     compose,
     conjugate,
@@ -138,13 +141,87 @@ def test_two_point_stabilizer_structure(atlas3):
             if compose(compose(t, g), t) == inverse(g)] == [1, 2]
 
 
+def pg_design(q: int) -> Unital:
+    """PG(2, q) read as a design of lines."""
+    plane = projective_plane(make_field(*prime_power(q)))
+    return Unital(len(plane.points_on), plane.points_on, q)
+
+
 def test_search_matches_brute_force_oracle(h2):
-    """The search skips every map with a fixed point besides the center; the
-    oracle tries all 16 maps that keep each block through the center."""
-    for U in (h2, ag23_unital()):
-        for c in range(9):
-            assert [len(U.blocks[bid]) for bid in U.pencil(c)] == [3] * 4  # 2!^4 maps
+    """The oracle tries every map that permutes the points of each block
+    through the center among themselves.  In a projective plane every
+    translation but the identity fixes each point of its axis, so the search
+    must not assume that a translation fixing a second point is the
+    identity; and every line meets every line through the center, so each
+    block through a hub has several candidate images."""
+    for U in (h2, ag23_unital(), pg_design(2), pg_design(3)):
+        for c in range(U.v):
+            if U.v == 9:
+                assert [len(U.blocks[bid]) for bid in U.pencil(c)] == [3] * 4  # 2!^4 maps
             assert translations_at(U, c) == translations_raw(U, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_translations_of_a_projective_plane_are_its_central_collineations(q):
+    """The collineations of PG(2, q) fixing every line through a point c are
+    its perspectivities with center c: besides the identity, q² − 1
+    elations, each fixing its axis (a line through c) and nothing else, and
+    q²(q − 2) homologies, each fixing c and its axis (a line not through c)."""
+    group = translations_at(pg_design(q), 0)
+    assert len(group) == q * q * (q - 1)
+    assert sum(len(fixed_points(p)) == q + 1 for p in group) == q * q - 1
+
+
+def test_branches_are_pruned_on_a_projective_plane():
+    """Every line of PG(2, 8) through a hub meets every line through the
+    center, so each block of a star has eight candidate images.  A branch is
+    dropped once two mapped points of another block have images that no
+    block of its signature joins; without that check the search at one
+    center reads the pair table about 1.23 M times instead of 235,000."""
+    U = pg_design(8)
+    reads = 0
+
+    class CountingTable(list):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return list.__getitem__(self, i)
+
+    U.__dict__["pair_table"] = CountingTable(U.pair_table)
+    assert len(translations_at(U, 0)) == 448
+    assert reads < 500_000
+
+
+def test_search_matches_brute_force_on_partial_linear_spaces(h2):
+    """H(2) with each block not through the center kept with probability
+    one half, relabelled.  With blocks gone, a translation can fix points
+    besides the center, and a point can share a block with no mapped point."""
+    fixing = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        c = rng.randrange(9)
+        blocks = [blk for blk in h2.blocks if c in blk or rng.random() < 0.5]
+        g = list(range(9))
+        rng.shuffle(g)
+        U = relabel(Unital(9, blocks, 2), g)
+        group = translations_at(U, g[c])
+        assert group == translations_raw(U, g[c])
+        fixing += any(len(fixed_points(p)) > 1 for p in group[1:])
+    assert fixing > 0
+
+
+@pytest.mark.parametrize("design", ["h2", "h3"])
+def test_stars_with_several_images_are_branched(design, request, monkeypatch):
+    """With every block given the same signature, each block through a hub
+    has several candidate images, and only branching over all of them finds
+    every translation."""
+    import unitals.translations as tr
+
+    U = request.getfixturevalue(design)
+    monkeypatch.setattr(tr, "_line_signature", lambda line_of, blk: frozenset())
+    ident = identity_perm(U.v)
+    for c in range(U.v):
+        assert translations_at(U, c) == sorted({ident, *search_translations_raw(U, c)})
 
 
 def test_relabeling_conjugates_translations(h3, atlas3):
@@ -186,14 +263,19 @@ def test_is_translation_matches_raw_definition_on_random_permutations(h3, atlas3
             assert is_translation(h3, perm, c) == is_translation_raw(h3, perm, c)
 
 
-@pytest.mark.parametrize("design", ["h2", "h3", "h4", "h5", "fig", "fig_relabelled"])
+@pytest.mark.parametrize(
+    "design", ["h2", "h3", "h4", "h5", "h5_relabelled", "fig", "fig_relabelled"])
 def test_atlas_matches_per_center_search(design, request):
+    """At every center, the atlas equals the search, and the search equals
+    the propagation search it replaced."""
     U = request.getfixturevalue(design)
     U = getattr(U, "unital", U)
     atlas = build_atlas(U)
     ident = identity_perm(U.v)
     for c in range(U.v):
-        assert atlas.nontrivial[c] == tuple(p for p in translations_at(U, c) if p != ident)
+        group = translations_at(U, c)
+        assert group == sorted({ident, *search_translations_raw(U, c)})
+        assert atlas.nontrivial[c] == tuple(p for p in group if p != ident)
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +358,20 @@ def test_point_sharing_no_block_with_the_center(text, center, lone):
     with pytest.raises(ValueError, match=f"point {lone} shares no block with center {center}"):
         translations_at(U, center)
     with pytest.raises(ValueError):
+        build_atlas(U)
+
+
+def test_pair_on_two_blocks_is_an_input_error():
+    """The group at 4 has order 2, but its translation maps (1, 2, 7) onto
+    (1, 6, 7), and the pair table marks (6, 7) as lying on two blocks, so a
+    search that reads block images off it refuses the input."""
+    U = ag23_doubled()
+    sigma = (8, 7, 6, 5, 4, 3, 2, 1, 0)
+    assert is_translation(U, sigma, 4)
+    assert translations_raw(U, 4) == [identity_perm(9), sigma]
+    with pytest.raises(ValueError, match=r"^pair \(1, 2\) lies on more than one block$"):
+        translations_at(U, 4)
+    with pytest.raises(ValueError, match=r"^pair \(1, 2\) lies on more than one block$"):
         build_atlas(U)
 
 
