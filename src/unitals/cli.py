@@ -285,7 +285,7 @@ def _cmd_check_lemmas(args) -> int:
     all_ok = True
 
     congruence = {}
-    for n in atlas.orders:
+    for n in atlas.centers_by_order:
         rep = orbit_congruence_check(atlas, n)
         congruence[str(n)] = report_json(rep)
         all_ok = all_ok and rep.ok
@@ -315,7 +315,7 @@ def _cmd_check_lemmas(args) -> int:
     if crowded is not None:
         suite = {"not-applicable": (
             f"center {crowded} carries {involutions[crowded]} involutory translations "
-            f"in a translation group of order {atlas.group_order(crowded)}; "
+            f"in a translation group of order {len(atlas.nontrivial[crowded]) + 1}; "
             "the suite needs exactly one at every center of an involutory translation")}
     elif omega2:
         tau = atlas.translations_of_order(2)[0][1]

@@ -7,10 +7,11 @@ its blocks meet, and verifies it.  ``build_atlas`` collects these groups for
 every center: it searches one point per orbit of the group generated by the
 translations found so far, transports the result to the rest of the orbit
 by conjugation, and checks each transported translation on its center's
-pencil only.  The atlas then gives the center sets of each translation
-order, the points with only the trivial translation, the minimal primes of
-the orders present, and the groups generated by all translations of a given
-order.
+pencil only.  Each translation's order is computed where it was searched
+and carried through the transport, since conjugation keeps it.  The atlas
+then gives the center sets of each translation order, the points with only
+the trivial translation, the minimal primes of the orders present, and the
+groups generated by all translations of a given order.
 
 Search layout per center.  Every point x other than c lies on exactly one
 block through c, its c-line L_x, and a translation τ fixes each c-line, so
@@ -294,15 +295,12 @@ class TranslationAtlas:
 
     unital: Unital
     nontrivial: tuple[tuple[Perm, ...], ...]  # per center, identity omitted
-
-    @cached_property
-    def perm_orders(self) -> tuple[tuple[int, ...], ...]:
-        """The order of each translation in ``nontrivial``, in the same layout."""
-        return tuple(tuple(map(perm_order, perms)) for perms in self.nontrivial)
+    perm_orders: tuple[tuple[int, ...], ...]  # the order of each, same layout
 
     @cached_property
     def centers_by_order(self) -> dict[int, frozenset[int]]:
-        """Order n ↦ the set of centers admitting an order-n translation."""
+        """Order n ↦ the set of centers admitting an order-n translation,
+        in ascending order of n."""
         acc: dict[int, set[int]] = {}
         for c, orders in enumerate(self.perm_orders):
             for n in orders:
@@ -316,10 +314,6 @@ class TranslationAtlas:
     @cached_property
     def least_primes(self) -> frozenset[int]:
         return frozenset(smallest_prime_factor(n) for n in self.centers_by_order)
-
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.centers_by_order))
 
     def centers_of_order(self, n: int) -> frozenset[int]:
         """The centers admitting an order-n translation; ``ValueError`` if none."""
@@ -339,9 +333,6 @@ class TranslationAtlas:
         gens = [p for _, p in self.translations_of_order(n)]
         return PermGroup(gens, degree=self.unital.v)
 
-    def group_order(self, c: int) -> int:
-        return len(self.nontrivial[c]) + 1
-
 
 def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     """The translation group at every center, identity omitted.
@@ -356,7 +347,9 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     where a block has several images, and verified in full.  gσg⁻¹ is then an
     automorphism by construction (see the module docstring), so it is only
     checked to fix c' and each block through c'.  A transport that fails
-    this raises ``RuntimeError``.
+    this raises ``RuntimeError``.  Orders are computed at the searched
+    centers only: ord(gσg⁻¹) = ord(σ), so each transported translation keeps
+    the order of the σ it came from.
 
     ``threads`` must be at least 1 and has no other effect: the search runs
     in this process, since a process pool lost to one worker on every
@@ -367,6 +360,7 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     v = U.v
     ident = identity_perm(v)
     per_center: list[Optional[tuple[Perm, ...]]] = [None] * v
+    orders: list[tuple[int, ...]] = [()] * v
     edge: list[Optional[tuple[int, Perm]]] = [None] * v  # point -> (parent, generator)
     covered = [False] * v
     order: list[int] = []  # covered points, each after its parent
@@ -384,6 +378,7 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
             continue
         perms = tuple(p for p in translations_at(U, c) if p != ident)
         per_center[c] = perms
+        orders[c] = tuple(map(perm_order, perms))
         covered[c] = True
         old_points, old_gens = len(order), len(gens)
         order.append(c)
@@ -403,14 +398,17 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
         if edge[y] is None:  # searched
             continue
         x, g = edge[y]
-        perms = sorted(conjugate(sigma, g) for sigma in per_center[x])
-        for p in perms:
+        # each order stays with its own permutation through the sort
+        pairs = sorted(zip([conjugate(sigma, g) for sigma in per_center[x]], orders[x]))
+        for p, _ in pairs:
             if not _fixes_pencil(U, p, y):
                 raise RuntimeError(
                     f"transport produced a non-translation at center {y}; this is a bug"
                 )
-        per_center[y] = tuple(perms)
-    return TranslationAtlas(unital=U, nontrivial=tuple(per_center))
+        per_center[y] = tuple(p for p, _ in pairs)
+        orders[y] = tuple(n for _, n in pairs)
+    return TranslationAtlas(unital=U, nontrivial=tuple(per_center),
+                            perm_orders=tuple(orders))
 
 
 # -- lemma-level checks ---------------------------------------------------------
@@ -507,15 +505,15 @@ def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
     checked = 0
     for c, sigma in atlas.translations_of_order(n):
         checked += 1
-        if set(fixed_points(sigma)) != {c}:
-            failures.append((c, "fixed points", fixed_points(sigma)))
+        fixed = fixed_points(sigma)
+        if fixed != (c,):
+            failures.append((c, "fixed points", fixed))
             continue
         for cyc in perm_cycles(sigma):
             if len(cyc) != n:
                 failures.append((c, "cycle length", cyc))
                 break
-            inside = sum(1 for x in cyc if x in omega_n)
-            if inside not in (0, len(cyc)):
+            if not (omega_n.issuperset(cyc) or omega_n.isdisjoint(cyc)):
                 failures.append((c, "cycle straddles the center set", cyc))
                 break
     return CongruenceReport(

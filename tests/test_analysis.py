@@ -16,10 +16,11 @@ from unitals.translations import TranslationAtlas, translation_transitivity_chec
 
 def pruned_atlas(h2, atlas2, centers):
     """Atlas pruned so only the given centers keep their translations."""
-    pruned = tuple(
-        atlas2.nontrivial[c] if c in centers else () for c in range(h2.v)
-    )
-    return TranslationAtlas(unital=h2, nontrivial=pruned)
+    def prune(table):
+        return tuple(table[c] if c in centers else () for c in range(h2.v))
+
+    return TranslationAtlas(unital=h2, nontrivial=prune(atlas2.nontrivial),
+                            perm_orders=prune(atlas2.perm_orders))
 
 
 def collinear_center_atlas(h2, atlas2):

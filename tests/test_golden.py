@@ -48,6 +48,12 @@ FILES = {
     "iso_a.txt": ISO_A_TXT,
     "iso_b.txt": ISO_B_TXT,
     "h4r.txt": h4_relabelled(),
+    # PG(2, 3) read as a design: each center's 17 translations are 9
+    # homologies of order 2 and 8 elations of order 3, each fixing points
+    # besides its center
+    "pg3.txt": "unital v=13 k=4\n0 1 2 12\n0 3 6 9\n0 4 8 10\n0 5 7 11\n1 3 8 11\n"
+               "1 4 7 9\n1 5 6 10\n2 3 7 10\n2 4 6 11\n2 5 8 9\n3 4 5 12\n"
+               "6 7 8 12\n9 10 11 12\n",
 }
 
 # (name, argv, compare by digest)
@@ -77,6 +83,9 @@ CASES = [
     ("check-lemmas-q5", ["check-lemmas", "--q", "5"], True),
     ("isomorphic-h4-relabelled", ["isomorphic", "--in", "h4r.txt", "--q", "4"], True),
     ("classify-h4-relabelled", ["classify", "--in", "h4r.txt"], True),
+    # orders mixed within each center's group, and the congruence failures
+    ("translations-pg3", ["translations", "--in", "pg3.txt"], True),
+    ("check-lemmas-pg3", ["check-lemmas", "--in", "pg3.txt"], True),
     *(
         (f"build-hermitian-q{q}", ["build-hermitian", "--q", str(q)], True)
         for q in (2, 3, 4, 5, 7, 8)

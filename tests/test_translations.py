@@ -27,6 +27,7 @@ from unitals.permgroup import (
     perm_order,
 )
 from unitals.translations import (
+    TranslationAtlas,
     build_atlas,
     is_translation,
     orbit_congruence_check,
@@ -111,7 +112,7 @@ def test_orders_are_characteristic_powers(atlas2, atlas3, atlas4, atlas5):
 )
 def test_translation_group_sizes(q, per_center, total_orders, request):
     atlas = request.getfixturevalue(f"atlas{q}")
-    assert all(atlas.group_order(c) == per_center for c in range(atlas.unital.v))
+    assert all(len(perms) + 1 == per_center for perms in atlas.nontrivial)
     assert {n: len(s) for n, s in atlas.centers_by_order.items()} == total_orders
     assert atlas.trivial_centers == frozenset()
 
@@ -120,7 +121,7 @@ def test_hermitian_order_four_has_no_order_four_translation(atlas4):
     # the per-center groups have order 4 but every nontrivial element is an
     # involution (elementary abelian), so no translation of order 4 exists
     assert 4 not in atlas4.centers_by_order
-    assert atlas4.orders == (2,)
+    assert list(atlas4.centers_by_order) == [2]
 
 
 def test_generated_group_orders(atlas2, atlas3, atlas4):
@@ -297,6 +298,28 @@ def test_every_atlas_entry_is_a_translation(design, request):
             assert is_translation(U, sigma, c)
 
 
+@pytest.mark.parametrize(
+    "design", ["h2", "h3", "h4", "h5", "fig", "fig_relabelled", "pg3", "pg4"])
+def test_carried_orders_match_perm_order(design, request):
+    """Oracle for the order table: the atlas computes orders at the searched
+    centers only and carries them through the transport; here every entry
+    is recomputed.  At a center of H(q) or of the Figueroa unital every
+    translation has the same order, so only PG(2, q) read as a design, whose
+    elations and homologies differ in order at each center, shows an order
+    that the transport's sort separated from its permutation."""
+    if design.startswith("pg"):
+        U = pg_design(int(design[2:]))
+    else:
+        U = request.getfixturevalue(design)
+        U = getattr(U, "unital", U)
+    atlas = build_atlas(U)
+    assert len(atlas.perm_orders) == U.v
+    for perms, orders in zip(atlas.nontrivial, atlas.perm_orders):
+        assert orders == tuple(map(perm_order, perms))
+    if design.startswith("pg"):
+        assert all(len(set(orders)) == 2 for orders in atlas.perm_orders)
+
+
 @pytest.mark.parametrize("design", ["h3", "h5_relabelled"])
 def test_transport_by_the_wrong_conjugate_is_caught(design, request, monkeypatch):
     """The transport conjugates by g⁻¹σg instead of gσg⁻¹.  The generators
@@ -310,7 +333,9 @@ def test_transport_by_the_wrong_conjugate_is_caught(design, request, monkeypatch
         build_atlas(U)
 
 
-def test_orders_are_computed_once_per_translation(h3, monkeypatch, capsys):
+def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, capsys):
+    """ord(gσg⁻¹) = ord(σ), so the atlas computes orders only where it
+    searches: three centers of H(3), two translations each."""
     import unitals.cli as cli
     import unitals.permgroup as pg
     import unitals.translations as tr
@@ -320,16 +345,19 @@ def test_orders_are_computed_once_per_translation(h3, monkeypatch, capsys):
     for module in (tr, pg):
         monkeypatch.setattr(module, "perm_order", lambda p: calls.append(p) or perm_order(p))
     atlas = build_atlas(h3)
-    for n in atlas.orders:
+    for n in atlas.centers_by_order:
         atlas.translations_of_order(n)
     atlas.group_for(3)
     assert atlas.centers_by_order == {3: frozenset(range(28))}
     assert atlas.perm_orders == tuple((3, 3) for _ in range(28))
-    assert len(calls) == 56
+    assert len(calls) == 6
+    searched = [c for c, perms in enumerate(atlas.nontrivial) if set(perms) <= set(calls)]
+    assert len(searched) == 3 and searched[0] == 0
+    assert sorted(calls) == sorted(p for c in searched for p in atlas.nontrivial[c])
     # the translations report reads the atlas's table
     calls.clear()
     assert cli.main(["translations", "--q", "3"]) == 0
-    assert len(calls) == 56 and '"order": 3' in capsys.readouterr().out
+    assert len(calls) == 6 and '"order": 3' in capsys.readouterr().out
 
 
 def test_threads_do_not_change_the_atlas(h2, fig_relabelled):
@@ -388,9 +416,49 @@ def test_transitivity_check(atlas2, atlas3, atlas4):
 
 def test_congruence_check(atlas2, atlas3, atlas4, atlas5):
     for atlas in (atlas2, atlas3, atlas4, atlas5):
-        for n in atlas.orders:
+        for n in atlas.centers_by_order:
             rep = orbit_congruence_check(atlas, n)
             assert rep.ok
             assert rep.center_set_size % n == 1
     with pytest.raises(ValueError):
         orbit_congruence_check(atlas2, 5)
+
+
+def from_cycles(cycles, v=9):
+    img = list(range(v))
+    for cyc in cycles:
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            img[x] = y
+    return tuple(img)
+
+
+def test_congruence_check_reports_each_failure_kind(h2):
+    """A hand-built table on 9 points with translations that break each rule:
+    a second fixed point (center 0), a cycle straddling Ω₂ = {0, 1, 3, 5}
+    first (center 1), third (center 3) or second (center 5), and an order-6
+    permutation whose second cycle has length 2 (center 2).  Each failure
+    names the first failing cycle."""
+    table = {
+        0: [(1, 2), (3, 4), (5, 6)],
+        1: [(0, 2), (3, 4), (5, 6), (7, 8)],
+        2: [(0, 1, 3, 4, 5, 6), (7, 8)],
+        3: [(0, 1), (2, 4), (5, 6), (7, 8)],
+        5: [(0, 3), (1, 2), (4, 6), (7, 8)],
+    }
+    nontrivial = tuple((from_cycles(table[c]),) if c in table else () for c in range(9))
+    orders = tuple(tuple(map(perm_order, perms)) for perms in nontrivial)
+    assert orders == ((2,), (2,), (6,), (2,), (), (2,), (), (), ())
+    atlas = TranslationAtlas(unital=h2, nontrivial=nontrivial, perm_orders=orders)
+
+    rep = orbit_congruence_check(atlas, 2)
+    assert (rep.center_set_size, rep.size_congruent_one, rep.translations_checked) == (4, False, 4)
+    assert rep.failures == (
+        ("0", "fixed points", "(0, 7, 8)"),
+        ("1", "cycle straddles the center set", "(0, 2)"),
+        ("3", "cycle straddles the center set", "(5, 6)"),
+        ("5", "cycle straddles the center set", "(1, 2)"),
+    )
+    rep = orbit_congruence_check(atlas, 6)
+    assert (rep.center_set_size, rep.size_congruent_one, rep.translations_checked) == (1, True, 1)
+    assert rep.failures == (("2", "cycle length", "(7, 8)"),)
+    assert not rep.ok
