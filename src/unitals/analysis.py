@@ -22,8 +22,7 @@ Four instruments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .gf import prime_power
 from .incidence import (
@@ -61,8 +60,7 @@ __all__ = [
 # -- subunital induced on a center set ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SubunitalReport:
+class SubunitalReport(NamedTuple):
     p: int
     center_count: int
     contained_in_block: bool
@@ -132,8 +130,7 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
 # -- constant-intersection criterion -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantIntersectionReport:
+class ConstantIntersectionReport(NamedTuple):
     p: int
     center_count: int
     block_count: int
@@ -208,8 +205,7 @@ def constant_intersection_check(
 # -- classification harness ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Outcome of the hermitian recognition test.
 
     ``conclusion`` is ``verified-hermitian`` only when an explicit point
@@ -290,8 +286,7 @@ def classify(U: Unital, atlas: Optional[TranslationAtlas] = None) -> Classificat
 # -- sharply-transitive complement suite ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SharpTransitivityReport:
+class SharpTransitivityReport(NamedTuple):
     preconditions_ok: bool
     failed_preconditions: tuple[str, ...]
     domain_size: int

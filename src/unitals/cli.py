@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -47,17 +46,17 @@ def _load_input(args) -> tuple[Unital, dict]:
 
 
 def report_json(report) -> dict:
-    """A report dataclass as JSON data: every field in turn, then ``ok`` when
+    """A report NamedTuple as JSON data: every field in turn, then ``ok`` when
     the class defines it as a property.  Tuples become lists and nested
     reports recurse."""
-    doc = {f.name: _json_value(getattr(report, f.name)) for f in fields(report)}
+    doc = {name: _json_value(value) for name, value in zip(report._fields, report)}
     if isinstance(getattr(type(report), "ok", None), property):
         doc["ok"] = report.ok
     return doc
 
 
 def _json_value(x):
-    if is_dataclass(x):
+    if hasattr(x, "_fields"):  # a report; it is a tuple too, so test this first
         return report_json(x)
     if isinstance(x, tuple):
         return [_json_value(y) for y in x]

@@ -34,9 +34,8 @@ genuine Figueroa plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gf import make_field, prime_power
 from .incidence import (
@@ -85,8 +84,7 @@ TYPE_II = "II"
 TYPE_III = "III"
 
 
-@dataclass(frozen=True)
-class FigPlane:
+class FigPlane(NamedTuple):
     """The twisted plane, with the classical scaffolding kept around."""
 
     q: int
@@ -266,8 +264,7 @@ def build_fig_polarity(fig: FigPlane) -> Perm:
     return sigma
 
 
-@dataclass(frozen=True)
-class FigueroaBundle:
+class FigueroaBundle(NamedTuple):
     """The polar unital with its provenance in the twisted plane."""
 
     q: int
@@ -314,8 +311,7 @@ def figueroa_bundle(q: int = 2) -> FigueroaBundle:
     return _build_bundle(q)
 
 
-@dataclass(frozen=True)
-class FigueroaVerification:
+class FigueroaVerification(NamedTuple):
     """Everything the translation atlas of the polar unital must satisfy."""
 
     q: int

@@ -16,10 +16,11 @@ produce and the writer emits.
 from __future__ import annotations
 
 import io
+import itertools
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Incidence",
@@ -116,18 +117,13 @@ class Incidence:
         tbl = [-1] * (v * v)
         double = None
         for bid, blk in enumerate(self.blocks):
-            n = len(blk)
-            for i in range(n):
-                x = blk[i]
-                xv = x * v
-                for j in range(i + 1, n):
-                    y = blk[j]
-                    a = xv + y
-                    if tbl[a] == -1:
-                        tbl[a] = tbl[y * v + x] = bid
-                    else:
-                        tbl[a] = tbl[y * v + x] = -2
-                        double = double or (x, y)
+            for x, y in itertools.combinations(blk, 2):
+                a = x * v + y
+                if tbl[a] == -1:
+                    tbl[a] = tbl[y * v + x] = bid
+                else:
+                    tbl[a] = tbl[y * v + x] = -2
+                    double = double or (x, y)
         missing = None
         for x in range(v - 1):
             try:
@@ -214,8 +210,7 @@ def carries_blocks(A: Incidence, perm: Sequence[int], B: Incidence) -> bool:
 # -- design validation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     q: int
     v: int
@@ -272,8 +267,7 @@ def validate_unital(I: Incidence, q: int) -> ValidationReport:
 # -- restriction and embedding ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     """An incidence structure induced on a point subset.
 
     ``points[i]`` is the ambient id of restricted point i; ``block_ids[j]``
@@ -340,8 +334,7 @@ def ideal_embedding_check(U: Incidence, subset: Iterable[int]):
 # -- O'Nan configurations -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OnanResult:
+class OnanResult(NamedTuple):
     status: str  # "witness" | "none" | "budget-exhausted"
     blocks: Optional[tuple[int, int, int, int]]
     points: Optional[tuple[int, ...]]
@@ -733,14 +726,14 @@ def parse_unital(text: str, source: str = "<string>") -> Unital:
                                  f"(1 <= v <= {MAX_FILE_POINTS}, k >= 3)")
             continue
         try:
-            pts = tuple(int(tok) for tok in line.split())
+            pts = tuple(map(int, line.split()))
         except ValueError:
             raise ValueError(f"{source}:{lineno}: non-integer block entry") from None
         if len(pts) != k:
             raise ValueError(f"{source}:{lineno}: block has {len(pts)} points, expected k={k}")
-        if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
+        if any(map(operator.ge, pts, pts[1:])):
             raise ValueError(f"{source}:{lineno}: block entries must be strictly ascending")
-        if any(x < 0 or x >= v for x in pts):
+        if pts[0] < 0 or pts[-1] >= v:  # ascending, so the endpoints bound the rest
             raise ValueError(f"{source}:{lineno}: point index out of range 0..{v - 1}")
         if pts in seen:
             raise ValueError(

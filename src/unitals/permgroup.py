@@ -11,9 +11,8 @@ Everything is deterministic: no randomized sifting, fixed iteration orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -268,8 +267,7 @@ def is_two_transitive(G: PermGroup, X: Iterable[int]) -> bool:
 # -- structure checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DihedralReport:
+class DihedralReport(NamedTuple):
     """Outcome of the generalized-dihedral decomposition G = ⟨τ⟩M."""
 
     ok: bool

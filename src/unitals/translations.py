@@ -55,9 +55,8 @@ of ``is_translation``, which the tests apply to every atlas entry).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .incidence import Unital, carries_blocks
 from .permgroup import (
@@ -278,9 +277,10 @@ def translations_at(U: Unital, c: int) -> list[Perm]:
     v = U.v
     if not 0 <= c < v:
         raise ValueError(f"center {c} out of range")
-    for x in range(v):
-        if x != c and U.pair_table[c * v + x] == -1:
-            raise ValueError(f"point {x} shares no block with center {c}")
+    row = U.pair_table[c * v:(c + 1) * v]
+    row[c] = 0  # the center shares every block with itself
+    if -1 in row:
+        raise ValueError(f"point {row.index(-1)} shares no block with center {c}")
     double = U.doubly_covered_pair
     if double is not None:
         raise ValueError(f"pair {double} lies on more than one block")
@@ -289,13 +289,14 @@ def translations_at(U: Unital, c: int) -> list[Perm]:
                   if p == ident or is_translation(U, p, c))
 
 
-@dataclass(frozen=True)
 class TranslationAtlas:
     """Complete per-center translation data for one unital."""
 
-    unital: Unital
-    nontrivial: tuple[tuple[Perm, ...], ...]  # per center, identity omitted
-    perm_orders: tuple[tuple[int, ...], ...]  # the order of each, same layout
+    def __init__(self, unital: Unital, nontrivial: tuple[tuple[Perm, ...], ...],
+                 perm_orders: tuple[tuple[int, ...], ...]):
+        self.unital = unital
+        self.nontrivial = nontrivial  # per center, identity omitted
+        self.perm_orders = perm_orders  # the order of each, same layout
 
     @cached_property
     def centers_by_order(self) -> dict[int, frozenset[int]]:
@@ -414,8 +415,7 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
 # -- lemma-level checks ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """Three facts about p-translations: the group they generate is
     transitive on its center set; for each block meeting the center set
     twice, the translations centered on that block act transitively on the
@@ -480,8 +480,7 @@ def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> Transitiv
     )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Cycle-structure and counting congruences for order-n translations."""
 
     n: int

@@ -351,6 +351,27 @@ def orbits(elements, points) -> list[frozenset[int]]:
     return out
 
 
+def pair_coverage_raw(I: Incidence) -> tuple[list[int], Optional[tuple[int, int]],
+                                              Optional[tuple[int, int]]]:
+    """The pair table, the first pair met a second time in block order, and
+    the least uncovered pair, from the set of blocks through each pair."""
+    v = I.v
+    on = [set() for _ in range(v)]
+    for bid, blk in enumerate(I.blocks):
+        for x in blk:
+            on[x].add(bid)
+    common = {(x, y): on[x] & on[y] for x in range(v) for y in range(x + 1, v)}
+    tbl = [-1] * (v * v)
+    for (x, y), bids in common.items():
+        if bids:
+            tbl[x * v + y] = tbl[y * v + x] = min(bids) if len(bids) == 1 else -2
+    double = next(((x, y) for bid, blk in enumerate(I.blocks)
+                   for i, x in enumerate(blk) for y in blk[i + 1:]
+                   if min(common[x, y]) < bid), None)
+    missing = next((pair for pair, bids in common.items() if not bids), None)
+    return tbl, double, missing
+
+
 def block_through(U: Unital, x: int, y: int) -> int:
     """Id of the unique block joining two distinct points, read off the
     pair table."""

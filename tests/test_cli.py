@@ -372,15 +372,21 @@ def test_module_execution():
     assert json.loads(proc.stdout)["payload"]["K"] == [2]
 
 
-# Runs ``python -m unitals.cli ARGS`` and then writes the loaded ``unitals``
-# modules to stderr, one line, whatever the exit code.
-FOOTPRINT = """
+# Costly to import and used by no command: ``dataclasses`` pulls in
+# ``inspect``, which pulls in ``ast``, ``dis`` and ``tokenize``.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+# Runs ``python -m unitals.cli ARGS`` and then writes two lines to stderr,
+# whatever the exit code: the loaded ``unitals`` modules, and the loaded
+# modules of SLOW_IMPORTS.
+FOOTPRINT = f"""
 import runpy, sys
 try:
     runpy.run_module("unitals.cli", run_name="__main__", alter_sys=True)
 finally:
     print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "unitals")),
           file=sys.stderr)
+    print(*(m for m in {SLOW_IMPORTS!r} if m in sys.modules), file=sys.stderr)
 """
 
 
@@ -389,10 +395,20 @@ finally:
     (["validate", "--in"], ["incidence"]),
     (["onan", "--in"], ["incidence"]),
     (["translations", "--in"], ["incidence", "permgroup", "translations"]),
+    (["build-hermitian", "--q", "2"], ["gf", "incidence", "plane"]),
+    (["classify", "--in"], ["analysis", "gf", "incidence", "permgroup", "plane", "translations"]),
+    (["check-lemmas", "--in"], ["analysis", "gf", "incidence", "permgroup", "plane",
+                                "translations"]),
 ])
 def test_command_loads_only_the_modules_it_runs(h2_file, argv, modules):
     if argv[-1] == "--in":
         argv = [*argv, str(h2_file)]
+    bare = subprocess.run(  # what the interpreter loads before any command
+        [sys.executable, "-c", f"import sys; print(*(m for m in {SLOW_IMPORTS!r} if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *argv],
         capture_output=True,
@@ -400,4 +416,6 @@ def test_command_loads_only_the_modules_it_runs(h2_file, argv, modules):
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["unitals", *(f"unitals.{m}" for m in modules)]
+    loaded, slow = proc.stderr.split("\n")[:2]
+    assert loaded.split() == ["unitals", *(f"unitals.{m}" for m in modules)]
+    assert slow.split() == bare.stdout.split()

@@ -11,11 +11,13 @@ from helpers import (
     ISO_B_TXT,
     MISSING_TXT,
     ag23_corrupted,
+    ag23_doubled,
     agl23_elements,
     block_signatures_raw,
     block_through,
     carries_blocks_raw,
     onan_search_raw,
+    pair_coverage_raw,
     relabel,
 )
 from unitals.gf import Field
@@ -125,6 +127,20 @@ def test_validate_unital_witness_order():
     assert rep.violations["pair_coverage"] == "pair (0, 3) lies on no block"
 
     assert not restrict_to(double, [0, 1, 2, 3, 5]).is_linear_space
+
+
+@pytest.mark.parametrize("design", [
+    *("h2", "h3", "h4", "h5", "fig", "fig_relabelled"),
+    *(pytest.param(parse_unital(text), id=name) for name, text in (
+        ("double", DOUBLE_TXT), ("missing", MISSING_TXT))),
+    pytest.param(ag23_doubled(), id="ag23-doubled"),
+    pytest.param(ag23_corrupted(), id="ag23-corrupted"),
+])
+def test_pair_coverage_matches_the_blocks_through_each_pair(design, request):
+    if isinstance(design, str):
+        design = request.getfixturevalue(design)
+    I = getattr(design, "unital", design)
+    assert I._pair_coverage == pair_coverage_raw(I)
 
 
 def test_restrict_to_and_ideal_embedding(h2):
@@ -391,6 +407,11 @@ def test_parse_comments_and_blank_lines():
         ("unital v=9 k=3\n0 1 x\n", "non-integer"),
         ("unital v=9 k=3\n2 1 0\n", "strictly ascending"),
         ("unital v=9 k=3\n0 1 9\n", "out of range"),
+        ("unital v=9 k=3\n-1 0 4\n", "out of range"),
+        # checked in order: entries, size, ascending, range
+        ("unital v=9 k=3\n0 x\n", "non-integer"),
+        ("unital v=9 k=3\n5 1 9\n", "strictly ascending"),
+        ("unital v=9 k=3\n-1 5 0\n", "strictly ascending"),
         ("unital v=9 k=3\n0 1 2\n0 1 2\n", "duplicate block (first seen on line 2)"),
         ("# nothing\n", "missing"),
         ("unital v=0 k=3\n", "out of range"),

@@ -380,10 +380,14 @@ def test_center_out_of_range(h2):
 
 @pytest.mark.parametrize("text,center,lone", [
     (MISSING_TXT, 0, 3), (MISSING_TXT, 4, 0), (DOUBLE_TXT, 0, 4), (DOUBLE_TXT, 8, 0),
+    # the first of two lone points, one on each side of the center
+    ("unital v=7 k=3\n0 2 3\n1 4 5\n3 4 6\n", 3, 1),
+    # the one lone point, after the center
+    ("unital v=8 k=3\n0 1 3\n2 3 4\n3 5 6\n", 3, 7),
 ])
 def test_point_sharing_no_block_with_the_center(text, center, lone):
     U = parse_unital(text)
-    with pytest.raises(ValueError, match=f"point {lone} shares no block with center {center}"):
+    with pytest.raises(ValueError, match=f"^point {lone} shares no block with center {center}$"):
         translations_at(U, center)
     with pytest.raises(ValueError):
         build_atlas(U)
