@@ -30,15 +30,18 @@ class CliError(Exception):
 
 
 def _load_input(args) -> tuple[Unital, dict]:
-    """The unital named by --in (a file) or --q (reference hermitian)."""
-    path = getattr(args, "infile", None)
+    """The unital named by --in (a file) or --q (reference hermitian).
+    Only ``validate`` takes both: there --q is the order to check against."""
+    path = args.infile
     if path:
         if len(path) != 1:
             raise CliError("expected exactly one --in path here")
+        if args.q is not None and args.command != "validate":
+            raise CliError(f"{args.command} takes --in or --q, not both")
         from .incidence import read_unital
         u = read_unital(path[0])
         return u, {"in": path[0]}
-    q = getattr(args, "q", None)
+    q = args.q
     if q is not None:
         from .plane import hermitian_unital
         return hermitian_unital(q), {"q": q}
@@ -140,7 +143,7 @@ def _cmd_build_figueroa(args) -> int:
     Path(str(args.out) + ".json").write_text(_json_text(sidecar))
 
     atlas = build_atlas(bundle.unital, threads=args.threads)
-    report = verify_figueroa_theorems(args.q, atlas=atlas, bundle=bundle)
+    report = verify_figueroa_theorems(bundle, atlas)
     # --out names the unital file here, so the report goes to stdout
     _emit(None, "build-figueroa", {"q": args.q}, report_json(report))
     return 0 if report.ok else 1
@@ -150,7 +153,7 @@ def _cmd_validate(args) -> int:
     from .incidence import validate_unital
 
     U, desc = _load_input(args)
-    q = args.q if args.q is not None and getattr(args, "infile", None) else U.q
+    q = args.q if args.q is not None and args.infile else U.q
     report = validate_unital(U, q)
     _emit(args.out, "validate", desc, report_json(report))
     return 0 if report.valid else 1
@@ -246,7 +249,7 @@ def _cmd_isomorphic(args) -> int:
     from .incidence import isomorphism_search, read_unital
 
     paths = args.infile or []
-    if len(paths) == 2:
+    if len(paths) == 2 and args.q is None:
         A = read_unital(paths[0])
         B = read_unital(paths[1])
         desc = {"in": paths[0], "in2": paths[1]}

@@ -35,7 +35,7 @@ genuine Figueroa plane.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .gf import make_field, prime_power
 from .incidence import (
@@ -64,7 +64,7 @@ from .plane import (
     polar_unital,
     projective_plane,
 )
-from .translations import TranslationAtlas, build_atlas
+from .translations import TranslationAtlas
 
 __all__ = [
     "FigPlane",
@@ -345,20 +345,17 @@ class FigueroaVerification(NamedTuple):
         )
 
 
-def verify_figueroa_theorems(q: int = 2, atlas: Optional[TranslationAtlas] = None,
-                             bundle: Optional[FigueroaBundle] = None) -> FigueroaVerification:
-    """Check the translation structure of the polar unital against its
-    predicted shape: involutions only, centers exactly the subplane points,
-    the generated group of order-q acting transitively (its restriction to
-    the subunital is also tested for two-transitivity and the result
-    reported), the subplane points invariant, and the twisting map an
-    order-3 unital automorphism acting trivially on the centers."""
-    if bundle is None:
-        bundle = figueroa_bundle(q)
+def verify_figueroa_theorems(bundle: FigueroaBundle,
+                             atlas: TranslationAtlas) -> FigueroaVerification:
+    """Check the translation structure of the polar unital, read off its
+    atlas, against its predicted shape: involutions only, centers exactly
+    the subplane points, the generated group of order-q acting transitively
+    (its restriction to the subunital is also tested for two-transitivity
+    and the result reported), the subplane points invariant, and the
+    twisting map an order-3 unital automorphism acting trivially on the
+    centers."""
+    q = bundle.q
     U = bundle.unital
-    if atlas is None:
-        atlas = build_atlas(U)
-
     H = frozenset(bundle.hermitian_points)
     omega2 = atlas.centers_by_order.get(2, frozenset())
 

@@ -26,7 +26,6 @@ __all__ = [
     "Incidence",
     "Unital",
     "ValidationReport",
-    "Restriction",
     "OnanResult",
     "validate_unital",
     "restrict_to",
@@ -107,6 +106,12 @@ class Incidence:
     def doubly_covered_pair(self) -> Optional[tuple[int, int]]:
         """The first pair met on a second block in block order, else None."""
         return self._pair_coverage[1]
+
+    @property
+    def is_linear_space(self) -> bool:
+        """Whether every pair of points lies on exactly one block."""
+        _, double, missing = self._pair_coverage
+        return double is None and missing is None
 
     @cached_property
     def _pair_coverage(self) -> tuple[list[int], Optional[tuple[int, int]],
@@ -267,44 +272,19 @@ def validate_unital(I: Incidence, q: int) -> ValidationReport:
 # -- restriction and embedding ------------------------------------------------
 
 
-class Restriction(NamedTuple):
-    """An incidence structure induced on a point subset.
-
-    ``points[i]`` is the ambient id of restricted point i; ``block_ids[j]``
-    is the ambient id of the block whose trace became restricted block j.
-    """
-
-    incidence: Incidence
-    points: tuple[int, ...]
-    block_ids: tuple[int, ...]
-    is_linear_space: bool
-
-
-def restrict_to(I: Incidence, subset: Iterable[int]) -> Restriction:
-    """Induce on ``subset``: blocks are traces meeting it in >= 2 points."""
-    pts = tuple(sorted(set(subset)))
-    if any(x < 0 or x >= I.v for x in pts):
+def restrict_to(I: Incidence, subset: Iterable[int]) -> Incidence:
+    """The design induced on ``subset``, its points renamed 0, 1, ... in
+    ascending order: its blocks are the traces meeting it in >= 2 points."""
+    pts = sorted(set(subset))
+    if pts and (pts[0] < 0 or pts[-1] >= I.v):
         raise ValueError("subset contains out-of-range points")
     reindex = {x: i for i, x in enumerate(pts)}
-    sub = frozenset(pts)
-    traces = []
-    for bid, blk in enumerate(I.blocks):
-        tr = tuple(reindex[x] for x in blk if x in sub)
-        if len(tr) >= 2:
-            traces.append((tr, bid))
-    traces.sort()
-    blocks = [t for t, _ in traces]
-    block_ids = tuple(bid for _, bid in traces)
-    inc = Incidence(len(pts), blocks)
-    # linear space: every pair of restricted points on exactly one trace
-    _, double, missing = inc._pair_coverage
-    ok = double is None and missing is None
-    return Restriction(incidence=inc, points=pts, block_ids=block_ids, is_linear_space=ok)
+    traces = (tuple(reindex[x] for x in blk if x in reindex) for blk in I.blocks)
+    return Incidence(len(pts), [tr for tr in traces if len(tr) >= 2])
 
 
-def restriction_as_unital(sub: Restriction) -> Optional[Unital]:
+def restriction_as_unital(inc: Incidence) -> Optional[Unital]:
     """Package a restriction as a unital when its parameters fit one."""
-    inc = sub.incidence
     sizes = {len(b) for b in inc.blocks}
     if len(sizes) != 1:
         return None
@@ -528,17 +508,17 @@ def isomorphism_search(A: Incidence, B: Incidence):
 
     Returns the image list (position i holds the B-point assigned to
     A-point i) or None.  The backtracking is exhaustive, so None is a proof
-    of non-isomorphism at this scale.  Pruning: block-intersection
-    signatures, point fingerprints, and forced block images (once two
-    points of an A-block are mapped and the images lie on a single common
-    B-block, every remaining point of that A-block must land on it).
+    of non-isomorphism at this scale.  Pruning: point fingerprints (which
+    also settle the block signatures: a block of size k >= 1 lies in k of
+    them, and a design has at most one empty block), and forced block
+    images (once two points of an A-block are mapped and the images lie on
+    a single common B-block, every remaining point of that A-block must
+    land on it).
     """
     if A.v != B.v or len(A.blocks) != len(B.blocks):
         return None
-    sigs_a, fps_a = _invariants(A)
-    sigs_b, fps_b = _invariants(B)
-    if sorted(sigs_a) != sorted(sigs_b):
-        return None
+    _, fps_a = _invariants(A)
+    _, fps_b = _invariants(B)
     fp_ids: dict[tuple, int] = {}
     fp_a = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_a]
     fp_b = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_b]
@@ -554,14 +534,13 @@ def isomorphism_search(A: Incidence, B: Incidence):
     for y in range(v):
         fp_groups.setdefault(fp_b[y], []).append(y)
 
-    img = [-1] * v
-    used = [False] * v
     ablocks = A.blocks
     apb = A.point_blocks
-    # image id per A block, -1 unknown
-    blk_img = [-1] * len(ablocks)
-    blk_cnt = [0] * len(ablocks)
-    blk_rep = [0] * len(ablocks)
+    img = [-1] * v  # A-point -> B-point
+    pre = [-1] * v  # B-point -> A-point
+    blk_img = [-1] * len(ablocks)  # A-block -> its B-block, once forced
+    blk_rep = [-1] * len(ablocks)  # A-block -> its first mapped point
+    trail: list[tuple[list[int], int]] = []  # entries set, each undone to -1
 
     def pair_blocks(y1: int, y2: int):
         """Ids of the B-blocks through two points, ascending."""
@@ -576,49 +555,44 @@ def isomorphism_search(A: Incidence, B: Incidence):
             e = blk_img[ab]
             if e == -1:
                 continue
-            s = {w for w in b_sets[e] if not used[w] and fp_b[w] == fp_a[u]}
+            s = {w for w in b_sets[e] if pre[w] == -1 and fp_b[w] == fp_a[u]}
             base = s if base is None else base & s
             if base is not None and len(base) <= 1:
                 break
         if base is None:
-            base = {w for w in fp_groups.get(fp_a[u], ()) if not used[w]}
+            base = {w for w in fp_groups.get(fp_a[u], ()) if pre[w] == -1}
         return sorted(base)
 
-    trail: list[tuple] = []
+    def put(u: int, w: int) -> None:
+        img[u] = w
+        pre[w] = u
+        trail.append((img, u))
+        trail.append((pre, w))
 
     def assign(u: int, w: int) -> bool:
-        img[u] = w
-        used[w] = True
-        trail.append(("pt", u, w))
-        queue = [(u, w)]
+        put(u, w)
+        queue = [u]
         while queue:
-            uu, ww = queue.pop()
+            uu = queue.pop()
             for ab in apb[uu]:
                 if blk_img[ab] != -1:
                     if img[uu] not in b_sets[blk_img[ab]]:
                         return False
-                    blk_cnt[ab] += 1
-                    trail.append(("cnt", ab, None))
-                    continue
-                if blk_cnt[ab] == 0:
-                    blk_cnt[ab] = 1
-                    blk_rep[ab] = uu
-                    trail.append(("cnt0", ab, None))
                     continue
                 other = blk_rep[ab]
+                if other == -1:
+                    blk_rep[ab] = uu
+                    trail.append((blk_rep, ab))
+                    continue
                 cands = [e for e in pair_blocks(img[other], img[uu])
                          if len(b_sets[e]) == len(ablocks[ab])]
                 if len(cands) != 1:
                     if not cands:
                         return False
-                    # ambiguous image (non-linear-space); defer to leaf check
-                    blk_cnt[ab] += 1
-                    trail.append(("cnt", ab, None))
-                    continue
+                    continue  # ambiguous image (non-linear-space); defer to leaf check
                 e = cands[0]
                 blk_img[ab] = e
-                blk_cnt[ab] += 1
-                trail.append(("img", ab, None))
+                trail.append((blk_img, ab))
                 # force single-candidate points of this block
                 for x in ablocks[ab]:
                     if img[x] != -1:
@@ -629,25 +603,14 @@ def isomorphism_search(A: Incidence, B: Incidence):
                     if not cs:
                         return False
                     if len(cs) == 1:
-                        img[x] = cs[0]
-                        used[cs[0]] = True
-                        trail.append(("pt", x, cs[0]))
-                        queue.append((x, cs[0]))
+                        put(x, cs[0])
+                        queue.append(x)
         return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            kind, a, b = trail.pop()
-            if kind == "pt":
-                img[a] = -1
-                used[b] = False
-            elif kind == "img":
-                blk_img[a] = -1
-                blk_cnt[a] -= 1
-            elif kind == "cnt":
-                blk_cnt[a] -= 1
-            else:  # cnt0
-                blk_cnt[a] = 0
+            arr, i = trail.pop()
+            arr[i] = -1
 
     def next_point():
         best = None
@@ -655,7 +618,7 @@ def isomorphism_search(A: Incidence, B: Incidence):
         for u in range(v):
             if img[u] != -1:
                 continue
-            half = sum(1 for ab in apb[u] if blk_img[ab] == -1 and blk_cnt[ab] > 0)
+            half = sum(1 for ab in apb[u] if blk_img[ab] == -1 and blk_rep[ab] != -1)
             cs = candidates(u)
             key = (len(cs), -half, u)
             if best_key is None or key < best_key:

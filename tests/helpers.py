@@ -10,7 +10,7 @@ from itertools import permutations, product
 from operator import getitem
 from typing import Optional
 
-from unitals.incidence import Incidence, OnanResult, Unital
+from unitals.incidence import Incidence, OnanResult, Unital, _invariants, carries_blocks
 from unitals.permgroup import compose, identity_perm
 from unitals.plane import dot
 
@@ -537,3 +537,165 @@ def block_signatures_raw(I: Incidence) -> list[tuple]:
         counts.update(map(getitem, after[:i], range(i - 1, -1, -1)))  # after[j][i - j - 1]
         sigs.append((len(s), tuple(sorted(counts.items()))))
     return sigs
+
+
+def isomorphism_search_raw(A: Incidence, B: Incidence):
+    """The isomorphism search as the library ran it with a trail of four
+    kinds of entry and a per-block count of mapped points: the oracle of
+    ``isomorphism_search``, which must return the same first isomorphism.
+
+    Point bijection carrying the blocks of A exactly onto the blocks of B.
+
+    Returns the image list (position i holds the B-point assigned to
+    A-point i) or None.  The backtracking is exhaustive, so None is a proof
+    of non-isomorphism at this scale.  Pruning: block-intersection
+    signatures, point fingerprints, and forced block images (once two
+    points of an A-block are mapped and the images lie on a single common
+    B-block, every remaining point of that A-block must land on it).
+    """
+    if A.v != B.v or len(A.blocks) != len(B.blocks):
+        return None
+    sigs_a, fps_a = _invariants(A)
+    sigs_b, fps_b = _invariants(B)
+    if sorted(sigs_a) != sorted(sigs_b):
+        return None
+    fp_ids: dict[tuple, int] = {}
+    fp_a = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_a]
+    fp_b = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_b]
+    if sorted(fp_a) != sorted(fp_b):
+        return None
+
+    v = A.v
+    b_sets = B.block_sets
+    b_pairs = B.pair_table
+    b_point_blocks = B.point_blocks
+
+    fp_groups: dict[int, list[int]] = {}
+    for y in range(v):
+        fp_groups.setdefault(fp_b[y], []).append(y)
+
+    img = [-1] * v
+    used = [False] * v
+    ablocks = A.blocks
+    apb = A.point_blocks
+    # image id per A block, -1 unknown
+    blk_img = [-1] * len(ablocks)
+    blk_cnt = [0] * len(ablocks)
+    blk_rep = [0] * len(ablocks)
+
+    def pair_blocks(y1: int, y2: int):
+        """Ids of the B-blocks through two points, ascending."""
+        e = b_pairs[y1 * v + y2]
+        if e != -2:
+            return () if e == -1 else (e,)
+        return [e for e in b_point_blocks[y1] if y2 in b_sets[e]]
+
+    def candidates(u: int) -> list[int]:
+        base = None
+        for ab in apb[u]:
+            e = blk_img[ab]
+            if e == -1:
+                continue
+            s = {w for w in b_sets[e] if not used[w] and fp_b[w] == fp_a[u]}
+            base = s if base is None else base & s
+            if base is not None and len(base) <= 1:
+                break
+        if base is None:
+            base = {w for w in fp_groups.get(fp_a[u], ()) if not used[w]}
+        return sorted(base)
+
+    trail: list[tuple] = []
+
+    def assign(u: int, w: int) -> bool:
+        img[u] = w
+        used[w] = True
+        trail.append(("pt", u, w))
+        queue = [(u, w)]
+        while queue:
+            uu, ww = queue.pop()
+            for ab in apb[uu]:
+                if blk_img[ab] != -1:
+                    if img[uu] not in b_sets[blk_img[ab]]:
+                        return False
+                    blk_cnt[ab] += 1
+                    trail.append(("cnt", ab, None))
+                    continue
+                if blk_cnt[ab] == 0:
+                    blk_cnt[ab] = 1
+                    blk_rep[ab] = uu
+                    trail.append(("cnt0", ab, None))
+                    continue
+                other = blk_rep[ab]
+                cands = [e for e in pair_blocks(img[other], img[uu])
+                         if len(b_sets[e]) == len(ablocks[ab])]
+                if len(cands) != 1:
+                    if not cands:
+                        return False
+                    # ambiguous image (non-linear-space); defer to leaf check
+                    blk_cnt[ab] += 1
+                    trail.append(("cnt", ab, None))
+                    continue
+                e = cands[0]
+                blk_img[ab] = e
+                blk_cnt[ab] += 1
+                trail.append(("img", ab, None))
+                # force single-candidate points of this block
+                for x in ablocks[ab]:
+                    if img[x] != -1:
+                        if img[x] not in b_sets[e]:
+                            return False
+                        continue
+                    cs = candidates(x)
+                    if not cs:
+                        return False
+                    if len(cs) == 1:
+                        img[x] = cs[0]
+                        used[cs[0]] = True
+                        trail.append(("pt", x, cs[0]))
+                        queue.append((x, cs[0]))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            kind, a, b = trail.pop()
+            if kind == "pt":
+                img[a] = -1
+                used[b] = False
+            elif kind == "img":
+                blk_img[a] = -1
+                blk_cnt[a] -= 1
+            elif kind == "cnt":
+                blk_cnt[a] -= 1
+            else:  # cnt0
+                blk_cnt[a] = 0
+
+    def next_point():
+        best = None
+        best_key = None
+        for u in range(v):
+            if img[u] != -1:
+                continue
+            half = sum(1 for ab in apb[u] if blk_img[ab] == -1 and blk_cnt[ab] > 0)
+            cs = candidates(u)
+            key = (len(cs), -half, u)
+            if best_key is None or key < best_key:
+                best, best_key = (u, cs), key
+                if len(cs) == 0:
+                    break
+        return best
+
+    def search() -> bool:
+        nxt = next_point()
+        if nxt is None:
+            return carries_blocks(A, img, B)
+        u, cs = nxt
+        for w in cs:
+            mark = len(trail)
+            if assign(u, w) and search():
+                return True
+            undo(mark)
+        return False
+
+    if search():
+        return tuple(img)
+    return None

@@ -161,7 +161,7 @@ def test_c09_twisted_plane_end_to_end(fig, fig_atlas):
     assert type_counts(fig.plane) == {"I": 21, "II": 1260, "III": 2880}
     assert (fig.unital.v, len(fig.unital.blocks)) == (513, 3648)
 
-    report = verify_figueroa_theorems(2, atlas=fig_atlas, bundle=fig)
+    report = verify_figueroa_theorems(fig, fig_atlas)
     assert report.ok, report
     assert report.omega2_equals_h and report.mho_is_complement
     assert report.subunital_isomorphic_to_hermitian

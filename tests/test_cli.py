@@ -179,6 +179,32 @@ def test_isomorphic_exit_codes(capsys, tmp_path, h2_file):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["translations"], ["omega"], ["classify"], ["subunital", "--p", "2"], ["onan"],
+    ["check-lemmas"],
+])
+def test_in_and_q_together_is_a_usage_error(capsys, h2_file, argv):
+    code, out, err = run(capsys, *argv, "--in", str(h2_file), "--q", "7")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} takes --in or --q, not both\n"
+
+
+def test_isomorphic_two_files_and_q_is_a_usage_error(capsys, h2_file):
+    code, out, err = run(capsys, "isomorphic", "--in", str(h2_file), str(h2_file), "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_validate_checks_a_file_against_q(capsys, h2_file):
+    code, out, _ = run(capsys, "validate", "--in", str(h2_file), "--q", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["input"] == {"in": str(h2_file)}
+    assert doc["payload"]["q"] == 3 and not doc["payload"]["valid"]
+
+
 def test_missing_input_source(capsys):
     code, _, err = run(capsys, "translations")
     assert code == 2 and "error:" in err

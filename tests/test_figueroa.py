@@ -215,7 +215,7 @@ class TestUnital:
 
 class TestTheorems:
     def test_full_report(self, fig, fig_atlas):
-        rep = verify_figueroa_theorems(2, atlas=fig_atlas, bundle=fig)
+        rep = verify_figueroa_theorems(fig, fig_atlas)
         assert rep.ok
         assert rep.center_count == 9
         assert rep.omega2_equals_h and rep.mho_is_complement

@@ -12,10 +12,12 @@ from helpers import (
     MISSING_TXT,
     ag23_corrupted,
     ag23_doubled,
+    ag23_unital,
     agl23_elements,
     block_signatures_raw,
     block_through,
     carries_blocks_raw,
+    isomorphism_search_raw,
     onan_search_raw,
     pair_coverage_raw,
     relabel,
@@ -36,7 +38,7 @@ from unitals.incidence import (
     restrict_to,
     validate_unital,
 )
-from unitals.plane import ProjectivePlane
+from unitals.plane import ProjectivePlane, hermitian_unital
 
 FANO = Incidence(
     7,
@@ -147,7 +149,7 @@ def test_restrict_to_and_ideal_embedding(h2):
     # a block is an ideally embedded linear space (trivially: itself)
     blk = h2.blocks[0]
     sub = restrict_to(h2, blk)
-    assert sub.incidence.v == 3 and sub.incidence.blocks == ((0, 1, 2),)
+    assert sub.v == 3 and sub.blocks == ((0, 1, 2),)
     assert sub.is_linear_space
     ok, witness = ideal_embedding_check(h2, blk)
     assert not ok and witness is not None  # other blocks leave the triple
@@ -310,6 +312,115 @@ def test_isomorphism_distinguishes_hexagon_from_triangles():
     assert isomorphism_search(hexagon, triangles) is None
     rotated = Incidence(6, [(1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 1)])
     assert isomorphism_search(hexagon, rotated) is not None
+
+
+def shuffled(I: Incidence, seed: int) -> Incidence:
+    """I with its points renamed by a permutation drawn from ``seed``."""
+    perm = list(range(I.v))
+    random.Random(seed).shuffle(perm)
+    return Incidence(I.v, [tuple(perm[x] for x in blk) for blk in I.blocks])
+
+
+SMALL_BLOCKS = Incidence(5, [(), (0,), (0, 1, 2), (2, 3, 4), (1, 3)])
+
+# Two non-isomorphic configurations of nine points and nine triples, each
+# point on three triples and each pair on at most one: every triple meets
+# six others, so every point has the same fingerprint and only the
+# backtracking tells them apart.  Likewise cycles against unions of shorter
+# cycles.
+NINE_THREE = (
+    Incidence(9, [(0, 1, 5), (0, 2, 8), (0, 4, 6), (1, 3, 7), (1, 4, 8), (2, 3, 6),
+                  (2, 5, 7), (3, 4, 5), (6, 7, 8)]),
+    Incidence(9, [(0, 1, 2), (0, 3, 8), (0, 4, 7), (1, 5, 6), (1, 7, 8), (2, 3, 6),
+                  (2, 4, 5), (3, 5, 7), (4, 6, 8)]),
+)
+
+
+def cycles(*lengths: int) -> Incidence:
+    """Disjoint cycles of the given lengths, as a design of 2-point blocks."""
+    blocks, start = [], 0
+    for n in lengths:
+        blocks += [(start + i, start + (i + 1) % n) for i in range(n)]
+        start += n
+    return Incidence(start, blocks)
+
+
+# (id, A, B): a fixture name, a design, or (a fixture name or design, seed)
+# for a relabelled copy
+ISO_CASES = [
+    *((f"{h}-{tag}", a, b) for h in ("h2", "h3", "h4") for tag, a, b in (
+        ("canonical", h, h),
+        ("canonical-relabelled", h, (h, 1)),
+        ("relabelled-canonical", (h, 2), h),
+        ("relabelled-relabelled", (h, 3), (h, 4)),
+    )),
+    ("h2-ag23", "h2", ag23_unital()),
+    ("iso_a-iso_b", parse_unital(ISO_A_TXT), parse_unital(ISO_B_TXT)),
+    *((f"{name}-relabelled{seed}", parse_unital(text), (parse_unital(text), seed))
+      for name, text in (("iso_a", ISO_A_TXT), ("iso_b", ISO_B_TXT),
+                         ("double", DOUBLE_TXT), ("missing", MISSING_TXT))
+      for seed in (5, 6)),
+    ("double-missing", parse_unital(DOUBLE_TXT), parse_unital(MISSING_TXT)),
+    ("nine-three", NINE_THREE[0], (NINE_THREE[1], 8)),
+    *((f"nine-three{i}-relabelled", I, (I, 9)) for i, I in enumerate(NINE_THREE)),
+    ("cycle6-two-cycles3", cycles(6), (cycles(3, 3), 10)),
+    ("cycle8-two-cycles4", cycles(8), (cycles(4, 4), 11)),
+    ("cycles3-5-relabelled", cycles(3, 5), (cycles(3, 5), 12)),
+    # an empty block on one side only: the block signatures differ, and so
+    # do the point fingerprints
+    ("empty-block-one-side", SMALL_BLOCKS,
+     Incidence(5, [(4,), (0,), (0, 1, 2), (2, 3, 4), (1, 3)])),
+    ("empty-block-both-sides", SMALL_BLOCKS, (SMALL_BLOCKS, 7)),
+    ("empty-block-the-other-side", Incidence(4, [(0,), (0, 1), (2, 3)]),
+     Incidence(4, [(), (0, 1), (2, 3)])),
+]
+
+
+@pytest.mark.parametrize("a,b", [c[1:] for c in ISO_CASES], ids=[c[0] for c in ISO_CASES])
+def test_isomorphism_search_matches_raw_search(request, a, b):
+    def design(spec):
+        seed = None
+        if isinstance(spec, tuple):
+            spec, seed = spec
+        if isinstance(spec, str):
+            spec = request.getfixturevalue(spec)
+        return spec if seed is None else shuffled(spec, seed)
+
+    A, B = design(a), design(b)
+    assert isomorphism_search(A, B) == isomorphism_search_raw(A, B)
+
+
+PARTIAL_BASES = (ag23_unital(), hermitian_unital(2), hermitian_unital(3))
+
+
+@st.composite
+def partial_design_pairs(draw):
+    """Two designs with blocks dropped from one of PARTIAL_BASES, the second
+    relabelled: the same blocks dropped, all but one of them and one other
+    block, which often leaves the point fingerprints alike, or as many
+    others."""
+    base = draw(st.sampled_from(PARTIAL_BASES))
+    n = len(base.blocks)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    how = draw(st.sampled_from(("same", "swap", "shuffle")))
+    if how == "shuffle":
+        other = draw(st.permutations(keep))
+    else:
+        other = list(keep)
+        if how == "swap":
+            i, j = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            other[i], other[j] = other[j], other[i]
+    perm = draw(st.permutations(range(base.v)))
+    A = Incidence(base.v, [b for b, k in zip(base.blocks, keep) if k])
+    B = Incidence(base.v, [tuple(perm[x] for x in b) for b, k in zip(base.blocks, other) if k])
+    return A, B
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(partial_design_pairs())
+def test_isomorphism_search_matches_raw_search_on_partial_designs(pair):
+    A, B = pair
+    assert isomorphism_search(A, B) == isomorphism_search_raw(A, B)
 
 
 def fingerprint_classes(fps) -> list[int]:
