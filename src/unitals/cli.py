@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -66,23 +67,70 @@ def _json_value(x):
     return x
 
 
-def _json_text(doc) -> str:
-    """The one JSON serialization of every document a command writes."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_PIECE = 1 << 16  # characters gathered before each write
+
+
+def _write_json(fh, doc) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to ``fh``,
+    the one serialization of every document a command writes.  json encodes
+    in pure Python when ``indent`` is set; here str keys and strings go
+    through its C string encoder, an array of plain ints (a permutation) is
+    one join, and every other scalar goes through ``json.dumps``.  The text
+    is written ``_PIECE`` characters or more at a time, never held whole."""
+    pieces: list[str] = []
+    held = 0
+
+    def put(text: str) -> None:
+        nonlocal held
+        pieces.append(text)
+        held += len(text)
+        if held >= _PIECE:
+            fh.write("".join(pieces))
+            pieces.clear()
+            held = 0
+
+    def value(x, nl: str) -> None:  # nl: a newline and the indent of x's line
+        inner = nl + "  "
+        if type(x) is str:
+            put(_json_string(x))
+        elif isinstance(x, dict):
+            sep = "{" + inner
+            for key in sorted(x):
+                put(sep + _json_string(key) + ": ")
+                value(x[key], inner)
+                sep = "," + inner
+            put(nl + "}" if x else "{}")
+        elif isinstance(x, (list, tuple)) and x and all(type(y) is int for y in x):
+            # bool is an int that prints as true/false, so it takes the next branch
+            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+        elif isinstance(x, (list, tuple)):
+            sep = "[" + inner
+            for y in x:
+                put(sep)
+                value(y, inner)
+                sep = "," + inner
+            put(nl + "]" if x else "[]")
+        else:
+            put(json.dumps(x))
+
+    value(doc, "\n")
+    pieces.append("\n")
+    fh.write("".join(pieces))
 
 
 def _emit(out, command: str, input_desc: dict, payload) -> None:
     """Write the report envelope to the file ``out``, or to stdout."""
-    text = _json_text({
+    doc = {
         "version": __version__,
         "command": command,
         "input": input_desc,
         "payload": payload,
-    })
+    }
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            _write_json(fh, doc)
     else:
-        sys.stdout.write(text)
+        _write_json(sys.stdout, doc)
 
 
 def _atlas_summary(atlas) -> dict:
@@ -140,7 +188,8 @@ def _cmd_build_figueroa(args) -> int:
         ],
         "block_plane_lines": list(bundle.block_lines),
     }
-    Path(str(args.out) + ".json").write_text(_json_text(sidecar))
+    with open(str(args.out) + ".json", "w") as fh:
+        _write_json(fh, sidecar)
 
     atlas = build_atlas(bundle.unital, threads=args.threads)
     report = verify_figueroa_theorems(bundle, atlas)
@@ -172,7 +221,7 @@ def _cmd_translations(args) -> int:
             "center": args.center,
             "group_order": len(group),
             "translations": [
-                {"order": perm_order(p), "image": list(p)}
+                {"order": perm_order(p), "image": p}
                 for p in group
                 if p != ident
             ],
@@ -185,7 +234,7 @@ def _cmd_translations(args) -> int:
             "center": c,
             "group_order": len(perms) + 1,
             "translations": [
-                {"order": n, "image": list(p)} for p, n in zip(perms, orders)
+                {"order": n, "image": p} for p, n in zip(perms, orders)
             ],
         }
         for c, (perms, orders) in enumerate(zip(atlas.nontrivial, atlas.perm_orders))
@@ -264,7 +313,7 @@ def _cmd_isomorphic(args) -> int:
     iso = isomorphism_search(A, B)
     payload = {
         "isomorphic": iso is not None,
-        "isomorphism": None if iso is None else list(iso),
+        "isomorphism": iso,
     }
     _emit(args.out, "isomorphic", desc, payload)
     return 0 if iso is not None else 1

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +9,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import unitals
 from helpers import DOUBLE_TXT, MISSING_TXT, ag23_doubled, onan_search_raw
-from unitals.cli import main, report_json
+from unitals.analysis import SharpTransitivityReport, sharply_transitive_suite
+from unitals.cli import _write_json, main, report_json
 from unitals.incidence import format_unital, read_unital
 from unitals.permgroup import PermGroup, perm_order
 
@@ -253,6 +258,71 @@ def test_output_bytes_do_not_depend_on_thread_count(tmp_path, argv):
     assert main([*argv, "--threads", "1", "--out", str(one)]) == 0
     assert main([*argv, "--threads", "2", "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def written_json(doc) -> str:
+    buf = io.StringIO()
+    _write_json(buf, doc)
+    return buf.getvalue()
+
+
+# Strings that json escapes: quotes, backslashes, control characters, and
+# characters outside ASCII, astral ones among them (a surrogate pair each).
+STRINGS = st.text() | st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "é", "\U0001F600"])
+INTS = st.integers() | st.integers(min_value=2**63, max_value=2**80) | st.integers(max_value=-(2**63))
+
+
+@st.composite
+def int_list_with_one_bool(draw):
+    ints = draw(st.lists(INTS))
+    ints.insert(draw(st.integers(0, len(ints))), draw(st.booleans()))
+    return ints
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | INTS | STRINGS | st.lists(INTS) | int_list_with_one_bool(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(STRINGS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_DOCS)
+@example([1, True, 2])  # not an int array: the bool prints as true
+def test_writer_matches_json_dumps(doc):
+    assert written_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_matches_json_dumps_on_a_nested_report():
+    s3 = PermGroup([(1, 0, 2), (1, 2, 0)], degree=3)
+    reports = [sharply_transitive_suite(s3, (0, 1, 2), (1, 0, 2)),
+               SharpTransitivityReport(False, ("a \"quoted\" reason", "é"), 4)]
+    for rep in reports:
+        doc = report_json(rep)
+        assert written_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_stdout_report_is_written_in_few_pieces(tmp_path):
+    stream = CountingStream()
+    with contextlib.redirect_stdout(stream):
+        assert main(["translations", "--q", "4"]) == 0
+    text = stream.getvalue()
+    assert stream.writes <= math.ceil(len(text) / 65536) + 1
+    out = tmp_path / "t4.json"
+    assert main(["translations", "--q", "4", "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("command", ["translations", "omega", "classify", "check-lemmas"])
