@@ -24,15 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .gf import prime_power
-from .incidence import (
-    Unital,
-    ideal_embedding_check,
-    isomorphism_search,
-    restrict_to,
-    restriction_as_unital,
-    validate_unital,
-)
+from .incidence import Unital, ideal_embedding_check, restrict_to, validate_unital
 from .permgroup import (
     DihedralReport,
     PermGroup,
@@ -95,22 +87,12 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
             raise RuntimeError(f"T[{p}] does not preserve its center set; this is a bug")
         kernel_order = group.order() // PermGroup(image, degree=len(omega)).order()
 
-    hermitian_order = None
-    isomorphic = None
-    iso = None
+    hermitian_order = iso = None
     if not contained:
-        small = restriction_as_unital(sub)
-        if small is not None:
-            try:
-                prime_power(small.q)
-            except ValueError:
-                pass
-            else:
-                from .plane import hermitian_unital
+        from .plane import hermitian_isomorphism
 
-                hermitian_order = small.q
-                iso = isomorphism_search(small, hermitian_unital(small.q))
-                isomorphic = iso is not None
+        hermitian_order, iso = hermitian_isomorphism(sub)
+    isomorphic = None if hermitian_order is None else iso is not None
 
     return SubunitalReport(
         p=p,
@@ -261,15 +243,10 @@ def classify(U: Unital, atlas: Optional[TranslationAtlas] = None) -> Classificat
     elif not omega2_full:
         conclusion = "undetermined"
     else:
-        try:
-            prime_power(U.q)
-        except ValueError:
-            conclusion = "undetermined"
-        else:
-            from .plane import hermitian_unital
+        from .plane import hermitian_isomorphism
 
-            iso = isomorphism_search(U, hermitian_unital(U.q))
-            conclusion = "verified-hermitian" if iso is not None else "undetermined"
+        _, iso = hermitian_isomorphism(U)
+        conclusion = "verified-hermitian" if iso is not None else "undetermined"
 
     return ClassificationReport(
         hypotheses={

@@ -49,34 +49,18 @@ def _load_input(args) -> tuple[Unital, dict]:
     raise CliError("one of --in or --q is required")
 
 
-def report_json(report) -> dict:
-    """A report NamedTuple as JSON data: every field in turn, then ``ok`` when
-    the class defines it as a property.  Tuples become lists and nested
-    reports recurse."""
-    doc = {name: _json_value(value) for name, value in zip(report._fields, report)}
-    if isinstance(getattr(type(report), "ok", None), property):
-        doc["ok"] = report.ok
-    return doc
-
-
-def _json_value(x):
-    if hasattr(x, "_fields"):  # a report; it is a tuple too, so test this first
-        return report_json(x)
-    if isinstance(x, tuple):
-        return [_json_value(y) for y in x]
-    return x
-
-
 _PIECE = 1 << 16  # characters gathered before each write
 
 
 def _write_json(fh, doc) -> None:
     """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to ``fh``,
-    the one serialization of every document a command writes.  json encodes
-    in pure Python when ``indent`` is set; here str keys and strings go
-    through its C string encoder, an array of plain ints (a permutation) is
-    one join, and every other scalar goes through ``json.dumps``.  The text
-    is written ``_PIECE`` characters or more at a time, never held whole."""
+    the one serialization of every document a command writes.  A report
+    NamedTuple is written as an object of its fields, then ``ok`` when its
+    class defines that as a property.  json encodes in pure Python when
+    ``indent`` is set; here str keys and strings go through its C string
+    encoder, an array of plain ints (a permutation) is one join, and every
+    other scalar goes through ``json.dumps``.  The text is written
+    ``_PIECE`` characters or more at a time, never held whole."""
     pieces: list[str] = []
     held = 0
 
@@ -100,6 +84,11 @@ def _write_json(fh, doc) -> None:
                 value(x[key], inner)
                 sep = "," + inner
             put(nl + "}" if x else "{}")
+        elif hasattr(x, "_fields"):  # a report, and a tuple too: test it before the arrays
+            fields = dict(zip(x._fields, x))
+            if isinstance(getattr(type(x), "ok", None), property):
+                fields["ok"] = x.ok
+            value(fields, nl)
         elif isinstance(x, (list, tuple)) and x and all(type(y) is int for y in x):
             # bool is an int that prints as true/false, so it takes the next branch
             put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
@@ -191,10 +180,10 @@ def _cmd_build_figueroa(args) -> int:
     with open(str(args.out) + ".json", "w") as fh:
         _write_json(fh, sidecar)
 
-    atlas = build_atlas(bundle.unital, threads=args.threads)
+    atlas = build_atlas(bundle.unital)
     report = verify_figueroa_theorems(bundle, atlas)
     # --out names the unital file here, so the report goes to stdout
-    _emit(None, "build-figueroa", {"q": args.q}, report_json(report))
+    _emit(None, "build-figueroa", {"q": args.q}, report)
     return 0 if report.ok else 1
 
 
@@ -204,7 +193,7 @@ def _cmd_validate(args) -> int:
     U, desc = _load_input(args)
     q = args.q if args.q is not None and args.infile else U.q
     report = validate_unital(U, q)
-    _emit(args.out, "validate", desc, report_json(report))
+    _emit(args.out, "validate", desc, report)
     return 0 if report.valid else 1
 
 
@@ -228,7 +217,7 @@ def _cmd_translations(args) -> int:
         }
         _emit(args.out, "translations", desc, payload)
         return 0
-    atlas = build_atlas(U, threads=args.threads)
+    atlas = build_atlas(U)
     centers = [
         {
             "center": c,
@@ -248,7 +237,7 @@ def _cmd_omega(args) -> int:
     from .translations import build_atlas
 
     U, desc = _load_input(args)
-    atlas = build_atlas(U, threads=args.threads)
+    atlas = build_atlas(U)
     _emit(args.out, "omega", desc, _atlas_summary(atlas))
     return 0
 
@@ -258,7 +247,7 @@ def _cmd_classify(args) -> int:
 
     U, desc = _load_input(args)
     report = classify(U)
-    _emit(args.out, "classify", desc, report_json(report))
+    _emit(args.out, "classify", desc, report)
     return 0
 
 
@@ -269,18 +258,15 @@ def _cmd_subunital(args) -> int:
     U, desc = _load_input(args)
     if args.p is None:
         raise CliError("subunital requires --p")
-    atlas = build_atlas(U, threads=args.threads)
+    atlas = build_atlas(U)
     try:
         report = subunital_analysis(U, atlas, args.p)
     except ValueError as exc:
         raise CliError(str(exc))
-    if report.contained_in_block:
-        constant = None
-    else:
-        constant = report_json(constant_intersection_check(U, atlas, args.p))
+    constant = None if report.contained_in_block else constant_intersection_check(U, atlas, args.p)
     desc = dict(desc, p=args.p)
     _emit(args.out, "subunital", desc,
-          {"subunital": report_json(report), "constant_intersection": constant})
+          {"subunital": report, "constant_intersection": constant})
     return 0
 
 
@@ -290,7 +276,7 @@ def _cmd_onan(args) -> int:
     U, desc = _load_input(args)
     result = onan_search(U, budget=args.budget)
     desc = dict(desc, budget=args.budget)
-    _emit(args.out, "onan", desc, report_json(result))
+    _emit(args.out, "onan", desc, result)
     return 0 if result.status != "budget-exhausted" else 1
 
 
@@ -332,13 +318,13 @@ def _cmd_check_lemmas(args) -> int:
     )
 
     U, desc = _load_input(args)
-    atlas = build_atlas(U, threads=args.threads)
+    atlas = build_atlas(U)
     all_ok = True
 
     congruence = {}
     for n in atlas.centers_by_order:
         rep = orbit_congruence_check(atlas, n)
-        congruence[str(n)] = report_json(rep)
+        congruence[str(n)] = rep
         all_ok = all_ok and rep.ok
 
     transitivity = {}
@@ -346,15 +332,15 @@ def _cmd_check_lemmas(args) -> int:
     constants = {}
     for p in sorted(atlas.least_primes):
         rep = translation_transitivity_check(atlas, p)
-        transitivity[str(p)] = report_json(rep)
+        transitivity[str(p)] = rep
         all_ok = all_ok and rep.ok
         sub = subunital_analysis(U, atlas, p)
-        subunitals[str(p)] = report_json(sub)
+        subunitals[str(p)] = sub
         if sub.contained_in_block:
             constants[str(p)] = {"skipped": "center set contained in a block"}
         else:
             ci = constant_intersection_check(U, atlas, p)
-            constants[str(p)] = report_json(ci)
+            constants[str(p)] = ci
             all_ok = all_ok and ci.ok
 
     # The dihedral lemma presumes exactly one involutory translation at each
@@ -370,9 +356,8 @@ def _cmd_check_lemmas(args) -> int:
             "the suite needs exactly one at every center of an involutory translation")}
     elif omega2:
         tau = atlas.translations_of_order(2)[0][1]
-        rep = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
-        suite = report_json(rep)
-        all_ok = all_ok and rep.ok
+        suite = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
+        all_ok = all_ok and suite.ok
 
     payload = {
         "congruence": congruence,
@@ -419,13 +404,7 @@ def _add_common(sp, *, q=False, infile=False, out=False, p=False, center=False,
         sp.add_argument("--center", type=int, help="restrict to one center")
     if threads:
         sp.add_argument("--threads", type=_int_at_least(1), default=1,
-                        help="accepted for compatibility (at least 1); the "
-                             "translation search runs in one process, one point "
-                             "per orbit of the group generated by the "
-                             "translations found so far; the rest are "
-                             "transported by conjugation, which keeps them "
-                             "automorphisms, and checked on their center's "
-                             "pencil only")
+                        help="accepted for compatibility (at least 1); the search runs in one process")
     if budget:
         sp.add_argument("--budget", type=_int_at_least(0), default=0,
                         help="search node cap; 0 = exhaustive")

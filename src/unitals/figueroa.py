@@ -38,14 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .gf import make_field, prime_power
-from .incidence import (
-    Unital,
-    carries_blocks,
-    isomorphism_search,
-    restrict_to,
-    restriction_as_unital,
-    validate_unital,
-)
+from .incidence import Unital, carries_blocks, restrict_to, validate_unital
 from .permgroup import (
     Perm,
     PermGroup,
@@ -59,7 +52,7 @@ from .plane import (
     ProjectivePlane,
     dot,
     frobenius_perm,
-    hermitian_unital,
+    hermitian_isomorphism,
     line_through,
     polar_unital,
     projective_plane,
@@ -375,8 +368,7 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
         transitive = False
         two_transitive = False
 
-    sub = restriction_as_unital(restrict_to(U, H))
-    iso = None if sub is None else isomorphism_search(sub, hermitian_unital(q))
+    order, iso = hermitian_isomorphism(restrict_to(U, H))
 
     alpha = bundle.alpha_unital
     alpha_auto = carries_blocks(U, alpha, U)
@@ -394,7 +386,7 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
         t2_transitive_on_h=transitive,
         t2_two_transitive_on_h=two_transitive,
         h_invariant_under_translations=h_invariant,
-        subunital_isomorphic_to_hermitian=iso is not None,
+        subunital_isomorphic_to_hermitian=order == q and iso is not None,
         alpha_is_unital_automorphism=alpha_auto,
         alpha_order_on_unital=alpha_ord,
         alpha_trivial_on_centers=alpha_trivial_on_centers,

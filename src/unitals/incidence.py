@@ -29,7 +29,6 @@ __all__ = [
     "OnanResult",
     "validate_unital",
     "restrict_to",
-    "restriction_as_unital",
     "ideal_embedding_check",
     "onan_search",
     "isomorphism_search",
@@ -281,19 +280,6 @@ def restrict_to(I: Incidence, subset: Iterable[int]) -> Incidence:
     reindex = {x: i for i, x in enumerate(pts)}
     traces = (tuple(reindex[x] for x in blk if x in reindex) for blk in I.blocks)
     return Incidence(len(pts), [tr for tr in traces if len(tr) >= 2])
-
-
-def restriction_as_unital(inc: Incidence) -> Optional[Unital]:
-    """Package a restriction as a unital when its parameters fit one."""
-    sizes = {len(b) for b in inc.blocks}
-    if len(sizes) != 1:
-        return None
-    s = sizes.pop() - 1
-    if s < 2 or inc.v != s**3 + 1:
-        return None
-    if not validate_unital(inc, s).valid:
-        return None
-    return Unital(inc.v, inc.blocks, s)
 
 
 def ideal_embedding_check(U: Incidence, subset: Iterable[int]):

@@ -13,16 +13,17 @@ as ``lines_through``.
 a unitary polarity: the absolute points, with the traces of the non-tangent
 lines as blocks.  The hermitian unital comes from PG(2, q²) and the polarity
 (x0 : x1 : x2) ↦ [x0^q : x1^q : x2^q]; the Figueroa unital is another.
+``hermitian_isomorphism`` is the one test of whether a design is hermitian.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .gf import Field, make_field, prime_power
-from .incidence import Unital
+from .incidence import Incidence, Unital, isomorphism_search, validate_unital
 
 if TYPE_CHECKING:
     from .permgroup import Perm
@@ -205,3 +206,27 @@ def hermitian_unital(q: int) -> Unital:
     plane = projective_plane(make_field(p, 2 * m))
     U, _, _ = polar_unital(plane.lines_through, frobenius_perm(plane, m), q)
     return U
+
+
+def hermitian_isomorphism(D: Incidence) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
+    """Read ``D`` as a unital and search for an isomorphism onto the
+    hermitian unital of its order.
+
+    ``D`` is read as a unital of order s when all its blocks have size
+    s + 1, it has s³ + 1 points, s is a prime power and it validates as a
+    unital of order s.  Returns ``(s, isomorphism or None)``, or
+    ``(None, None)`` when ``D`` is not read as such a unital.
+    """
+    sizes = {len(b) for b in D.blocks}
+    if len(sizes) != 1:
+        return None, None
+    s = sizes.pop() - 1
+    if D.v != s**3 + 1:
+        return None, None
+    try:
+        prime_power(s)
+    except ValueError:
+        return None, None
+    if not validate_unital(D, s).valid:
+        return None, None
+    return s, isomorphism_search(D, hermitian_unital(s))

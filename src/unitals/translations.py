@@ -335,7 +335,7 @@ class TranslationAtlas:
         return PermGroup(gens, degree=self.unital.v)
 
 
-def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
+def build_atlas(U: Unital) -> TranslationAtlas:
     """The translation group at every center, identity omitted.
 
     Searches one point per orbit of the group generated by the translations
@@ -351,13 +351,7 @@ def build_atlas(U: Unital, threads: int = 1) -> TranslationAtlas:
     this raises ``RuntimeError``.  Orders are computed at the searched
     centers only: ord(gσg⁻¹) = ord(σ), so each transported translation keeps
     the order of the σ it came from.
-
-    ``threads`` must be at least 1 and has no other effect: the search runs
-    in this process, since a process pool lost to one worker on every
-    measured design once the orbits prune the searches.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     v = U.v
     ident = identity_perm(v)
     per_center: list[Optional[tuple[Perm, ...]]] = [None] * v

@@ -88,6 +88,24 @@ def relabel(U: Unital, g) -> Unital:
     return Unital(U.v, [tuple(g[x] for x in blk) for blk in U.blocks], U.q)
 
 
+def report_doc_raw(report) -> dict:
+    """A report NamedTuple as JSON data: every field in turn, then ``ok`` when
+    the class defines it as a property.  Tuples become lists and nested
+    reports recurse."""
+
+    def value(x):
+        if hasattr(x, "_fields"):  # a report; it is a tuple too, so test this first
+            return report_doc_raw(x)
+        if isinstance(x, tuple):
+            return [value(y) for y in x]
+        return x
+
+    doc = {name: value(x) for name, x in zip(report._fields, report)}
+    if isinstance(getattr(type(report), "ok", None), property):
+        doc["ok"] = report.ok
+    return doc
+
+
 def carries_blocks_raw(A: Incidence, perm, B: Incidence) -> bool:
     """Every block of A maps onto a block of B, each image looked up as a
     sorted tuple."""

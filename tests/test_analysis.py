@@ -1,13 +1,15 @@
 import pytest
 
+import unitals.figueroa
+import unitals.plane
 from unitals.analysis import (
     classify,
     constant_intersection_check,
     sharply_transitive_suite,
     subunital_analysis,
 )
-from helpers import pointwise_stabilizer, relabel
-from unitals.cli import report_json
+from helpers import pointwise_stabilizer, relabel, report_doc_raw
+from unitals.figueroa import verify_figueroa_theorems
 from unitals.incidence import Unital
 from unitals.permgroup import PermGroup, perm_order
 from unitals.plane import hermitian_unital
@@ -173,7 +175,7 @@ class TestClassify:
         assert rep.witness["point"] not in set(fig.hermitian_points)
 
     def test_json_shape(self, h2, atlas2):
-        doc = report_json(classify(h2, atlas2))
+        doc = report_doc_raw(classify(h2, atlas2))
         assert set(doc) == {
             "hypotheses", "omega2_full", "conclusion", "witness", "isomorphism",
         }
@@ -222,3 +224,22 @@ class TestSharpTransitivity:
             "tau fixes 0 points of the domain instead of exactly one",
         )
         assert not rep.ok and rep.dihedral is None
+
+
+def test_every_hermitian_check_goes_through_one_routine(monkeypatch, h2, atlas2, fig, fig_atlas):
+    # analysis imports the routine from plane when it runs; figueroa at load time
+    real = unitals.plane.hermitian_isomorphism
+    calls = []
+
+    def counted(D):
+        calls.append(D.v)
+        return real(D)
+
+    monkeypatch.setattr(unitals.plane, "hermitian_isomorphism", counted)
+    monkeypatch.setattr(unitals.figueroa, "hermitian_isomorphism", counted)
+    assert classify(h2).conclusion == "verified-hermitian"
+    assert calls == [9]
+    assert subunital_analysis(h2, atlas2, 2).isomorphic_to_hermitian
+    assert calls == [9, 9]
+    assert verify_figueroa_theorems(fig, fig_atlas).subunital_isomorphic_to_hermitian
+    assert calls == [9, 9, 9]

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unitals
-from helpers import DOUBLE_TXT, MISSING_TXT, ag23_doubled, onan_search_raw
+from helpers import DOUBLE_TXT, MISSING_TXT, ag23_doubled, onan_search_raw, report_doc_raw
 from unitals.analysis import SharpTransitivityReport, sharply_transitive_suite
-from unitals.cli import _write_json, main, report_json
+from unitals.cli import _write_json, main
 from unitals.incidence import format_unital, read_unital
 from unitals.permgroup import PermGroup, perm_order
 
@@ -167,7 +167,7 @@ def test_onan_on_disjoint_blocks_matches_the_raw_search(capsys, tmp_path):
     code, out, _ = run(capsys, "onan", "--in", str(path))
     assert code == 0
     expected = onan_search_raw(read_unital(path))
-    assert json.loads(out)["payload"] == report_json(expected)
+    assert json.loads(out)["payload"] == report_doc_raw(expected)
 
 
 def test_isomorphic_exit_codes(capsys, tmp_path, h2_file):
@@ -300,8 +300,13 @@ def test_writer_matches_json_dumps_on_a_nested_report():
     reports = [sharply_transitive_suite(s3, (0, 1, 2), (1, 0, 2)),
                SharpTransitivityReport(False, ("a \"quoted\" reason", "é"), 4)]
     for rep in reports:
-        doc = report_json(rep)
-        assert written_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        doc = report_doc_raw(rep)
+        assert written_json(rep) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # reports nested in a command's payload are written as they are
+    nested = {"suite": reports[0], "reports": tuple(reports), "none": None}
+    doc = {"suite": report_doc_raw(reports[0]),
+           "reports": [report_doc_raw(rep) for rep in reports], "none": None}
+    assert written_json(nested) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class CountingStream(io.StringIO):

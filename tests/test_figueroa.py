@@ -10,15 +10,9 @@ from unitals.figueroa import (
     verify_figueroa_theorems,
 )
 from unitals.gf import make_field
-from unitals.incidence import (
-    isomorphism_search,
-    onan_search,
-    restrict_to,
-    restriction_as_unital,
-    validate_unital,
-)
+from unitals.incidence import onan_search, restrict_to, validate_unital
 from unitals.permgroup import perm_order
-from unitals.plane import hermitian_unital, projective_plane
+from unitals.plane import hermitian_isomorphism, projective_plane
 
 TYPE_COUNTS = {"I": 21, "II": 1260, "III": 2880}
 
@@ -200,10 +194,11 @@ class TestUnital:
         assert all(fig.point_types[i] == "I" for i in fig.hermitian_points)
 
     def test_restriction_is_hermitian(self, fig):
-        sub = restriction_as_unital(restrict_to(fig.unital, fig.hermitian_points))
-        assert (sub.v, len(sub.blocks), sub.q) == (9, 12, 2)
+        sub = restrict_to(fig.unital, fig.hermitian_points)
+        assert (sub.v, len(sub.blocks)) == (9, 12)
         assert all(len(b) == 3 for b in sub.blocks)
-        assert isomorphism_search(sub, hermitian_unital(2)) is not None
+        order, iso = hermitian_isomorphism(sub)
+        assert order == 2 and iso is not None
 
     def test_twisting_collineation_acts_on_unital(self, fig):
         alpha = fig.alpha_unital
@@ -229,6 +224,11 @@ class TestTheorems:
         assert rep.alpha_is_unital_automorphism
         assert rep.alpha_order_on_unital == 3
         assert rep.alpha_trivial_on_centers
+
+    def test_subunital_is_compared_with_the_hermitian_unital_of_order_q(self, fig, fig_atlas):
+        # the type-I points carry H(2); read against q = 3 the check must fail
+        rep = verify_figueroa_theorems(fig._replace(q=3), fig_atlas)
+        assert not rep.subunital_isomorphic_to_hermitian and not rep.ok
 
     def test_most_points_have_no_translation(self, fig, fig_atlas):
         assert len(fig_atlas.trivial_centers) == 504

@@ -1,10 +1,19 @@
+import random
+
 import pytest
 
-from helpers import ag23_unital, plane_incidence_raw
+from helpers import DOUBLE_TXT, MISSING_TXT, ag23_unital, plane_incidence_raw, relabel
 from unitals.gf import make_field
-from unitals.incidence import isomorphism_search, validate_unital
+from unitals.incidence import (
+    Incidence,
+    isomorphism_search,
+    parse_unital,
+    restrict_to,
+    validate_unital,
+)
 from unitals.plane import (
     frobenius_perm,
+    hermitian_isomorphism,
     hermitian_unital,
     line_through,
     normalize,
@@ -141,3 +150,38 @@ def test_hermitian_order_two_is_affine_plane_of_order_three(h2):
 def test_nonsquare_order_rejected():
     with pytest.raises(ValueError):
         hermitian_unital(6)
+
+
+def shuffled(U, seed):
+    perm = list(range(U.v))
+    random.Random(seed).shuffle(perm)
+    return relabel(U, perm)
+
+
+@pytest.mark.parametrize("case", ["h2", "h3", "h4", "h5", "h3r", "h4r", "ag23", "fig-type-I"])
+def test_hermitian_isomorphism_searches_the_hermitian_unital_of_its_order(case, request):
+    if case == "ag23":
+        D, s = ag23_unital(), 2
+    elif case == "fig-type-I":
+        fig = request.getfixturevalue("fig")
+        D, s = restrict_to(fig.unital, fig.hermitian_points), 2
+    else:
+        s = int(case[1])
+        D = request.getfixturevalue(case[:2])
+        if case.endswith("r"):
+            D = shuffled(D, s)
+    order, iso = hermitian_isomorphism(D)
+    assert (order, iso) == (s, isomorphism_search(D, hermitian_unital(s)))
+    assert iso is not None
+
+
+def test_hermitian_isomorphism_refuses_what_is_not_a_unital(h2, h3):
+    mixed = Incidence(h2.v, [*h2.blocks[:-1], h2.blocks[-1][:2]])
+    cases = [
+        parse_unital(DOUBLE_TXT),  # v = 2³ + 1 and blocks of 3, but a pair on two blocks
+        parse_unital(MISSING_TXT),  # the same parameters, pairs on no block
+        mixed,  # blocks of 3 and one of 2
+        restrict_to(h3, h3.blocks[0]),  # one block of 4 on 4 points, not 3³ + 1
+    ]
+    for D in cases:
+        assert hermitian_isomorphism(D) == (None, None)

@@ -360,19 +360,6 @@ def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, caps
     assert len(calls) == 6 and '"order": 3' in capsys.readouterr().out
 
 
-def test_threads_do_not_change_the_atlas(h2, fig_relabelled):
-    for U in (h2, fig_relabelled):
-        a1 = build_atlas(U, threads=1)
-        a2 = build_atlas(U, threads=2)
-        assert a1.nontrivial == a2.nontrivial
-
-
-def test_thread_count_must_be_positive(h2):
-    for threads in (0, -1):
-        with pytest.raises(ValueError):
-            build_atlas(h2, threads=threads)
-
-
 def test_center_out_of_range(h2):
     with pytest.raises(ValueError):
         translations_at(h2, 9)
