@@ -1,6 +1,6 @@
 """Structure analysis on top of the translation atlas.
 
-Four instruments:
+Four instruments, and the battery that runs them:
 
 * ``subunital_analysis`` — induce a linear space on the order-p center set
   and test how it sits inside the ambient unital (containment in a block,
@@ -18,6 +18,8 @@ Four instruments:
   (sharply transitive) iff conjugation by the involution fixes none of its
   nontrivial elements; the suite evaluates the three independently, checks
   they agree, and confirms the generalized dihedral shape when they hold.
+* ``lemma_battery`` — the ``check-lemmas`` report: each lemma that applies,
+  with the translation-level checks, and one verdict over them.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ from .permgroup import (
     is_involution,
     is_transitive,
     orbit,
+    restrict_group,
     restrict_perm,
     validate_perm,
 )
-from .translations import TranslationAtlas, build_atlas
+from .translations import (
+    TranslationAtlas,
+    build_atlas,
+    orbit_congruence_check,
+    translation_transitivity_check,
+)
 
 __all__ = [
     "SubunitalReport",
@@ -46,6 +54,7 @@ __all__ = [
     "classify",
     "SharpTransitivityReport",
     "sharply_transitive_suite",
+    "lemma_battery",
 ]
 
 
@@ -82,10 +91,10 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
         kernel_order = 1
     else:
         group = atlas.group_for(p)
-        image = [restrict_perm(g, omega) for g in group.generators]
-        if None in image:
+        image = restrict_group(group, omega)
+        if image is None:
             raise RuntimeError(f"T[{p}] does not preserve its center set; this is a bug")
-        kernel_order = group.order() // PermGroup(image, degree=len(omega)).order()
+        kernel_order = group.order() // image.order()
 
     hermitian_order = iso = None
     if not contained:
@@ -215,12 +224,6 @@ def classify(U: Unital, atlas: Optional[TranslationAtlas] = None) -> Classificat
     report = validate_unital(U, U.q)
     if not report.valid:
         raise ValueError(f"not a unital of order {U.q}: {report.violations}")
-    if U.q > 2:
-        # A unital of order q > 2 can never have (q+1)^2 dividing q^3+1
-        # (q^3+1 = (q+1)(q^2-q+1) and gcd(q+1, q^2-q+1) divides 3); the
-        # recognition argument leans on this, so it is pinned down here.
-        if (U.q**3 + 1) % ((U.q + 1) ** 2) == 0:
-            raise AssertionError("arithmetic exclusion failed; this is a bug")
 
     if atlas is None:
         atlas = build_atlas(U)
@@ -304,16 +307,15 @@ def sharply_transitive_suite(
     failures: list[str] = []
 
     tau = validate_perm(tau, G.degree)
-    gens_r = [restrict_perm(g, dom) for g in G.generators]
-    if None in gens_r:
+    G_r = restrict_group(G, dom)
+    if G_r is None:
         failures.append("the point set is not invariant under the group")
     tau_r = restrict_perm(tau, dom)
     if tau_r is None:
         failures.append("the point set is not invariant under tau")
 
     if not failures:
-        G_r = PermGroup(gens_r, degree=len(dom))
-        if not is_transitive(G_r, range(len(dom))):
+        if not is_transitive(G_r):
             failures.append("group not transitive on the point set")
         if tau not in G:
             failures.append("tau is not an element of the group")
@@ -350,3 +352,42 @@ def sharply_transitive_suite(
         all_conditions_hold=all_hold,
         dihedral=dihedral,
     )
+
+
+# -- the lemma battery -----------------------------------------------------------
+
+
+def lemma_battery(U: Unital, atlas: TranslationAtlas) -> dict:
+    """The ``check-lemmas`` payload.  Its ``ok`` joins the ``ok`` of each check that ran;
+    skipped or not-applicable parts and the descriptive subunital reports do not count."""
+    congruence = {str(n): orbit_congruence_check(atlas, n) for n in atlas.centers_by_order}
+    transitivity, subunitals, constants = {}, {}, {}
+    for p in sorted(atlas.least_primes):
+        transitivity[str(p)] = translation_transitivity_check(atlas, p)
+        sub = subunitals[str(p)] = subunital_analysis(U, atlas, p)
+        constants[str(p)] = (constant_intersection_check(U, atlas, p) if not sub.contained_in_block
+                             else {"skipped": "center set contained in a block"})
+
+    # The dihedral lemma presumes exactly one involutory translation at each
+    # center that has one; the order table settles that without building T[2].
+    suite = None
+    omega2 = atlas.centers_by_order.get(2, frozenset())
+    crowded = next((c for c in sorted(omega2) if atlas.perm_orders[c].count(2) != 1), None)
+    if crowded is not None:
+        suite = {"not-applicable": (
+            f"center {crowded} carries {atlas.perm_orders[crowded].count(2)} involutory "
+            f"translations in a translation group of order {len(atlas.nontrivial[crowded]) + 1}; "
+            "the suite needs exactly one at every center of an involutory translation")}
+    elif omega2:
+        tau = atlas.translations_of_order(2)[0][1]
+        suite = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
+
+    return {
+        "congruence": congruence,
+        "transitivity": transitivity,
+        "subunital": subunitals,
+        "constant_intersection": constants,
+        "dihedral_suite": suite,
+        "ok": all(getattr(part, "ok", True) for part in (
+            *congruence.values(), *transitivity.values(), *constants.values(), suite)),
+    }

@@ -306,69 +306,13 @@ def _cmd_isomorphic(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
-    from .analysis import (
-        constant_intersection_check,
-        sharply_transitive_suite,
-        subunital_analysis,
-    )
-    from .translations import (
-        build_atlas,
-        orbit_congruence_check,
-        translation_transitivity_check,
-    )
+    from .analysis import lemma_battery
+    from .translations import build_atlas
 
     U, desc = _load_input(args)
-    atlas = build_atlas(U)
-    all_ok = True
-
-    congruence = {}
-    for n in atlas.centers_by_order:
-        rep = orbit_congruence_check(atlas, n)
-        congruence[str(n)] = rep
-        all_ok = all_ok and rep.ok
-
-    transitivity = {}
-    subunitals = {}
-    constants = {}
-    for p in sorted(atlas.least_primes):
-        rep = translation_transitivity_check(atlas, p)
-        transitivity[str(p)] = rep
-        all_ok = all_ok and rep.ok
-        sub = subunital_analysis(U, atlas, p)
-        subunitals[str(p)] = sub
-        if sub.contained_in_block:
-            constants[str(p)] = {"skipped": "center set contained in a block"}
-        else:
-            ci = constant_intersection_check(U, atlas, p)
-            constants[str(p)] = ci
-            all_ok = all_ok and ci.ok
-
-    # The dihedral lemma presumes exactly one involutory translation at each
-    # center that has one; the order table settles that without building T[2].
-    suite = None
-    omega2 = atlas.centers_by_order.get(2, frozenset())
-    involutions = {c: atlas.perm_orders[c].count(2) for c in sorted(omega2)}
-    crowded = next((c for c, k in involutions.items() if k != 1), None)
-    if crowded is not None:
-        suite = {"not-applicable": (
-            f"center {crowded} carries {involutions[crowded]} involutory translations "
-            f"in a translation group of order {len(atlas.nontrivial[crowded]) + 1}; "
-            "the suite needs exactly one at every center of an involutory translation")}
-    elif omega2:
-        tau = atlas.translations_of_order(2)[0][1]
-        suite = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
-        all_ok = all_ok and suite.ok
-
-    payload = {
-        "congruence": congruence,
-        "transitivity": transitivity,
-        "subunital": subunitals,
-        "constant_intersection": constants,
-        "dihedral_suite": suite,
-        "ok": all_ok,
-    }
+    payload = lemma_battery(U, build_atlas(U))
     _emit(args.out, "check-lemmas", desc, payload)
-    return 0 if all_ok else 1
+    return 0 if payload["ok"] else 1
 
 
 # -- parser ----------------------------------------------------------------------

@@ -41,10 +41,10 @@ from .gf import make_field, prime_power
 from .incidence import Unital, carries_blocks, restrict_to, validate_unital
 from .permgroup import (
     Perm,
-    PermGroup,
     is_transitive,
     is_two_transitive,
     perm_order,
+    restrict_group,
     restrict_perm,
 )
 from .plane import (
@@ -358,11 +358,10 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
                       for perms in atlas.nontrivial for p in perms)
 
     if h_invariant and omega2:
-        restricted = [restrict_perm(p, H) for _, p in atlas.translations_of_order(2)]
-        T2h = PermGroup(restricted, degree=len(H))
+        T2h = restrict_group(atlas.group_for(2), H)
         t2_order = T2h.order()
-        transitive = is_transitive(T2h, range(len(H)))
-        two_transitive = is_two_transitive(T2h, range(len(H)))
+        transitive = is_transitive(T2h)
+        two_transitive = is_two_transitive(T2h)
     else:
         t2_order = 0
         transitive = False

@@ -3,9 +3,9 @@
 Permutations are tuples of images: ``p[i]`` is where point i goes, and
 ``compose(p, q)`` applies p first, then q.  Group questions are answered
 from the chain's order and from orbits: the kernel of an action on an
-invariant set is |G| divided by the order of G's image on it (the first
-isomorphism theorem), and G is 2-transitive on X when the ordered pairs of
-distinct points of X form one orbit of the generators restricted to X.
+invariant set is |G| divided by the order of ``restrict_group`` there (the
+first isomorphism theorem), and G is 2-transitive when the ordered pairs of
+distinct points form one orbit of its generators.
 Everything is deterministic: no randomized sifting, fixed iteration orders.
 """
 
@@ -235,32 +235,26 @@ class PermGroup:
         return elems
 
 
-def _restricted_generators(G: PermGroup, X: frozenset[int]) -> list[Perm]:
-    gens = [restrict_perm(g, X) for g in G.generators]
+def restrict_group(G: PermGroup, points: Iterable[int]) -> Optional[PermGroup]:
+    """G on an invariant point set, renamed as ``restrict_perm`` does, else None."""
+    pts = sorted(set(points))
+    gens = [restrict_perm(g, pts) for g in G.generators]
     if None in gens:
-        raise ValueError("the point set is not invariant under the group")
-    return gens
+        return None
+    return PermGroup(gens, degree=len(pts))
 
 
-def is_transitive(G: PermGroup, X: Iterable[int]) -> bool:
-    Xs = frozenset(X)
-    if not Xs:
-        raise ValueError("empty point set")
-    return len(orbit(_restricted_generators(G, Xs), 0)) == len(Xs)
+def is_transitive(G: PermGroup) -> bool:
+    return len(orbit(G.generators, 0)) == G.degree
 
 
-def is_two_transitive(G: PermGroup, X: Iterable[int]) -> bool:
-    """Do the ordered pairs of distinct points of X form one orbit?
-
-    The generators are restricted to X first, so the pair action has |X|²
-    points, the pair (a, b) of restricted points being a·|X| + b.
-    """
-    Xs = frozenset(X)
-    if len(Xs) < 2:
+def is_two_transitive(G: PermGroup) -> bool:
+    """Do the ordered pairs of distinct points form one orbit?  The pair
+    action has n² points, the pair (a, b) being a·n + b."""
+    n = G.degree
+    if n < 2:
         raise ValueError("two-transitivity needs at least two points")
-    gens = _restricted_generators(G, Xs)
-    n = len(Xs)
-    pair_gens = [tuple([g[i // n] * n + g[i % n] for i in range(n * n)]) for g in gens]
+    pair_gens = [tuple([g[i // n] * n + g[i % n] for i in range(n * n)]) for g in G.generators]
     return len(orbit(pair_gens, 1)) == n * (n - 1)
 
 

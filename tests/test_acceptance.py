@@ -8,6 +8,7 @@ tolerances.
 
 import json
 import time
+from math import gcd
 
 from helpers import (
     ag23_unital,
@@ -39,6 +40,7 @@ from unitals.permgroup import (
 )
 from unitals.plane import hermitian_unital
 from unitals.translations import (
+    build_atlas,
     orbit_congruence_check,
     translation_transitivity_check,
 )
@@ -73,9 +75,11 @@ def test_c02_order_two_structure(h2, atlas2):
     assert relabel(h2, iso).blocks == ag23_unital().blocks
 
     G = atlas2.group_for(2)
+    # not |PSU(3, 2)| = 72: the nine point reflections of AG(2, 3) generate
+    # only its translations and their negatives, a group of order 18
     assert G.order() == 18
-    assert is_transitive(G, range(9))
-    assert not is_two_transitive(G, range(9))
+    assert is_transitive(G)
+    assert not is_two_transitive(G)
     assert len(orbits(_block_action(h2, G).elements(), range(len(h2.blocks)))) == 4
 
     report = generalized_dihedral_check(G, atlas2.nontrivial[0][0])
@@ -135,10 +139,17 @@ def test_c06_two_point_stabilizer_orbits(h3, atlas3, h4, atlas4):
     assert time.monotonic() - started < 60.0
 
 
-def test_c07_generated_group_orders(atlas3, atlas4):
+def test_c07_generated_group_orders(atlas3, atlas4, atlas5):
+    """T[p] of H(q) is PSU(3, q), of order q³(q³+1)(q²−1)/gcd(3, q+1), for
+    q > 2 (q = 2 is in c02).  The subunital kernel divides |T[p]| by the
+    order of its restriction to the center set, so it rests on these."""
     started = time.monotonic()
-    assert atlas3.group_for(3).order() == 6048
-    assert atlas4.group_for(2).order() == 62400
+    atlas7 = build_atlas(hermitian_unital(7))
+    for atlas, p, order in [(atlas3, 3, 6048), (atlas4, 2, 62400), (atlas5, 5, 126000),
+                            (atlas7, 7, 5663616)]:
+        q = atlas.unital.q
+        assert atlas.group_for(p).order() == order == (
+            q**3 * (q**3 + 1) * (q**2 - 1) // gcd(3, q + 1))
     assert time.monotonic() - started < 120.0
 
 

@@ -5,6 +5,7 @@ import unitals.plane
 from unitals.analysis import (
     classify,
     constant_intersection_check,
+    lemma_battery,
     sharply_transitive_suite,
     subunital_analysis,
 )
@@ -188,6 +189,13 @@ class TestClassify:
             classify(Unital(q=2, v=9, blocks=h2.blocks[:11]))
 
 
+def test_arithmetic_exclusion():
+    """(q+1)² divides q³+1 only at q = 2, which the recognition argument
+    leans on: q³+1 = (q+1)(q²−q+1), and gcd(q+1, q²−q+1) divides 3."""
+    assert (2**3 + 1) % (2 + 1) ** 2 == 0
+    assert all((q**3 + 1) % (q + 1) ** 2 != 0 for q in range(3, 10**4 + 1))
+
+
 class TestSharpTransitivity:
     def test_translation_group_on_its_centers(self, atlas2):
         rep = sharply_transitive_suite(
@@ -243,3 +251,13 @@ def test_every_hermitian_check_goes_through_one_routine(monkeypatch, h2, atlas2,
     assert calls == [9, 9]
     assert verify_figueroa_theorems(fig, fig_atlas).subunital_isomorphic_to_hermitian
     assert calls == [9, 9, 9]
+
+
+def test_battery_skips_constant_intersection_when_centers_are_collinear(h2, atlas2):
+    """The skipped part is reported as such and left out of ``ok``."""
+    payload = lemma_battery(h2, collinear_center_atlas(h2, atlas2))
+    assert payload["subunital"]["2"].contained_in_block
+    assert payload["constant_intersection"] == {"2": {"skipped": "center set contained in a block"}}
+    counted = [*payload["congruence"].values(), *payload["transitivity"].values(),
+               payload["dihedral_suite"]]
+    assert payload["ok"] == all(part.ok for part in counted)

@@ -18,6 +18,7 @@ from unitals.permgroup import (
     orbit,
     perm_cycles,
     perm_order,
+    restrict_group,
     restrict_perm,
     validate_perm,
 )
@@ -122,14 +123,15 @@ def test_membership():
 def test_orbits_and_transitivity():
     G = PermGroup(C6_GEN)
     assert orbit(G.generators, 0) == frozenset(range(6))
-    assert is_transitive(G, range(6))
-    assert not is_two_transitive(G, range(6))
+    assert is_transitive(G)
+    assert not is_two_transitive(G)
     S3 = PermGroup([(1, 0, 2), (1, 2, 0)])
-    assert is_two_transitive(S3, range(3))
+    assert is_two_transitive(S3)
     two_orbits = PermGroup([(1, 0, 2, 3)], degree=4)
     assert sorted(map(len, orbits(two_orbits.elements(), range(4)))) == [1, 1, 2]
-    with pytest.raises(ValueError):
-        is_transitive(two_orbits, [0, 2])  # not invariant
+    assert not is_transitive(two_orbits)
+    assert is_transitive(restrict_group(two_orbits, [0, 1]))
+    assert restrict_group(two_orbits, [0, 2]) is None  # not invariant
 
 
 @pytest.mark.parametrize("gens", [S4_GENS, A4_GENS, C6_GEN, [(1, 0, 2, 3)]])
@@ -176,15 +178,28 @@ def two_transitive_raw(G, X) -> bool:
 ])
 def test_two_transitivity_matches_stabilizer_oracle(gens, degree, X, expected):
     G = PermGroup(gens, degree=degree)
-    assert is_two_transitive(G, X) == two_transitive_raw(G, X) == expected
+    assert is_two_transitive(restrict_group(G, X)) == two_transitive_raw(G, X) == expected
 
 
 def test_two_transitivity_rejects_small_or_moved_sets():
     S4 = PermGroup(S4_GENS)
     with pytest.raises(ValueError, match="at least two"):
-        is_two_transitive(S4, [0])
-    with pytest.raises(ValueError, match="not invariant"):
-        is_two_transitive(S4, [0, 1, 2])
+        is_two_transitive(restrict_group(PermGroup(pointwise_stabilizer(S4, (0,))), [0]))
+    assert restrict_group(S4, [0, 1, 2]) is None  # 3 is moved into the set
+
+
+def test_restrict_group_is_the_image_on_an_invariant_set():
+    """The image's order is |G| over the kernel's, the kernel counted from
+    ``G.elements()``.  G is the swap of 0 and 3 times S3 on {1, 2, 4}, of
+    order 12, so its images there have orders 6, 2 and 12."""
+    G = PermGroup([(3, 2, 4, 0, 1), (3, 2, 1, 0, 4)], degree=5)
+    for X in [(1, 2, 4), (0, 3), range(5)]:
+        image = restrict_group(G, X)
+        kernel = [g for g in G.elements() if all(g[x] == x for x in X)]
+        assert image.degree == len(set(X))
+        assert image.order() * len(kernel) == G.order() == 12
+        assert set(image.elements()) == {restrict_perm(g, X) for g in G.elements()}
+    assert restrict_group(G, (0, 1)) is None
 
 
 def test_restrict_perm():
@@ -235,7 +250,7 @@ def test_two_transitivity_on_the_figueroa_subunital(fig, fig_atlas):
     on all 513 points and on its restriction to the subunital."""
     H = fig.hermitian_points
     T2 = fig_atlas.group_for(2)
-    T2h = PermGroup([restrict_perm(g, H) for g in T2.generators], degree=len(H))
+    T2h = restrict_group(T2, H)
     assert T2h.order() == T2.order() == 18
-    assert is_two_transitive(T2, H) == two_transitive_raw(T2, H) is False
-    assert is_two_transitive(T2h, range(9)) == two_transitive_raw(T2h, range(9)) is False
+    assert is_two_transitive(T2h) == two_transitive_raw(T2, H) is False
+    assert is_two_transitive(T2h) == two_transitive_raw(T2h, range(9)) is False
