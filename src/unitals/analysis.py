@@ -369,18 +369,22 @@ def lemma_battery(U: Unital, atlas: TranslationAtlas) -> dict:
                              else {"skipped": "center set contained in a block"})
 
     # The dihedral lemma presumes exactly one involutory translation at each
-    # center that has one; the order table settles that without building T[2].
+    # center that has one; the atlas's orders settle that without building T[2].
     suite = None
     omega2 = atlas.centers_by_order.get(2, frozenset())
-    crowded = next((c for c in sorted(omega2) if atlas.perm_orders[c].count(2) != 1), None)
+    involutions = {c: sum(n == 2 for _, n in atlas.groups[c]) for c in sorted(omega2)}
+    crowded = next((c for c, k in involutions.items() if k != 1), None)
     if crowded is not None:
         suite = {"not-applicable": (
-            f"center {crowded} carries {atlas.perm_orders[crowded].count(2)} involutory "
-            f"translations in a translation group of order {len(atlas.nontrivial[crowded]) + 1}; "
+            f"center {crowded} carries {involutions[crowded]} involutory "
+            f"translations in a translation group of order {len(atlas.groups[crowded]) + 1}; "
             "the suite needs exactly one at every center of an involutory translation")}
     elif omega2:
         tau = atlas.translations_of_order(2)[0][1]
         suite = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
+        if not suite.preconditions_ok:
+            suite = {"not-applicable": "the suite's hypotheses fail: "
+                     + "; ".join(suite.failed_preconditions)}
 
     return {
         "congruence": congruence,

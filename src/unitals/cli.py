@@ -197,6 +197,15 @@ def _cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
+def _center_doc(c: int, group) -> dict:
+    """A center's ``translations`` entry from its (translation, order) pairs, identity left out."""
+    return {
+        "center": c,
+        "group_order": len(group) + 1,
+        "translations": [{"order": n, "image": p} for p, n in group],
+    }
+
+
 def _cmd_translations(args) -> int:
     from .permgroup import identity_perm, perm_order
     from .translations import build_atlas, translations_at
@@ -204,30 +213,12 @@ def _cmd_translations(args) -> int:
     U, desc = _load_input(args)
     ident = identity_perm(U.v)
     if args.center is not None:
-        group = translations_at(U, args.center)
+        group = [(p, perm_order(p)) for p in translations_at(U, args.center) if p != ident]
         desc = dict(desc, center=args.center)
-        payload = {
-            "center": args.center,
-            "group_order": len(group),
-            "translations": [
-                {"order": perm_order(p), "image": p}
-                for p in group
-                if p != ident
-            ],
-        }
-        _emit(args.out, "translations", desc, payload)
+        _emit(args.out, "translations", desc, _center_doc(args.center, group))
         return 0
     atlas = build_atlas(U)
-    centers = [
-        {
-            "center": c,
-            "group_order": len(perms) + 1,
-            "translations": [
-                {"order": n, "image": p} for p, n in zip(perms, orders)
-            ],
-        }
-        for c, (perms, orders) in enumerate(zip(atlas.nontrivial, atlas.perm_orders))
-    ]
+    centers = [_center_doc(c, group) for c, group in enumerate(atlas.groups)]
     payload = dict(_atlas_summary(atlas), centers=centers)
     _emit(args.out, "translations", desc, payload)
     return 0

@@ -352,10 +352,10 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
     H = frozenset(bundle.hermitian_points)
     omega2 = atlas.centers_by_order.get(2, frozenset())
 
-    per_center = tuple(len(atlas.nontrivial[c]) + 1 for c in sorted(H))
+    per_center = tuple(len(atlas.groups[c]) + 1 for c in sorted(H))
 
     h_invariant = all(restrict_perm(p, H) is not None
-                      for perms in atlas.nontrivial for p in perms)
+                      for group in atlas.groups for p, _ in group)
 
     if h_invariant and omega2:
         T2h = restrict_group(atlas.group_for(2), H)
@@ -379,7 +379,7 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
         center_count=len(omega2),
         omega2_equals_h=omega2 == H,
         mho_is_complement=atlas.trivial_centers == frozenset(range(U.v)) - H,
-        all_translations_involutions=all(n == 2 for orders in atlas.perm_orders for n in orders),
+        all_translations_involutions=all(n == 2 for group in atlas.groups for _, n in group),
         per_center_orders_on_h=per_center,
         t2_order_on_h=t2_order,
         t2_transitive_on_h=transitive,

@@ -292,25 +292,24 @@ def translations_at(U: Unital, c: int) -> list[Perm]:
 class TranslationAtlas:
     """Complete per-center translation data for one unital."""
 
-    def __init__(self, unital: Unital, nontrivial: tuple[tuple[Perm, ...], ...],
-                 perm_orders: tuple[tuple[int, ...], ...]):
+    def __init__(self, unital: Unital, groups: tuple[tuple[tuple[Perm, int], ...], ...]):
         self.unital = unital
-        self.nontrivial = nontrivial  # per center, identity omitted
-        self.perm_orders = perm_orders  # the order of each, same layout
+        # per center, (translation, order) pairs in ascending order, identity omitted
+        self.groups = groups
 
     @cached_property
     def centers_by_order(self) -> dict[int, frozenset[int]]:
         """Order n ↦ the set of centers admitting an order-n translation,
         in ascending order of n."""
         acc: dict[int, set[int]] = {}
-        for c, orders in enumerate(self.perm_orders):
-            for n in orders:
+        for c, group in enumerate(self.groups):
+            for _, n in group:
                 acc.setdefault(n, set()).add(c)
         return {n: frozenset(s) for n, s in sorted(acc.items())}
 
     @cached_property
     def trivial_centers(self) -> frozenset[int]:
-        return frozenset(c for c, perms in enumerate(self.nontrivial) if not perms)
+        return frozenset(c for c, group in enumerate(self.groups) if not group)
 
     @cached_property
     def least_primes(self) -> frozenset[int]:
@@ -325,9 +324,7 @@ class TranslationAtlas:
 
     def translations_of_order(self, n: int) -> list[tuple[int, Perm]]:
         """(center, permutation) pairs for all order-n translations."""
-        return [(c, p)
-                for c, (perms, orders) in enumerate(zip(self.nontrivial, self.perm_orders))
-                for p, m in zip(perms, orders) if m == n]
+        return [(c, p) for c, group in enumerate(self.groups) for p, m in group if m == n]
 
     def group_for(self, n: int) -> PermGroup:
         """T[n]: the group generated by all order-n translations."""
@@ -354,8 +351,7 @@ def build_atlas(U: Unital) -> TranslationAtlas:
     """
     v = U.v
     ident = identity_perm(v)
-    per_center: list[Optional[tuple[Perm, ...]]] = [None] * v
-    orders: list[tuple[int, ...]] = [()] * v
+    groups: list[tuple[tuple[Perm, int], ...]] = [()] * v
     edge: list[Optional[tuple[int, Perm]]] = [None] * v  # point -> (parent, generator)
     covered = [False] * v
     order: list[int] = []  # covered points, each after its parent
@@ -371,13 +367,11 @@ def build_atlas(U: Unital) -> TranslationAtlas:
     for c in range(v):
         if covered[c]:
             continue
-        perms = tuple(p for p in translations_at(U, c) if p != ident)
-        per_center[c] = perms
-        orders[c] = tuple(map(perm_order, perms))
+        groups[c] = tuple((p, perm_order(p)) for p in translations_at(U, c) if p != ident)
         covered[c] = True
         old_points, old_gens = len(order), len(gens)
         order.append(c)
-        gens.extend(perms)
+        gens.extend(p for p, _ in groups[c])
         # Points covered before this search only lack the new generators;
         # every point covered from here on is taken through all of them.
         for x in order[:old_points]:
@@ -393,17 +387,13 @@ def build_atlas(U: Unital) -> TranslationAtlas:
         if edge[y] is None:  # searched
             continue
         x, g = edge[y]
-        # each order stays with its own permutation through the sort
-        pairs = sorted(zip([conjugate(sigma, g) for sigma in per_center[x]], orders[x]))
-        for p, _ in pairs:
+        groups[y] = tuple(sorted((conjugate(sigma, g), n) for sigma, n in groups[x]))
+        for p, _ in groups[y]:
             if not _fixes_pencil(U, p, y):
                 raise RuntimeError(
                     f"transport produced a non-translation at center {y}; this is a bug"
                 )
-        per_center[y] = tuple(p for p, _ in pairs)
-        orders[y] = tuple(n for _, n in pairs)
-    return TranslationAtlas(unital=U, nontrivial=tuple(per_center),
-                            perm_orders=tuple(orders))
+    return TranslationAtlas(unital=U, groups=tuple(groups))
 
 
 # -- lemma-level checks ---------------------------------------------------------

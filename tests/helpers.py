@@ -28,6 +28,12 @@ MISSING_TXT = "unital v=9 k=3\n0 1 2\n3 4 5\n6 7 8\n"
 ISO_A_TXT = "unital v=7 k=3\n0 1 2\n0 1 3\n0 5 6\n2 3 4\n4 5 6\n"
 ISO_B_TXT = "unital v=7 k=3\n0 2 6\n0 3 6\n1 4 5\n1 4 6\n2 3 5\n"
 
+# PG(2, 3) read as a design: each center's 17 translations are 9 homologies
+# of order 2 and 8 elations of order 3, each fixing points besides its center
+PG3_TXT = ("unital v=13 k=4\n0 1 2 12\n0 3 6 9\n0 4 8 10\n0 5 7 11\n1 3 8 11\n"
+           "1 4 7 9\n1 5 6 10\n2 3 7 10\n2 4 6 11\n2 5 8 9\n3 4 5 12\n"
+           "6 7 8 12\n9 10 11 12\n")
+
 
 def ag23_unital() -> Unital:
     """The affine plane of order 3 as a unital: point (a, b) ↦ index 3a+b.

@@ -19,11 +19,8 @@ from unitals.translations import TranslationAtlas, translation_transitivity_chec
 
 def pruned_atlas(h2, atlas2, centers):
     """Atlas pruned so only the given centers keep their translations."""
-    def prune(table):
-        return tuple(table[c] if c in centers else () for c in range(h2.v))
-
-    return TranslationAtlas(unital=h2, nontrivial=prune(atlas2.nontrivial),
-                            perm_orders=prune(atlas2.perm_orders))
+    return TranslationAtlas(unital=h2, groups=tuple(
+        atlas2.groups[c] if c in centers else () for c in range(h2.v)))
 
 
 def collinear_center_atlas(h2, atlas2):
@@ -70,7 +67,7 @@ class TestSubunital:
         """The kernel order, |T| over the order of T's image on the center
         set, against the elements of T that fix every center."""
         # center 0's one involution alone: T = ⟨σ⟩ fixes its center set {0}
-        (sigma,) = atlas2.nontrivial[0]
+        ((sigma, _),) = atlas2.groups[0]
         assert perm_order(sigma) == 2
         for U, atlas, kernel in (
             (fig.unital, fig_atlas, 1),
@@ -199,7 +196,7 @@ def test_arithmetic_exclusion():
 class TestSharpTransitivity:
     def test_translation_group_on_its_centers(self, atlas2):
         rep = sharply_transitive_suite(
-            atlas2.group_for(2), range(9), atlas2.nontrivial[0][0]
+            atlas2.group_for(2), range(9), atlas2.groups[0][0][0]
         )
         assert rep.preconditions_ok and rep.failed_preconditions == ()
         assert rep.m_order == 9 and rep.m_abelian and rep.m_regular
@@ -251,6 +248,16 @@ def test_every_hermitian_check_goes_through_one_routine(monkeypatch, h2, atlas2,
     assert calls == [9, 9]
     assert verify_figueroa_theorems(fig, fig_atlas).subunital_isomorphic_to_hermitian
     assert calls == [9, 9, 9]
+
+
+def test_battery_reports_failed_suite_hypotheses_as_not_applicable(h2, atlas2):
+    """With Ω₂ = {0}, center 0's one involution fixes the whole center set, so
+    the suite's hypothesis that tau is an involution there fails.  The battery
+    names it and leaves the suite out of ``ok``; every check that ran passes."""
+    payload = lemma_battery(h2, pruned_atlas(h2, atlas2, {0}))
+    assert payload["dihedral_suite"] == {
+        "not-applicable": "the suite's hypotheses fail: tau is not an involution on the point set"}
+    assert payload["ok"] is True
 
 
 def test_battery_skips_constant_intersection_when_centers_are_collinear(h2, atlas2):

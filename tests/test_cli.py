@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import unitals
-from helpers import DOUBLE_TXT, MISSING_TXT, ag23_doubled, onan_search_raw, report_doc_raw
+from helpers import (DOUBLE_TXT, MISSING_TXT, PG3_TXT, ag23_doubled, onan_search_raw, relabel,
+                     report_doc_raw)
 from unitals.analysis import SharpTransitivityReport, sharply_transitive_suite
 from unitals.cli import _write_json, main
 from unitals.incidence import format_unital, read_unital
@@ -115,6 +117,30 @@ def test_translations_atlas_summary(capsys):
     assert len(payload["centers"]) == 9
     assert payload["K"] == [2] and payload["mho"] == []
     assert payload["omega"] == {"2": list(range(9))}
+
+
+@pytest.mark.parametrize("design", ["q2", "q3", "pg3", "h4_relabelled"])
+def test_single_center_report_is_the_atlas_entry(capsys, tmp_path, h4, design):
+    """``translations --center c`` writes the entry that the atlas report
+    writes for c, at every center; PG(2, 3) mixes orders 2 and 3."""
+    if design.startswith("q"):
+        source = ["--q", design[1:]]
+    else:
+        if design == "pg3":
+            text = PG3_TXT
+        else:
+            perm = list(range(h4.v))
+            random.Random(2022).shuffle(perm)
+            text = format_unital(relabel(h4, perm))
+        path = tmp_path / f"{design}.txt"
+        path.write_text(text)
+        source = ["--in", str(path)]
+    code, out, _ = run(capsys, "translations", *source)
+    assert code == 0
+    centers = json.loads(out)["payload"]["centers"]
+    for c, entry in enumerate(centers):
+        code, out, _ = run(capsys, "translations", *source, "--center", str(c))
+        assert code == 0 and json.loads(out)["payload"] == entry
 
 
 def test_subunital_requires_p(capsys):

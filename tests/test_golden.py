@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DOUBLE_TXT, ISO_A_TXT, ISO_B_TXT, MISSING_TXT, relabel
+from helpers import DOUBLE_TXT, ISO_A_TXT, ISO_B_TXT, MISSING_TXT, PG3_TXT, relabel
 from unitals.cli import main
 from unitals.incidence import format_unital
 from unitals.plane import hermitian_unital
@@ -48,12 +48,7 @@ FILES = {
     "iso_a.txt": ISO_A_TXT,
     "iso_b.txt": ISO_B_TXT,
     "h4r.txt": h4_relabelled(),
-    # PG(2, 3) read as a design: each center's 17 translations are 9
-    # homologies of order 2 and 8 elations of order 3, each fixing points
-    # besides its center
-    "pg3.txt": "unital v=13 k=4\n0 1 2 12\n0 3 6 9\n0 4 8 10\n0 5 7 11\n1 3 8 11\n"
-               "1 4 7 9\n1 5 6 10\n2 3 7 10\n2 4 6 11\n2 5 8 9\n3 4 5 12\n"
-               "6 7 8 12\n9 10 11 12\n",
+    "pg3.txt": PG3_TXT,
 }
 
 # (name, argv, compare by digest)

@@ -453,7 +453,7 @@ def test_invariants_match_all_pairs_signatures(design, request):
 def test_carries_blocks_matches_sorted_tuple_lookup(h3, atlas3):
     rng = random.Random(11)
     perms = [tuple(rng.sample(range(28), 28)) for _ in range(200)]
-    autos = [p for perms_c in atlas3.nontrivial for p in perms_c]
+    autos = [p for group in atlas3.groups for p, _ in group]
     g = tuple(rng.sample(range(28), 28))
     other = relabel(h3, g)
     for perm in perms + autos:

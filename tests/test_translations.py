@@ -67,7 +67,7 @@ def test_is_translation_raw_definition(h2, atlas2):
     ident = identity_perm(9)
     for c in range(9):
         assert is_translation(h2, ident, c)
-        sigma = atlas2.nontrivial[c][0]
+        sigma = atlas2.groups[c][0][0]
         assert is_translation(h2, sigma, c)
         # moving the center is disqualifying
         other = next(x for x in range(9) if sigma[x] != x and x != c)
@@ -82,7 +82,7 @@ def test_translations_form_a_group(atlas2, atlas3):
     for atlas in (atlas2, atlas3):
         v = atlas.unital.v
         for c in range(v):
-            group = set(atlas.nontrivial[c]) | {identity_perm(v)}
+            group = {p for p, _ in atlas.groups[c]} | {identity_perm(v)}
             for a in group:
                 assert inverse(a) in group
                 for b in group:
@@ -91,15 +91,15 @@ def test_translations_form_a_group(atlas2, atlas3):
 
 def test_fixed_points_are_exactly_the_center(atlas3):
     for c in range(28):
-        for sigma in atlas3.nontrivial[c]:
+        for sigma, _ in atlas3.groups[c]:
             assert fixed_points(sigma) == (c,)
 
 
 def test_orders_are_characteristic_powers(atlas2, atlas3, atlas4, atlas5):
     for atlas in (atlas2, atlas3, atlas4, atlas5):
         p, _ = prime_power(atlas.unital.q)
-        for perms in atlas.nontrivial:
-            for sigma in perms:
+        for group in atlas.groups:
+            for sigma, _ in group:
                 n = perm_order(sigma)
                 while n % p == 0:
                     n //= p
@@ -112,7 +112,7 @@ def test_orders_are_characteristic_powers(atlas2, atlas3, atlas4, atlas5):
 )
 def test_translation_group_sizes(q, per_center, total_orders, request):
     atlas = request.getfixturevalue(f"atlas{q}")
-    assert all(len(perms) + 1 == per_center for perms in atlas.nontrivial)
+    assert all(len(group) + 1 == per_center for group in atlas.groups)
     assert {n: len(s) for n, s in atlas.centers_by_order.items()} == total_orders
     assert atlas.trivial_centers == frozenset()
 
@@ -230,7 +230,7 @@ def test_relabeling_conjugates_translations(h3, atlas3):
     assert sorted(g) == list(range(28))
     other = relabel(h3, g)
     for c in (0, 13):
-        expected = sorted(conjugate(sigma, g) for sigma in atlas3.nontrivial[c])
+        expected = sorted(conjugate(sigma, g) for sigma, _ in atlas3.groups[c])
         moved = translations_at(other, g[c])
         assert [p for p in moved if p != identity_perm(28)] == expected
 
@@ -254,8 +254,8 @@ def test_is_translation_matches_raw_definition_on_random_permutations(h3, atlas3
     rng = random.Random(7)
     perms = [tuple(rng.sample(range(28), 28)) for _ in range(200)]
     # automorphisms: translations and products of translations at two centers
-    perms += [p for c in range(28) for p in atlas3.nontrivial[c]]
-    perms += [compose(atlas3.nontrivial[0][0], atlas3.nontrivial[c][0]) for c in range(1, 28)]
+    perms += [p for c in range(28) for p, _ in atlas3.groups[c]]
+    perms += [compose(atlas3.groups[0][0][0], atlas3.groups[c][0][0]) for c in range(1, 28)]
     for perm in perms:
         # a random permutation seldom fixes the point it is tested at, so
         # test it at a fixed point too when it has one
@@ -276,7 +276,7 @@ def test_atlas_matches_per_center_search(design, request):
     for c in range(U.v):
         group = translations_at(U, c)
         assert group == sorted({ident, *search_translations_raw(U, c)})
-        assert atlas.nontrivial[c] == tuple(p for p in group if p != ident)
+        assert [p for p, _ in atlas.groups[c]] == [p for p in group if p != ident]
 
 
 @pytest.fixture(scope="module")
@@ -292,16 +292,16 @@ def test_every_atlas_entry_is_a_translation(design, request):
     on its center's pencil only; here every entry gets the full definition."""
     U = request.getfixturevalue(design)
     atlas = build_atlas(U)
-    assert sum(map(len, atlas.nontrivial)) > 0
-    for c, perms in enumerate(atlas.nontrivial):
-        for sigma in perms:
+    assert sum(map(len, atlas.groups)) > 0
+    for c, group in enumerate(atlas.groups):
+        for sigma, _ in group:
             assert is_translation(U, sigma, c)
 
 
 @pytest.mark.parametrize(
     "design", ["h2", "h3", "h4", "h5", "fig", "fig_relabelled", "pg3", "pg4"])
 def test_carried_orders_match_perm_order(design, request):
-    """Oracle for the order table: the atlas computes orders at the searched
+    """Oracle for the carried orders: the atlas computes orders at the searched
     centers only and carries them through the transport; here every entry
     is recomputed.  At a center of H(q) or of the Figueroa unital every
     translation has the same order, so only PG(2, q) read as a design, whose
@@ -313,11 +313,11 @@ def test_carried_orders_match_perm_order(design, request):
         U = request.getfixturevalue(design)
         U = getattr(U, "unital", U)
     atlas = build_atlas(U)
-    assert len(atlas.perm_orders) == U.v
-    for perms, orders in zip(atlas.nontrivial, atlas.perm_orders):
-        assert orders == tuple(map(perm_order, perms))
+    assert len(atlas.groups) == U.v
+    for group in atlas.groups:
+        assert [n for _, n in group] == [perm_order(p) for p, _ in group]
     if design.startswith("pg"):
-        assert all(len(set(orders)) == 2 for orders in atlas.perm_orders)
+        assert all(len({n for _, n in group}) == 2 for group in atlas.groups)
 
 
 @pytest.mark.parametrize("design", ["h3", "h5_relabelled"])
@@ -349,11 +349,11 @@ def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, caps
         atlas.translations_of_order(n)
     atlas.group_for(3)
     assert atlas.centers_by_order == {3: frozenset(range(28))}
-    assert atlas.perm_orders == tuple((3, 3) for _ in range(28))
+    assert [[n for _, n in group] for group in atlas.groups] == [[3, 3]] * 28
     assert len(calls) == 6
-    searched = [c for c, perms in enumerate(atlas.nontrivial) if set(perms) <= set(calls)]
+    searched = [c for c, group in enumerate(atlas.groups) if {p for p, _ in group} <= set(calls)]
     assert len(searched) == 3 and searched[0] == 0
-    assert sorted(calls) == sorted(p for c in searched for p in atlas.nontrivial[c])
+    assert sorted(calls) == sorted(p for c in searched for p, _ in atlas.groups[c])
     # the translations report reads the atlas's table
     calls.clear()
     assert cli.main(["translations", "--q", "3"]) == 0
@@ -436,10 +436,11 @@ def test_congruence_check_reports_each_failure_kind(h2):
         3: [(0, 1), (2, 4), (5, 6), (7, 8)],
         5: [(0, 3), (1, 2), (4, 6), (7, 8)],
     }
-    nontrivial = tuple((from_cycles(table[c]),) if c in table else () for c in range(9))
-    orders = tuple(tuple(map(perm_order, perms)) for perms in nontrivial)
+    perms = {c: from_cycles(cycles) for c, cycles in table.items()}
+    groups = tuple(((perms[c], perm_order(perms[c])),) if c in perms else () for c in range(9))
+    orders = tuple(tuple(n for _, n in group) for group in groups)
     assert orders == ((2,), (2,), (6,), (2,), (), (2,), (), (), ())
-    atlas = TranslationAtlas(unital=h2, nontrivial=nontrivial, perm_orders=orders)
+    atlas = TranslationAtlas(unital=h2, groups=groups)
 
     rep = orbit_congruence_check(atlas, 2)
     assert (rep.center_set_size, rep.size_congruent_one, rep.translations_checked) == (4, False, 4)
