@@ -79,7 +79,13 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
     """Study the structure induced on the set of order-p translation centers."""
     omega = atlas.centers_of_order(p)
     contained = any(omega <= bs for bs in U.block_sets)
-    sub = restrict_to(U, omega)
+    everywhere = omega == frozenset(range(U.v))
+    # restricted to every point, U keeps its blocks of two or more points:
+    # then pass U, whose pair table is built, and not a copy
+    if everywhere and all(len(b) >= 2 for b in U.blocks):
+        sub = U
+    else:
+        sub = restrict_to(U, omega)
     ideal, witness = ideal_embedding_check(U, omega)
 
     # Kernel of the order-p translation group T acting on the center set:
@@ -87,7 +93,7 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
     # Conjugating an order-p translation by an automorphism gives one at the
     # image center, so T preserves the center set.  Acting on everything,
     # the kernel is trivial by definition and no chain needs to be built.
-    if omega == frozenset(range(U.v)):
+    if everywhere:
         kernel_order = 1
     else:
         group = atlas.group_for(p)

@@ -489,6 +489,16 @@ def _invariants(I: Incidence) -> tuple[list[tuple], list[tuple]]:
     return sigs, fps
 
 
+def _uniform_degrees(I: Incidence) -> Optional[tuple]:
+    """The sets of block sizes and point degrees when each has at most one
+    member and no pair of points lies on two blocks, else None."""
+    sizes = {len(b) for b in I.blocks}
+    degrees = {len(bs) for bs in I.point_blocks}
+    if len(sizes) > 1 or len(degrees) > 1 or I.doubly_covered_pair is not None:
+        return None
+    return sizes, degrees
+
+
 def isomorphism_search(A: Incidence, B: Incidence):
     """Point bijection carrying the blocks of A exactly onto the blocks of B.
 
@@ -499,17 +509,28 @@ def isomorphism_search(A: Incidence, B: Incidence):
     them, and a design has at most one empty block), and forced block
     images (once two points of an A-block are mapped and the images lie on
     a single common B-block, every remaining point of that A-block must
-    land on it).
+    land on it).  When both designs have one block size, one point degree
+    and no pair on two blocks, every point has the same fingerprint; then
+    (v, b, k, r) is compared and the fingerprints are not computed.
     """
     if A.v != B.v or len(A.blocks) != len(B.blocks):
         return None
-    _, fps_a = _invariants(A)
-    _, fps_b = _invariants(B)
-    fp_ids: dict[tuple, int] = {}
-    fp_a = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_a]
-    fp_b = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_b]
-    if sorted(fp_a) != sorted(fp_b):
-        return None
+    kr_b = _uniform_degrees(B)  # the search reads B's pair table anyway
+    kr_a = None if kr_b is None else _uniform_degrees(A)
+    if kr_a is not None:
+        # every block meets k(r - 1) others once and the rest not at all,
+        # so all points share one fingerprint
+        if kr_a != kr_b:
+            return None
+        fp_a = fp_b = [0] * A.v
+    else:
+        _, fps_a = _invariants(A)
+        _, fps_b = _invariants(B)
+        fp_ids: dict[tuple, int] = {}
+        fp_a = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_a]
+        fp_b = [fp_ids.setdefault(fp, len(fp_ids)) for fp in fps_b]
+        if sorted(fp_a) != sorted(fp_b):
+            return None
 
     v = A.v
     b_sets = B.block_sets
@@ -599,19 +620,27 @@ def isomorphism_search(A: Incidence, B: Incidence):
             arr[i] = -1
 
     def next_point():
-        best = None
-        best_key = None
+        """The free point with the fewest candidates, then the most blocks
+        holding one mapped point, then the least label; with its candidates.
+        A point on no forced block has as candidates the free points of its
+        fingerprint class, so only their count is taken."""
+        free = Counter(fp_b[w] for w in range(v) if pre[w] == -1)
+        best = best_key = None
         for u in range(v):
             if img[u] != -1:
                 continue
-            half = sum(1 for ab in apb[u] if blk_img[ab] == -1 and blk_rep[ab] != -1)
-            cs = candidates(u)
-            key = (len(cs), -half, u)
+            half, forced = 0, False
+            for ab in apb[u]:
+                if blk_img[ab] != -1:
+                    forced = True
+                elif blk_rep[ab] != -1:
+                    half += 1
+            key = (len(candidates(u)) if forced else free[fp_a[u]], -half, u)
             if best_key is None or key < best_key:
-                best, best_key = (u, cs), key
-                if len(cs) == 0:
+                best, best_key = u, key
+                if key[0] == 0:
                     break
-        return best
+        return None if best is None else (best, candidates(best))
 
     def search() -> bool:
         nxt = next_point()

@@ -237,17 +237,18 @@ def test_every_hermitian_check_goes_through_one_routine(monkeypatch, h2, atlas2,
     calls = []
 
     def counted(D):
-        calls.append(D.v)
+        calls.append(D)
         return real(D)
 
     monkeypatch.setattr(unitals.plane, "hermitian_isomorphism", counted)
     monkeypatch.setattr(unitals.figueroa, "hermitian_isomorphism", counted)
     assert classify(h2).conclusion == "verified-hermitian"
-    assert calls == [9]
+    assert [D.v for D in calls] == [9]
     assert subunital_analysis(h2, atlas2, 2).isomorphic_to_hermitian
-    assert calls == [9, 9]
+    assert [D.v for D in calls] == [9, 9]
+    assert calls[1] is h2  # Ω₂ is every point: the design itself, not its copy
     assert verify_figueroa_theorems(fig, fig_atlas).subunital_isomorphic_to_hermitian
-    assert calls == [9, 9, 9]
+    assert [D.v for D in calls] == [9, 9, 9]
 
 
 def test_battery_reports_failed_suite_hypotheses_as_not_applicable(h2, atlas2):

@@ -22,6 +22,7 @@ from helpers import (
     pair_coverage_raw,
     relabel,
 )
+from unitals import incidence
 from unitals.gf import Field
 from unitals.incidence import (
     MAX_FILE_POINTS,
@@ -376,18 +377,68 @@ ISO_CASES = [
 ]
 
 
+def iso_design(request, spec) -> Incidence:
+    """The design an ISO_CASES entry names."""
+    seed = None
+    if isinstance(spec, tuple):
+        spec, seed = spec
+    if isinstance(spec, str):
+        spec = request.getfixturevalue(spec)
+    return spec if seed is None else shuffled(spec, seed)
+
+
 @pytest.mark.parametrize("a,b", [c[1:] for c in ISO_CASES], ids=[c[0] for c in ISO_CASES])
 def test_isomorphism_search_matches_raw_search(request, a, b):
-    def design(spec):
-        seed = None
-        if isinstance(spec, tuple):
-            spec, seed = spec
-        if isinstance(spec, str):
-            spec = request.getfixturevalue(spec)
-        return spec if seed is None else shuffled(spec, seed)
-
-    A, B = design(a), design(b)
+    A, B = iso_design(request, a), iso_design(request, b)
     assert isomorphism_search(A, B) == isomorphism_search_raw(A, B)
+
+
+def count_invariant_passes(monkeypatch) -> list:
+    """Count the calls of ``_invariants`` that the search makes from now on."""
+    calls = []
+
+    def counted(I):
+        calls.append(I)
+        return _invariants(I)
+
+    monkeypatch.setattr(incidence, "_invariants", counted)
+    return calls
+
+
+# one block size, one point degree and no pair on two blocks on both sides;
+# the Fano plane and a 7-cycle have the same v and b, not the same (k, r)
+UNIFORM_CASES = [
+    *(c for c in ISO_CASES if c[0].startswith(("h2-", "h3-", "h4-", "nine-three", "cycle"))),
+    ("fano-cycle7", FANO, cycles(7)),
+    ("cycle7-fano", cycles(7), FANO),
+]
+
+
+@pytest.mark.parametrize("a,b", [c[1:] for c in UNIFORM_CASES], ids=[c[0] for c in UNIFORM_CASES])
+def test_uniform_designs_skip_the_fingerprint_pass(request, monkeypatch, a, b):
+    A, B = iso_design(request, a), iso_design(request, b)
+    raw = isomorphism_search_raw(A, B)
+    calls = count_invariant_passes(monkeypatch)
+    assert isomorphism_search(A, B) == raw
+    assert calls == []
+
+
+# six points on four triples, each point on two: no pair twice, and two
+# pairs twice
+SIX_FOUR = Incidence(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+SIX_FOUR_DOUBLED = Incidence(6, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)])
+
+
+@pytest.mark.parametrize("A,B", [
+    (SIX_FOUR_DOUBLED, shuffled(SIX_FOUR_DOUBLED, 13)),
+    (SIX_FOUR, SIX_FOUR_DOUBLED),
+    (SIX_FOUR_DOUBLED, SIX_FOUR),
+], ids=["doubled-relabelled", "plain-doubled", "doubled-plain"])
+def test_a_pair_on_two_blocks_keeps_the_fingerprint_pass(monkeypatch, A, B):
+    raw = isomorphism_search_raw(A, B)
+    calls = count_invariant_passes(monkeypatch)
+    assert isomorphism_search(A, B) == raw
+    assert calls
 
 
 PARTIAL_BASES = (ag23_unital(), hermitian_unital(2), hermitian_unital(3))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -173,6 +175,23 @@ def test_hermitian_isomorphism_searches_the_hermitian_unital_of_its_order(case, 
     order, iso = hermitian_isomorphism(D)
     assert (order, iso) == (s, isomorphism_search(D, hermitian_unital(s)))
     assert iso is not None
+
+
+# sha256 of json.dumps of the first isomorphism of H(q) onto a fresh H(q),
+# at orders the raw search cannot reach.  It is the identity map: the search
+# tries the least free point and its least candidate first.
+FIRST_ISOMORPHISM_SHA256 = {
+    7: "b9154da478d1947bf388686f602ea844c6be64d6cf3c5a24b0eb45a00849afbc",
+    9: "5206a9a4aae1252fde757bdd1a2a6c9dda83b65f83cd456b091cb2508bd64463",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIRST_ISOMORPHISM_SHA256))
+def test_hermitian_isomorphism_keeps_its_first_witness(q):
+    order, iso = hermitian_isomorphism(hermitian_unital(q))
+    assert order == q
+    digest = hashlib.sha256(json.dumps(iso).encode()).hexdigest()
+    assert digest == FIRST_ISOMORPHISM_SHA256[q]
 
 
 def test_hermitian_isomorphism_refuses_what_is_not_a_unital(h2, h3):
