@@ -180,8 +180,7 @@ def constant_intersection_check(
     if constant:
         if mho_empty:
             covers = omega == frozenset(range(U.v))
-            gens = [sigma for _, sigma in atlas.translations_of_order(p)]
-            transitive = len(orbit(gens, 0)) == U.v
+            transitive = len(orbit(atlas.generators(p), 0)) == U.v
         else:
             failure = "some points are the center of no nontrivial translation"
 
@@ -378,12 +377,12 @@ def lemma_battery(U: Unital, atlas: TranslationAtlas) -> dict:
     # center that has one; the atlas's orders settle that without building T[2].
     suite = None
     omega2 = atlas.centers_by_order.get(2, frozenset())
-    involutions = {c: sum(n == 2 for _, n in atlas.groups[c]) for c in sorted(omega2)}
+    involutions = {c: atlas.orders[c].count(2) for c in sorted(omega2)}
     crowded = next((c for c, k in involutions.items() if k != 1), None)
     if crowded is not None:
         suite = {"not-applicable": (
             f"center {crowded} carries {involutions[crowded]} involutory "
-            f"translations in a translation group of order {len(atlas.groups[crowded]) + 1}; "
+            f"translations in a translation group of order {len(atlas.orders[crowded]) + 1}; "
             "the suite needs exactly one at every center of an involutory translation")}
     elif omega2:
         tau = atlas.translations_of_order(2)[0][1]

@@ -5,13 +5,11 @@ block through c setwise.  ``translations_at`` enumerates the full group for
 one center: it builds each candidate from one point's image and the c-lines
 its blocks meet, and verifies it.  ``build_atlas`` collects these groups for
 every center: it searches one point per orbit of the group generated by the
-translations found so far, transports the result to the rest of the orbit
-by conjugation, and checks each transported translation on its center's
-pencil only.  Each translation's order is computed where it was searched
-and carried through the transport, since conjugation keeps it.  The atlas
-then gives the center sets of each translation order, the points with only
-the trivial translation, the minimal primes of the orders present, and the
-groups generated by all translations of a given order.
+translations found so far, and transports the result to the rest of the
+orbit by conjugation (see Transport).  The atlas then gives the center sets
+of each translation order, the points with only the trivial translation,
+the minimal primes of the orders present, and the groups generated by all
+translations of a given order.
 
 Search layout per center.  Every point x other than c lies on exactly one
 block through c, its c-line L_x, and a translation τ fixes each c-line, so
@@ -41,22 +39,25 @@ A translation of a design that is not a unital can fix a second point: an
 elation of a projective plane fixes its axis.
 
 Transport.  If g is an automorphism with g(c) = c', then σ ↦ gσg⁻¹ maps the
-translations with center c onto those with center c'.  Every translation is
-an automorphism, so the translations found so far generate a group whose
-orbits can be covered from one searched point each; a Schreier forest
-records, for every other point, the generator that reached it.  Every
-generator is a searched, fully verified translation, so by induction along
-the forest a transported translation is a product of automorphisms and an
-automorphism itself.  At run time it is only checked to fix its center c'
-and each of the q² blocks through c' (q²(q+1) lookups, against the b(q+1)
-of ``is_translation``, which the tests apply to every atlas entry).
+translations with center c onto those with center c'.  The translations
+found so far generate a group whose orbits can be covered from one searched
+point each; a Schreier forest records, for every other point, its parent
+and the generator that reached it.  The atlas keeps each edge and carries
+the parent's orders, since ord(gσg⁻¹) = ord(σ); a center's translations are
+conjugated only when first read.  Every generator is a searched, fully
+verified translation, so by induction along the forest a transported
+translation is an automorphism.  At run time it is only checked to fix its
+center c' and each of the q² blocks through c' (q²(q+1) lookups, against the
+b(q+1) of ``is_translation``, which the tests apply to every atlas entry).
+The lemma checks read what conjugation keeps (fixed points, cycle lengths,
+orbits) off the searched translations where they can.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .incidence import Unital, carries_blocks
 from .permgroup import (
@@ -290,26 +291,77 @@ def translations_at(U: Unital, c: int) -> list[Perm]:
 
 
 class TranslationAtlas:
-    """Complete per-center translation data for one unital."""
+    """Complete per-center translation data for one unital: each center's
+    (translation, order) pairs in ascending order, identity omitted.
 
-    def __init__(self, unital: Unital, groups: tuple[tuple[tuple[Perm, int], ...], ...]):
+    ``build_atlas`` stores the pairs of the centers it searched; every other
+    center c has a forest edge ``edges[c]`` = (parent, generator) and gets
+    its pairs from its parent's when first read (``group``).  An atlas made
+    from a full table has no edges: every center counts as searched."""
+
+    def __init__(self, unital: Unital, groups: Sequence[Optional[tuple[tuple[Perm, int], ...]]],
+                 edges: Optional[dict[int, tuple[int, Perm]]] = None):
         self.unital = unital
-        # per center, (translation, order) pairs in ascending order, identity omitted
-        self.groups = groups
+        self._groups = list(groups)  # None at a center with an edge until it is built
+        self.edges = edges or {}  # in forest order: each center after its parent
+        # the orders of each center's translations, carried along the forest
+        self.orders = [None if g is None else tuple(n for _, n in g) for g in self._groups]
+        for y, (x, _) in self.edges.items():
+            self.orders[y] = self.orders[x]
+
+    def group(self, c: int) -> tuple[tuple[Perm, int], ...]:
+        """c's (translation, order) pairs.  A center not yet built gets
+        {gσg⁻¹ : σ at its parent} for its edge's generator g, after its
+        ancestors, and each gσg⁻¹ is checked on the center's pencil."""
+        path = [c]
+        while self._groups[path[-1]] is None:
+            path.append(self.edges[path[-1]][0])
+        for y in reversed(path[:-1]):
+            x, g = self.edges[y]
+            group = tuple(sorted((conjugate(sigma, g), n) for sigma, n in self._groups[x]))
+            for p, _ in group:
+                if not _fixes_pencil(self.unital, p, y):
+                    raise RuntimeError(
+                        f"transport produced a non-translation at center {y}; this is a bug"
+                    )
+            self._groups[y] = group
+        return self._groups[c]
+
+    @cached_property
+    def groups(self) -> tuple[tuple[tuple[Perm, int], ...], ...]:
+        """Every center's pairs, built in one pass in forest order."""
+        for y in self.edges:
+            self.group(y)
+        return tuple(self._groups)
+
+    @cached_property
+    def searched(self) -> list[tuple[int, Perm, int]]:
+        """(center, translation, order) at the centers without an edge: the
+        translations every other one was conjugated from, and by."""
+        return [(c, p, n) for c, group in enumerate(self._groups)
+                if c not in self.edges for p, n in group]
+
+    def generators(self, n: int) -> list[Perm]:
+        """Permutations generating T[n].  When every translation has order n
+        these are the searched ones, since the others are their conjugates
+        by products of them; otherwise all order-n translations."""
+        if list(self.centers_by_order) == [n]:
+            return [p for _, p, _ in self.searched]
+        return [p for _, p in self.translations_of_order(n)]
 
     @cached_property
     def centers_by_order(self) -> dict[int, frozenset[int]]:
         """Order n ↦ the set of centers admitting an order-n translation,
         in ascending order of n."""
         acc: dict[int, set[int]] = {}
-        for c, group in enumerate(self.groups):
-            for _, n in group:
+        for c, orders in enumerate(self.orders):
+            for n in orders:
                 acc.setdefault(n, set()).add(c)
         return {n: frozenset(s) for n, s in sorted(acc.items())}
 
     @cached_property
     def trivial_centers(self) -> frozenset[int]:
-        return frozenset(c for c, group in enumerate(self.groups) if not group)
+        return frozenset(c for c, orders in enumerate(self.orders) if not orders)
 
     @cached_property
     def least_primes(self) -> frozenset[int]:
@@ -336,39 +388,29 @@ def build_atlas(U: Unital) -> TranslationAtlas:
     """The translation group at every center, identity omitted.
 
     Searches one point per orbit of the group generated by the translations
-    found so far, in label order.  After each search the Schreier forest of
-    that group is extended by BFS from every covered point, and every point
-    it reaches is covered.  A covered point c' = g(c) gets
-    T(c') = {gσg⁻¹ : σ ∈ T(c)}, conjugated along the forest edge that reached
-    it.  A searched center gets ``translations_at``: each candidate is built
-    from the image of one point and the c-lines its blocks meet, branching
-    where a block has several images, and verified in full.  gσg⁻¹ is then an
-    automorphism by construction (see the module docstring), so it is only
-    checked to fix c' and each block through c'.  A transport that fails
-    this raises ``RuntimeError``.  Orders are computed at the searched
-    centers only: ord(gσg⁻¹) = ord(σ), so each transported translation keeps
-    the order of the σ it came from.
+    found so far, in label order, with ``translations_at``, which verifies
+    each candidate in full.  After each search the Schreier forest of that
+    group is extended by BFS from every covered point.  A point it reaches
+    keeps its edge (parent, generator) and its parent's orders, and its
+    translations are built when first read (``TranslationAtlas.group``).
     """
     v = U.v
     ident = identity_perm(v)
-    groups: list[tuple[tuple[Perm, int], ...]] = [()] * v
-    edge: list[Optional[tuple[int, Perm]]] = [None] * v  # point -> (parent, generator)
-    covered = [False] * v
+    groups: list[Optional[tuple[tuple[Perm, int], ...]]] = [None] * v
+    edges: dict[int, tuple[int, Perm]] = {}  # covered point -> (parent, generator)
     order: list[int] = []  # covered points, each after its parent
     gens: list[Perm] = []
 
     def cover(x: int, g: Perm) -> None:
         y = g[x]
-        if not covered[y]:
-            covered[y] = True
-            edge[y] = (x, g)
+        if groups[y] is None and y not in edges:
+            edges[y] = (x, g)
             order.append(y)
 
     for c in range(v):
-        if covered[c]:
+        if c in edges:
             continue
         groups[c] = tuple((p, perm_order(p)) for p in translations_at(U, c) if p != ident)
-        covered[c] = True
         old_points, old_gens = len(order), len(gens)
         order.append(c)
         gens.extend(p for p, _ in groups[c])
@@ -382,18 +424,7 @@ def build_atlas(U: Unital) -> TranslationAtlas:
             for g in gens:
                 cover(order[i], g)
             i += 1
-
-    for y in order:
-        if edge[y] is None:  # searched
-            continue
-        x, g = edge[y]
-        groups[y] = tuple(sorted((conjugate(sigma, g), n) for sigma, n in groups[x]))
-        for p, _ in groups[y]:
-            if not _fixes_pencil(U, p, y):
-                raise RuntimeError(
-                    f"transport produced a non-translation at center {y}; this is a bug"
-                )
-    return TranslationAtlas(unital=U, groups=tuple(groups))
+    return TranslationAtlas(unital=U, groups=groups, edges=edges)
 
 
 # -- lemma-level checks ---------------------------------------------------------
@@ -424,25 +455,41 @@ class TransitivityReport(NamedTuple):
 
 
 def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> TransitivityReport:
+    """Whether T[p] is transitive on its center set, and the translations at
+    the centers of each block holding two or more on those centers.  With a
+    forest and every translation of order p, one block per orbit of T[p] is
+    checked, since g ∈ T[p] conjugates the translations at a block's centers
+    onto those at its image's; if one fails, every block is."""
     U = atlas.unital
     omega_p = atlas.centers_of_order(p)
+    gens = atlas.generators(p)
+    transitive = orbit(gens, min(omega_p)) >= omega_p
 
-    pairs = atlas.translations_of_order(p)
-    transitive = orbit([sigma for _, sigma in pairs], min(omega_p)) >= omega_p
-    by_center: dict[int, list[Perm]] = {}
-    for c, sigma in pairs:
-        by_center.setdefault(c, []).append(sigma)
-
-    block_failures = []
-    checked = 0
+    meeting: dict[int, list[int]] = {}  # block id -> its centers, where it has two or more
     for bid, blk in enumerate(U.blocks):
-        inside = sorted(set(blk) & omega_p)
-        if len(inside) < 2:
-            continue
-        checked += 1
-        block_gens = [sigma for c in inside for sigma in by_center[c]]
-        if not orbit(block_gens, inside[0]) >= set(inside):
-            block_failures.append((bid, tuple(inside)))
+        inside = sorted(omega_p.intersection(blk))
+        if len(inside) > 1:
+            meeting[bid] = inside
+
+    def fails(bid: int) -> bool:
+        inside = meeting[bid]
+        block_gens = [sigma for c in inside for sigma, n in atlas.group(c) if n == p]
+        return not orbit(block_gens, inside[0]) >= set(inside)
+
+    todo = meeting
+    if atlas.edges and list(atlas.centers_by_order) == [p]:
+        # T[p] on blocks: g maps block b to the block through g(b[0]) and g(b[1])
+        v, pair = U.v, U.pair_table
+        block_gens = [[pair[g[b[0]] * v + g[b[1]]] for b in U.blocks] for g in gens]
+        seen: set[int] = set()
+        for bid in meeting:  # the least block of each orbit
+            if bid not in seen:
+                if fails(bid):
+                    break
+                seen |= orbit(block_gens, bid)
+        else:
+            todo = {}
+    block_failures = [(bid, tuple(inside)) for bid, inside in todo.items() if fails(bid)]
 
     divisor_failures = []
     for n, centers in atlas.centers_by_order.items():
@@ -456,7 +503,7 @@ def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> Transitiv
         p=p,
         center_set_size=len(omega_p),
         group_transitive_on_centers=transitive,
-        blocks_checked=checked,
+        blocks_checked=len(meeting),
         block_transitivity_ok=not block_failures,
         block_failures=tuple(block_failures),
         divisor_collapse_ok=not divisor_failures,
@@ -479,15 +526,10 @@ class CongruenceReport(NamedTuple):
         return self.size_congruent_one and self.cycle_structure_ok
 
 
-def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
-    """Every order-n translation must move points in cycles of length
-    exactly n, each cycle lying entirely inside or outside the center set,
-    and the center set size must be ≡ 1 (mod n)."""
-    omega_n = atlas.centers_of_order(n)
+def _congruence_failures(pairs, omega_n: frozenset[int], n: int) -> list[tuple]:
+    """(center, rule, witness) for each (center, translation) pair breaking a rule."""
     failures = []
-    checked = 0
-    for c, sigma in atlas.translations_of_order(n):
-        checked += 1
+    for c, sigma in pairs:
         fixed = fixed_points(sigma)
         if fixed != (c,):
             failures.append((c, "fixed points", fixed))
@@ -499,11 +541,27 @@ def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
             if not (omega_n.issuperset(cyc) or omega_n.isdisjoint(cyc)):
                 failures.append((c, "cycle straddles the center set", cyc))
                 break
+    return failures
+
+
+def orbit_congruence_check(atlas: TranslationAtlas, n: int) -> CongruenceReport:
+    """Every order-n translation must move points in cycles of length
+    exactly n, each cycle lying entirely inside or outside the center set,
+    and the center set size must be ≡ 1 (mod n).  If the searched
+    translations pass and each maps the center set onto itself, so do their
+    conjugates, every other translation: gσg⁻¹ fixes g(Fix σ) and has the
+    g-images of σ's cycles.  Otherwise every translation is tested."""
+    omega_n = atlas.centers_of_order(n)
+    failures = _congruence_failures(
+        [(c, sigma) for c, sigma, m in atlas.searched if m == n], omega_n, n)
+    if failures or not all(omega_n.issuperset(map(sigma.__getitem__, omega_n))
+                           for _, sigma, _ in atlas.searched):
+        failures = _congruence_failures(atlas.translations_of_order(n), omega_n, n)
     return CongruenceReport(
         n=n,
         center_set_size=len(omega_n),
         size_congruent_one=len(omega_n) % n == 1,
-        translations_checked=checked,
+        translations_checked=sum(orders.count(n) for orders in atlas.orders),
         cycle_structure_ok=not failures,
         failures=tuple(tuple(map(str, f)) for f in failures),
     )

@@ -10,9 +10,12 @@ from itertools import permutations, product
 from operator import getitem
 from typing import Optional
 
+from unitals.analysis import ConstantIntersectionReport
+from unitals.gf import make_field, prime_power
 from unitals.incidence import Incidence, OnanResult, Unital, _invariants, carries_blocks
-from unitals.permgroup import compose, identity_perm
-from unitals.plane import dot
+from unitals.permgroup import compose, fixed_points, identity_perm, orbit, perm_cycles, perm_order
+from unitals.plane import dot, frobenius_perm, normalize, polar_unital, projective_plane
+from unitals.translations import CongruenceReport, TransitivityReport, TranslationAtlas
 
 CLOSURE_LIMIT = 10_000
 
@@ -723,3 +726,182 @@ def isomorphism_search_raw(A: Incidence, B: Incidence):
     if search():
         return tuple(img)
     return None
+
+
+def pg_design(q: int) -> Unital:
+    """PG(2, q) read as a design of lines."""
+    plane = projective_plane(make_field(*prime_power(q)))
+    return Unital(len(plane.points_on), plane.points_on, q)
+
+
+def failure_table_atlas(h2: Unital) -> TranslationAtlas:
+    """A hand-built table on the 9 points of H(2) with translations that
+    break each congruence rule: a second fixed point (center 0), a cycle
+    straddling Ω₂ = {0, 1, 3, 5} first (center 1), third (center 3) or
+    second (center 5), and an order-6 permutation whose second cycle has
+    length 2 (center 2)."""
+    table = {
+        0: [(1, 2), (3, 4), (5, 6)],
+        1: [(0, 2), (3, 4), (5, 6), (7, 8)],
+        2: [(0, 1, 3, 4, 5, 6), (7, 8)],
+        3: [(0, 1), (2, 4), (5, 6), (7, 8)],
+        5: [(0, 3), (1, 2), (4, 6), (7, 8)],
+    }
+    groups = []
+    for c in range(9):
+        img = list(range(9))
+        for cyc in table.get(c, ()):
+            for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                img[x] = y
+        groups.append(((tuple(img), perm_order(img)),) if c in table else ())
+    return TranslationAtlas(unital=h2, groups=tuple(groups))
+
+
+# -- the lemma checks as they walked every translation ------------------------
+
+
+def orbit_congruence_check_raw(atlas: TranslationAtlas, n: int) -> CongruenceReport:
+    """``orbit_congruence_check`` testing every order-n translation."""
+    omega_n = atlas.centers_of_order(n)
+    failures = []
+    checked = 0
+    for c, sigma in atlas.translations_of_order(n):
+        checked += 1
+        fixed = fixed_points(sigma)
+        if fixed != (c,):
+            failures.append((c, "fixed points", fixed))
+            continue
+        for cyc in perm_cycles(sigma):
+            if len(cyc) != n:
+                failures.append((c, "cycle length", cyc))
+                break
+            if not (omega_n.issuperset(cyc) or omega_n.isdisjoint(cyc)):
+                failures.append((c, "cycle straddles the center set", cyc))
+                break
+    return CongruenceReport(
+        n=n,
+        center_set_size=len(omega_n),
+        size_congruent_one=len(omega_n) % n == 1,
+        translations_checked=checked,
+        cycle_structure_ok=not failures,
+        failures=tuple(tuple(map(str, f)) for f in failures),
+    )
+
+
+def translation_transitivity_check_raw(atlas: TranslationAtlas, p: int) -> TransitivityReport:
+    """``translation_transitivity_check`` with every order-p translation as a
+    generator, and every block meeting the center set twice checked."""
+    U = atlas.unital
+    omega_p = atlas.centers_of_order(p)
+
+    pairs = atlas.translations_of_order(p)
+    transitive = orbit([sigma for _, sigma in pairs], min(omega_p)) >= omega_p
+    by_center: dict[int, list] = {}
+    for c, sigma in pairs:
+        by_center.setdefault(c, []).append(sigma)
+
+    block_failures = []
+    checked = 0
+    for bid, blk in enumerate(U.blocks):
+        inside = sorted(set(blk) & omega_p)
+        if len(inside) < 2:
+            continue
+        checked += 1
+        block_gens = [sigma for c in inside for sigma in by_center[c]]
+        if not orbit(block_gens, inside[0]) >= set(inside):
+            block_failures.append((bid, tuple(inside)))
+
+    divisor_failures = []
+    for n, centers in atlas.centers_by_order.items():
+        for k in range(2, n + 1):
+            if n % k == 0:
+                other = atlas.centers_by_order.get(k, frozenset())
+                if other != centers:
+                    divisor_failures.append((str(n), str(k), "center sets differ"))
+
+    return TransitivityReport(
+        p=p,
+        center_set_size=len(omega_p),
+        group_transitive_on_centers=transitive,
+        blocks_checked=checked,
+        block_transitivity_ok=not block_failures,
+        block_failures=tuple(block_failures),
+        divisor_collapse_ok=not divisor_failures,
+        divisor_failures=tuple(divisor_failures),
+    )
+
+
+def constant_intersection_check_raw(U: Unital, atlas: TranslationAtlas,
+                                    p: int) -> ConstantIntersectionReport:
+    """``constant_intersection_check`` with every order-p translation as a
+    generator of the orbit of point 0."""
+    omega = atlas.centers_of_order(p)
+    if any(omega <= bs for bs in U.block_sets):
+        raise ValueError("center set is contained in a block")
+
+    sizes: dict[int, int] = {}
+    nblocks = 0
+    for bs in U.block_sets:
+        m = len(bs & omega)
+        if m >= 2:
+            nblocks += 1
+            sizes[m] = sizes.get(m, 0) + 1
+    constant = len(sizes) == 1
+    value = next(iter(sizes)) if constant else None
+
+    mho_empty = not atlas.trivial_centers
+    failure = None
+    covers = None
+    transitive = None
+    if constant:
+        if mho_empty:
+            covers = omega == frozenset(range(U.v))
+            gens = [sigma for _, sigma in atlas.translations_of_order(p)]
+            transitive = len(orbit(gens, 0)) == U.v
+        else:
+            failure = "some points are the center of no nontrivial translation"
+
+    return ConstantIntersectionReport(
+        p=p,
+        center_count=len(omega),
+        block_count=nblocks,
+        intersection_sizes=tuple(sorted(sizes.items())),
+        constant=constant,
+        constant_value=value,
+        every_point_a_center=mho_empty,
+        hypothesis_failure=failure,
+        centers_are_all_points=covers,
+        group_transitive_on_points=transitive,
+    )
+
+
+def hermitian_transvections(q: int):
+    """H(q) in the labels of ``hermitian_unital``, and a function giving the
+    translations with center c in closed form, identity omitted and sorted.
+
+    With h(x, y) = Σ xᵢ yᵢ^q on GF(q²)³, they are the unitary transvections
+    x ↦ x + λ·h(x, c)·c for the q − 1 nonzero λ with λ^q = −λ (Taylor,
+    *The Geometry of the Classical Groups*, 1992).  The points are the
+    absolute points that ``plane.polar_unital`` returns."""
+    p, m = prime_power(q)
+    F = make_field(p, 2 * m)
+    plane = projective_plane(F)
+    U, absolute, _ = polar_unital(plane.lines_through, frobenius_perm(plane, m), q)
+    coords = [plane.points[pid] for pid in absolute]
+    label = {pid: i for i, pid in enumerate(absolute)}
+    lambdas = [a for a in range(1, F.order) if F.frobenius(a, m) == F.neg(a)]
+
+    def translations(c: int) -> list[tuple[int, ...]]:
+        C = coords[c]
+        Cq = tuple(F.frobenius(a, m) for a in C)
+        out = []
+        for lam in lambdas:
+            img = []
+            for x in coords:
+                s = F.mul(lam, dot(F, x, Cq))
+                y = tuple(F.add(a, F.mul(s, b)) for a, b in zip(x, C))
+                img.append(label[plane.index[normalize(F, y)]])
+            out.append(tuple(img))
+        return sorted(out)
+
+    return U, translations

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -117,6 +118,41 @@ def test_translations_atlas_summary(capsys):
     assert len(payload["centers"]) == 9
     assert payload["K"] == [2] and payload["mho"] == []
     assert payload["omega"] == {"2": list(range(9))}
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("omega", "eb4f97feaa562e2f31bafab2e96d7cb55c3da2cbfb012605e342ccdfd0801476"),
+    ("classify", "b18b4ddf0d3fb448c1d7af5be425d6a49016fa4529c8f364e01802c8e56b196c"),
+])
+def test_omega_and_classify_transport_no_translation(capsys, monkeypatch, command, digest):
+    """Both read the orders the atlas carries, never a transported
+    permutation, so no translation is conjugated; the reports on H(5) keep
+    their bytes."""
+    import unitals.permgroup
+    import unitals.translations
+
+    def refuse(p, by):
+        raise AssertionError("a translation was transported")
+
+    monkeypatch.setattr(unitals.permgroup, "conjugate", refuse)
+    monkeypatch.setattr(unitals.translations, "conjugate", refuse)
+    code, out, _ = run(capsys, command, "--q", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_check_lemmas_transports_one_block_at_most(capsys, monkeypatch):
+    """On H(7) the battery builds the translations at the centers of one
+    block, the representative of T[7]'s one orbit on blocks, and no others."""
+    import unitals.translations
+
+    calls = []
+    real = unitals.translations.conjugate
+    monkeypatch.setattr(unitals.translations, "conjugate",
+                        lambda p, by: calls.append(p) or real(p, by))
+    code, _, _ = run(capsys, "check-lemmas", "--q", "7")
+    assert code == 0
+    assert 0 < len(calls) <= 8 * 6
 
 
 @pytest.mark.parametrize("design", ["q2", "q3", "pg3", "h4_relabelled"])

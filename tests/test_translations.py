@@ -9,15 +9,22 @@ from helpers import (
     ag23_doubled,
     ag23_unital,
     agl23_elements,
+    constant_intersection_check_raw,
+    failure_table_atlas,
+    hermitian_transvections,
     is_translation_raw,
+    orbit_congruence_check_raw,
+    pg_design,
     pointwise_stabilizer,
     relabel,
     search_translations_raw,
+    translation_transitivity_check_raw,
     translations_raw,
 )
+from unitals.analysis import constant_intersection_check
 from unitals.incidence import Unital, parse_unital
-from unitals.plane import projective_plane
-from unitals.gf import make_field, prime_power
+from unitals.gf import prime_power
+from unitals.plane import hermitian_unital
 from unitals.permgroup import (
     compose,
     conjugate,
@@ -140,12 +147,6 @@ def test_two_point_stabilizer_structure(atlas3):
     (t,) = [g for g in elements if perm_order(g) == 2]
     assert [perm_order(g) for g in elements
             if compose(compose(t, g), t) == inverse(g)] == [1, 2]
-
-
-def pg_design(q: int) -> Unital:
-    """PG(2, q) read as a design of lines."""
-    plane = projective_plane(make_field(*prime_power(q)))
-    return Unital(len(plane.points_on), plane.points_on, q)
 
 
 def test_search_matches_brute_force_oracle(h2):
@@ -324,13 +325,15 @@ def test_carried_orders_match_perm_order(design, request):
 def test_transport_by_the_wrong_conjugate_is_caught(design, request, monkeypatch):
     """The transport conjugates by g⁻¹σg instead of gσg⁻¹.  The generators
     have odd order here, so the result fixes g⁻¹(x), not g(x); on H(2) and
-    H(4) they are involutions and the two conjugates coincide."""
+    H(4) they are involutions and the two conjugates coincide.  The atlas
+    transports when its groups are read, so the error comes then."""
     import unitals.translations as tr
 
     U = request.getfixturevalue(design)
     monkeypatch.setattr(tr, "conjugate", lambda p, by: conjugate(p, inverse(by)))
+    atlas = build_atlas(U)
     with pytest.raises(RuntimeError, match="transport produced a non-translation"):
-        build_atlas(U)
+        atlas.groups
 
 
 def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, capsys):
@@ -415,32 +418,13 @@ def test_congruence_check(atlas2, atlas3, atlas4, atlas5):
         orbit_congruence_check(atlas2, 5)
 
 
-def from_cycles(cycles, v=9):
-    img = list(range(v))
-    for cyc in cycles:
-        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-            img[x] = y
-    return tuple(img)
-
-
 def test_congruence_check_reports_each_failure_kind(h2):
-    """A hand-built table on 9 points with translations that break each rule:
-    a second fixed point (center 0), a cycle straddling Ω₂ = {0, 1, 3, 5}
-    first (center 1), third (center 3) or second (center 5), and an order-6
-    permutation whose second cycle has length 2 (center 2).  Each failure
-    names the first failing cycle."""
-    table = {
-        0: [(1, 2), (3, 4), (5, 6)],
-        1: [(0, 2), (3, 4), (5, 6), (7, 8)],
-        2: [(0, 1, 3, 4, 5, 6), (7, 8)],
-        3: [(0, 1), (2, 4), (5, 6), (7, 8)],
-        5: [(0, 3), (1, 2), (4, 6), (7, 8)],
-    }
-    perms = {c: from_cycles(cycles) for c, cycles in table.items()}
-    groups = tuple(((perms[c], perm_order(perms[c])),) if c in perms else () for c in range(9))
-    orders = tuple(tuple(n for _, n in group) for group in groups)
+    """A hand-built table on 9 points with translations that break each rule
+    (see ``failure_table_atlas``).  Each failure names the first failing
+    cycle."""
+    atlas = failure_table_atlas(h2)
+    orders = tuple(tuple(n for _, n in group) for group in atlas.groups)
     assert orders == ((2,), (2,), (6,), (2,), (), (2,), (), (), ())
-    atlas = TranslationAtlas(unital=h2, groups=groups)
 
     rep = orbit_congruence_check(atlas, 2)
     assert (rep.center_set_size, rep.size_congruent_one, rep.translations_checked) == (4, False, 4)
@@ -454,3 +438,175 @@ def test_congruence_check_reports_each_failure_kind(h2):
     assert (rep.center_set_size, rep.size_congruent_one, rep.translations_checked) == (1, True, 1)
     assert rep.failures == (("2", "cycle length", "(7, 8)"),)
     assert not rep.ok
+
+
+# -- the lemma checks on the searched translations --------------------------------
+
+
+def unbuilt(atlas: TranslationAtlas, cls=TranslationAtlas) -> TranslationAtlas:
+    """A fresh atlas with the same searched groups and forest, nothing transported."""
+    v = atlas.unital.v
+    groups = [None if c in atlas.edges else atlas.group(c) for c in range(v)]
+    return cls(atlas.unital, groups, atlas.edges)
+
+
+def battery_reports(U, atlas, congruence, transitivity, constant) -> dict:
+    """Each check's report on the atlas, keyed by check and order."""
+    out = {}
+    for n in atlas.centers_by_order:
+        out["congruence", n] = congruence(atlas, n)
+    for p in sorted(atlas.least_primes):
+        out["transitivity", p] = transitivity(atlas, p)
+        if not any(atlas.centers_of_order(p) <= bs for bs in U.block_sets):
+            out["constant", p] = constant(U, atlas, p)
+    return out
+
+
+def check_against_full_walks(U, atlas) -> dict:
+    """The checks, then their oracles, which read every translation, so the
+    checks meet the atlas as they found it."""
+    got = battery_reports(U, atlas, orbit_congruence_check, translation_transitivity_check,
+                          constant_intersection_check)
+    want = battery_reports(U, atlas, orbit_congruence_check_raw,
+                           translation_transitivity_check_raw, constant_intersection_check_raw)
+    assert got == want
+    return got
+
+
+@pytest.fixture(scope="module")
+def h4_relabelled(h4):
+    perm = list(range(h4.v))
+    random.Random(1).shuffle(perm)
+    return relabel(h4, perm)
+
+
+@pytest.mark.parametrize("design", [
+    "h2", "h3", "h4", "h5", "h4_relabelled", "h5_relabelled", "fig", "fig_relabelled",
+    "pg3", "pg4", "table", "h7"])
+def test_checks_match_their_full_walks(design, request):
+    """On H(q) and the Figueroa unital every translation has one order, so
+    the checks run on the searched translations and one block per orbit; on
+    PG(2, q) read as a design the orders are mixed, and on the hand-built
+    table of ``failure_table_atlas`` there is no forest: both take the full
+    walks."""
+    if design == "table":
+        U = request.getfixturevalue("h2")
+        atlas = failure_table_atlas(U)
+    else:
+        if design.startswith("pg"):
+            U = pg_design(int(design[2:]))
+        elif design == "h7":
+            U = hermitian_unital(7)
+        else:
+            U = request.getfixturevalue(design)
+            U = getattr(U, "unital", U)
+        atlas = build_atlas(U)
+    reports = check_against_full_walks(U, atlas)
+    assert all(r.ok for r in reports.values()) == (design not in ("pg3", "pg4", "table"))
+
+
+def test_a_pruned_forest_falls_back_to_the_full_walks(h3):
+    """A leaf of the forest dropped: Ω₃ misses one point, so each searched
+    translation has a cycle straddling it, and every check must give the
+    report of its full walk, which names the translations at every center."""
+    atlas = build_atlas(h3)
+    parents = {x for x, _ in atlas.edges.values()}
+    leaf = next(y for y in atlas.edges if y not in parents)
+    groups = [() if c == leaf else None if c in atlas.edges else atlas.group(c)
+              for c in range(h3.v)]
+    edges = {y: edge for y, edge in atlas.edges.items() if y != leaf}
+    reports = check_against_full_walks(h3, TranslationAtlas(h3, groups, edges))
+    failures = reports["congruence", 3].failures
+    assert len(failures) == 27 * 2
+    assert {c for c, *_ in failures} == {str(c) for c in range(28) if c != leaf}
+
+
+def test_a_searched_generator_that_moves_the_center_set_forces_the_full_walk(h3, atlas3):
+    """Center 0 keeps one translation σ of order 3.  Center 1 is searched
+    with one automorphism g, the product of translations at 1 and 4,
+    labelled order 2 as in an atlas of mixed orders.  The forest takes 0 to
+    g(0) and on to g²(0) by g, and each round its σ-cycle by σ, so Ω₃ is
+    the two blocks through 0 and these points.  σ keeps every rule, but g
+    does not preserve Ω₃, and the six transported translations, centered
+    on one of the blocks, move the other: the check must test them."""
+    sigma = atlas3.groups[0][0][0]
+    g = compose(atlas3.groups[1][0][0], atlas3.groups[4][0][0])
+    groups = [()] * 28
+    groups[0] = ((sigma, 3),)
+    groups[1] = ((g, 2),)
+    edges = {}
+    for parent, y in ((0, g[0]), (g[0], g[g[0]])):
+        edges[y] = (parent, g)
+        edges[sigma[y]] = (y, sigma)
+        edges[sigma[sigma[y]]] = (sigma[y], sigma)
+    for y in edges:
+        groups[y] = None
+    atlas = TranslationAtlas(h3, groups, edges)
+    omega = atlas.centers_of_order(3)
+    assert len(omega) == 7 and 1 not in omega
+    assert {g[x] for x in omega} != omega
+    failures = check_against_full_walks(h3, atlas)["congruence", 3].failures
+    assert sorted(int(c) for c, *_ in failures) == sorted(edges)
+
+
+def test_a_failing_block_representative_checks_every_block(h2, atlas2):
+    """A fault planted in the translations read per block: the centers of
+    block 0 and point 8 seem to carry none, so every block holding two of
+    them fails.  Block 0, the one representative of T[2]'s orbit, fails,
+    and the check must then name every failing block."""
+    faulty = set(h2.blocks[0]) | {8}
+
+    class Faulty(TranslationAtlas):
+        def group(self, c):
+            return () if c in faulty else super().group(c)
+
+    rep = translation_transitivity_check(unbuilt(atlas2, Faulty), 2)
+    expected = [(bid, blk) for bid, blk in enumerate(h2.blocks) if len(faulty.intersection(blk)) > 1]
+    assert len(expected) == 4
+    assert list(rep.block_failures) == expected and rep.blocks_checked == 12
+
+
+def sampled_centers(atlas: TranslationAtlas) -> list[int]:
+    """The searched centers, up to three of the deepest in the forest, and the last point."""
+    depth: dict[int, int] = {}
+    for y, (x, _) in atlas.edges.items():
+        depth[y] = depth.get(x, 0) + 1
+    deepest = [y for y, d in depth.items() if d == max(depth.values())][:3]
+    v = atlas.unital.v
+    return sorted({c for c in range(v) if c not in atlas.edges} | set(deepest) | {v - 1})
+
+
+@pytest.fixture(scope="module")
+def closed_form():
+    """q ↦ (H(q), its transvections by center, its atlas), each built once."""
+    built = {}
+
+    def get(q):
+        if q not in built:
+            U, transvections = hermitian_transvections(q)
+            built[q] = U, transvections, build_atlas(U)
+        return built[q]
+
+    return get
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_atlas_groups_are_the_unitary_transvections(q, closed_form):
+    U, transvections, atlas = closed_form(q)
+    assert U.blocks == hermitian_unital(q).blocks
+    centers = sampled_centers(atlas)
+    assert len(centers) > 3 and any(c in atlas.edges for c in centers)
+    for c in centers:
+        assert [p for p, _ in atlas.group(c)] == transvections(c), c
+
+
+def test_a_wrong_transport_fails_the_closed_form(closed_form, monkeypatch):
+    """Conjugating by g⁻¹σg with the pencil check switched off: at q = 9 the
+    translations have order 3, so the two conjugates differ."""
+    import unitals.translations as tr
+
+    U, transvections, atlas = closed_form(9)
+    monkeypatch.setattr(tr, "conjugate", lambda p, by: conjugate(p, inverse(by)))
+    monkeypatch.setattr(tr, "_fixes_pencil", lambda U, p, c: True)
+    atlas = unbuilt(atlas)
+    assert any([p for p, _ in atlas.group(c)] != transvections(c) for c in sampled_centers(atlas))
