@@ -385,7 +385,7 @@ def lemma_battery(U: Unital, atlas: TranslationAtlas) -> dict:
             f"translations in a translation group of order {len(atlas.orders[crowded]) + 1}; "
             "the suite needs exactly one at every center of an involutory translation")}
     elif omega2:
-        tau = atlas.translations_of_order(2)[0][1]
+        tau = next(p for p, n in atlas.group(min(omega2)) if n == 2)  # the least involution
         suite = sharply_transitive_suite(atlas.group_for(2), omega2, tau)
         if not suite.preconditions_ok:
             suite = {"not-applicable": "the suite's hypotheses fail: "

@@ -246,9 +246,9 @@ def _cmd_subunital(args) -> int:
     from .analysis import constant_intersection_check, subunital_analysis
     from .translations import build_atlas
 
-    U, desc = _load_input(args)
     if args.p is None:
         raise CliError("subunital requires --p")
+    U, desc = _load_input(args)
     atlas = build_atlas(U)
     try:
         report = subunital_analysis(U, atlas, args.p)

@@ -339,9 +339,10 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
     points with another, the pair is walked again node by node from its
     first node; that walk finds the first witness, its node number and
     every ValueError just as a search walked node by node throughout.
-    The budget is checked after each cleared pair, and at every node of a
-    walked one, so an exhausted search does at most one pair of work past
-    its budget.
+    Nodes are counted, and tested against the budget, in one place: the
+    main loop, fed each cleared pair's bulk count and each lazily yielded
+    step of a walk, so an exhausted budget stops the search before a later
+    witness or ValueError.  Meet maps are built per use and not kept.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -351,7 +352,6 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
     # per block, filled when first reached
     nb_masks: list[Optional[int]] = [None] * len(blocks)
     point_masks = [0] * len(blocks)
-    meet_cache: dict[int, dict[int, int]] = {}
 
     def nb(b: int) -> int:
         """The blocks above b that meet it, as a mask; checks b against
@@ -372,9 +372,7 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
 
     def meets(b: int) -> dict[int, int]:
         """Each block meeting b (and b itself) -> a point they share."""
-        if b not in meet_cache:
-            meet_cache[b] = {c: x for x in blocks[b] for c in pb[x]}
-        return meet_cache[b]
+        return {c: x for x in blocks[b] for c in pb[x]}
 
     def points(b: int) -> int:
         """The points of block b, as a mask."""
@@ -408,12 +406,10 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
             return None
         return counted
 
-    def walk(b1: int, n1: int, m1: dict[int, int], b2: int, nodes: int):
-        """The pair (b1, b2) node by node, from ``nodes`` counted before it:
-        the result that ends the search, or None, and the nodes counted."""
-        nodes += 1
-        if budget and nodes > budget:
-            return OnanResult("budget-exhausted", None, None, budget + 1), nodes
+    def walk(b1: int, n1: int, m1: dict[int, int], b2: int):
+        """The pair (b1, b2) node by node: yields (nodes, witness or None)
+        for b2, then for each third block and its fourth candidates."""
+        yield 1, None
         pen12 = pencil[m1[b2]]
         m2 = meets(b2)
         n12 = n1 & nb(b2)
@@ -422,9 +418,7 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
             low = rest3 & -rest3
             rest3 ^= low
             b3 = b2 + low.bit_length()
-            nodes += 1
-            if budget and nodes > budget:
-                return OnanResult("budget-exhausted", None, None, budget + 1), nodes
+            yield 1, None
             if pen12 >> b3 & 1:
                 continue  # b3 passes through p12: no triangle
             p13 = m1[b3]
@@ -432,34 +426,38 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
             cands = (n12 & nb(b3)) >> b3 + 1
             good = cands & ~((pen12 | pencil[p13] | pencil[p23]) >> b3 + 1)
             low = good & -good  # the first witness, or 0 (then low - 1 = -1)
-            nodes += (cands & (low - 1)).bit_count() + (good != 0)
-            if budget and nodes > budget:
-                return OnanResult("budget-exhausted", None, None, budget + 1), nodes
+            found = None
             if good:
                 b4 = b3 + low.bit_length()
                 six = (m1[b2], p13, p23, m1[b4], m2[b4], meets(b3)[b4])
-                return OnanResult("witness", (b1, b2, b3, b4), tuple(sorted(six)), nodes), nodes
-        return None, nodes
+                found = (b1, b2, b3, b4), tuple(sorted(six))
+            yield (cands & (low - 1)).bit_count() + (good != 0), found
+
+    def steps():
+        """(nodes, witness or None) for each cleared pair, and for each step
+        of a walked one, in search order."""
+        for b1 in range(len(blocks)):
+            n1 = nb(b1)
+            m1 = meets(b1)
+            rest2 = n1 >> b1 + 1
+            pts1 = points(b1)
+            while rest2:
+                low = rest2 & -rest2
+                rest2 ^= low
+                b2 = b1 + low.bit_length()
+                counted = sweep(n1, m1, pts1, b2)
+                if counted is None:
+                    yield from walk(b1, n1, m1, b2)
+                else:
+                    yield counted, None
 
     nodes = 0
-    for b1 in range(len(blocks)):
-        n1 = nb(b1)
-        m1 = meets(b1)
-        rest2 = n1 >> b1 + 1
-        pts1 = points(b1)
-        while rest2:
-            low = rest2 & -rest2
-            rest2 ^= low
-            b2 = b1 + low.bit_length()
-            counted = sweep(n1, m1, pts1, b2)
-            if counted is None:
-                found, nodes = walk(b1, n1, m1, b2, nodes)
-                if found:
-                    return found
-            else:
-                nodes += counted
-                if budget and nodes > budget:
-                    return OnanResult("budget-exhausted", None, None, budget + 1)
+    for step, found in steps():
+        nodes += step
+        if budget and nodes > budget:
+            return OnanResult("budget-exhausted", None, None, budget + 1)
+        if found:
+            return OnanResult("witness", *found, nodes)
     return OnanResult("none", None, None, nodes)
 
 

@@ -379,9 +379,8 @@ class TranslationAtlas:
         return [(c, p) for c, group in enumerate(self.groups) for p, m in group if m == n]
 
     def group_for(self, n: int) -> PermGroup:
-        """T[n]: the group generated by all order-n translations."""
-        gens = [p for _, p in self.translations_of_order(n)]
-        return PermGroup(gens, degree=self.unital.v)
+        """T[n]: the group generated by all order-n translations, on ``generators(n)``."""
+        return PermGroup(self.generators(n), degree=self.unital.v)
 
 
 def build_atlas(U: Unital) -> TranslationAtlas:

@@ -875,6 +875,16 @@ def constant_intersection_check_raw(U: Unital, atlas: TranslationAtlas,
     )
 
 
+def sampled_centers(atlas: TranslationAtlas) -> list[int]:
+    """The searched centers, up to three of the deepest in the forest, and the last point."""
+    depth: dict[int, int] = {}
+    for y, (x, _) in atlas.edges.items():
+        depth[y] = depth.get(x, 0) + 1
+    deepest = [y for y, d in depth.items() if d == max(depth.values())][:3]
+    v = atlas.unital.v
+    return sorted({c for c in range(v) if c not in atlas.edges} | set(deepest) | {v - 1})
+
+
 def hermitian_transvections(q: int):
     """H(q) in the labels of ``hermitian_unital``, and a function giving the
     translations with center c in closed form, identity omitted and sorted.

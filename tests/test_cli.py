@@ -189,6 +189,17 @@ def test_subunital_requires_p(capsys):
     assert payload["constant_intersection"]["constant_value"] == 3
 
 
+def test_subunital_without_p_fails_before_loading_the_design(capsys, monkeypatch):
+    import unitals.plane
+
+    def refuse(q):
+        raise AssertionError("the design was built")
+
+    monkeypatch.setattr(unitals.plane, "hermitian_unital", refuse)
+    code, out, err = run(capsys, "subunital", "--q", "16")
+    assert (code, out, err) == (2, "", "error: subunital requires --p\n")
+
+
 def test_onan_exit_codes(capsys):
     code, out, _ = run(capsys, "onan", "--q", "2")
     assert code == 0

@@ -289,6 +289,31 @@ def test_onan_witness_before_a_transversal_sharing_two_points():
         onan_search(Incidence(8, [b for b in I.blocks if b != (2, 4, 5)]))
 
 
+@pytest.mark.parametrize("blocks,node,pair", [
+    # block 3 meets no block below it: the main loop reaches it after 4 nodes
+    ([(0, 1, 2), (0, 3, 4), (1, 3, 5), (6, 7, 8), (6, 7, 9)], 4, (3, 4)),
+    # the second block of the walked pair (0, 2)
+    ([(0, 1, 2), (0, 3, 4), (1, 5, 6), (5, 6, 7)], 2, (2, 3)),
+    # the third block (1,4,6) of the walked pair (0, 1), at node 4
+    ([(0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 4, 6), (4, 6, 7)], 4, (3, 4)),
+], ids=["first-block", "second-block", "third-block"])
+def test_onan_budget_runs_out_before_a_block_sharing_two_points(blocks, node, pair):
+    """Below the node at which the search reaches a block sharing two points
+    with another, every budget runs out first, as in the node-by-node
+    oracle; from that node on the search raises.  The oracle intersects
+    blocks pair by pair, so it raises on the same two blocks at a later node."""
+    I = Incidence(10, blocks)
+    for budget in range(1, node):
+        expected = OnanResult("budget-exhausted", None, None, budget + 1)
+        assert onan_search(I, budget) == onan_search_raw(I, budget) == expected
+    a, b = pair
+    for budget in (0, *range(node, node + 20)):
+        with pytest.raises(ValueError, match=f"^blocks {a} and {b} share more than one point$"):
+            onan_search(I, budget)
+    with pytest.raises(ValueError, match=f"^blocks {a} and {b} share 2 points$"):
+        onan_search_raw(I)
+
+
 def test_isomorphism_identity_and_relabel(h3):
     iso = isomorphism_search(h3, h3)
     assert iso == tuple(range(28))

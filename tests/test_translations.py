@@ -17,6 +17,7 @@ from helpers import (
     pg_design,
     pointwise_stabilizer,
     relabel,
+    sampled_centers,
     search_translations_raw,
     translation_transitivity_check_raw,
     translations_raw,
@@ -26,6 +27,7 @@ from unitals.incidence import Unital, parse_unital
 from unitals.gf import prime_power
 from unitals.plane import hermitian_unital
 from unitals.permgroup import (
+    PermGroup,
     compose,
     conjugate,
     fixed_points,
@@ -135,6 +137,30 @@ def test_generated_group_orders(atlas2, atlas3, atlas4):
     assert atlas2.group_for(2).order() == 18
     assert atlas3.group_for(3).order() == 6048
     assert atlas4.group_for(2).order() == 62400
+
+
+@pytest.mark.parametrize("design", ["h2", "h3", "h4", "h5", "fig", "pg3", "pg4"])
+def test_group_for_is_the_group_of_every_translation_of_its_order(design, request, monkeypatch):
+    """T[n] from ``generators(n)`` has the order of the group generated by
+    every order-n translation; PG(2, q) read as a design mixes orders.  On a
+    fresh atlas with one order, building T[n] transports no center."""
+    if design.startswith("pg"):
+        U = pg_design(int(design[2:]))
+    else:
+        U = request.getfixturevalue(design)
+        U = getattr(U, "unital", U)
+    atlas = build_atlas(U)
+    single = len(atlas.centers_by_order) == 1
+    assert single == (design not in ("pg3", "pg4"))
+    orders = {}
+    with monkeypatch.context() as m:
+        if single:
+            m.setattr(TranslationAtlas, "group", lambda self, c: pytest.fail("a center was built"))
+        for n in atlas.centers_by_order:
+            orders[n] = atlas.group_for(n).order()
+    for n in atlas.centers_by_order:
+        every = [p for _, p in atlas.translations_of_order(n)]
+        assert orders[n] == PermGroup(every, degree=U.v).order(), n
 
 
 def test_two_point_stabilizer_structure(atlas3):
@@ -564,16 +590,6 @@ def test_a_failing_block_representative_checks_every_block(h2, atlas2):
     expected = [(bid, blk) for bid, blk in enumerate(h2.blocks) if len(faulty.intersection(blk)) > 1]
     assert len(expected) == 4
     assert list(rep.block_failures) == expected and rep.blocks_checked == 12
-
-
-def sampled_centers(atlas: TranslationAtlas) -> list[int]:
-    """The searched centers, up to three of the deepest in the forest, and the last point."""
-    depth: dict[int, int] = {}
-    for y, (x, _) in atlas.edges.items():
-        depth[y] = depth.get(x, 0) + 1
-    deepest = [y for y, d in depth.items() if d == max(depth.values())][:3]
-    v = atlas.unital.v
-    return sorted({c for c in range(v) if c not in atlas.edges} | set(deepest) | {v - 1})
 
 
 @pytest.fixture(scope="module")
