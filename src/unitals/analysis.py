@@ -80,13 +80,14 @@ def subunital_analysis(U: Unital, atlas: TranslationAtlas, p: int) -> SubunitalR
     omega = atlas.centers_of_order(p)
     contained = any(omega <= bs for bs in U.block_sets)
     everywhere = omega == frozenset(range(U.v))
-    # restricted to every point, U keeps its blocks of two or more points:
-    # then pass U, whose pair table is built, and not a copy
+    # restricted to every point, U keeps its blocks of two or more points, so
+    # it is ideally embedded by definition: pass U, whose pair table is built
     if everywhere and all(len(b) >= 2 for b in U.blocks):
         sub = U
+        ideal, witness = True, None
     else:
         sub = restrict_to(U, omega)
-    ideal, witness = ideal_embedding_check(U, omega)
+        ideal, witness = ideal_embedding_check(U, omega)
 
     # Kernel of the order-p translation group T acting on the center set:
     # |T| over the order of T's image there (first isomorphism theorem).

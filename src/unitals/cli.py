@@ -207,18 +207,16 @@ def _center_doc(c: int, group) -> dict:
 
 
 def _cmd_translations(args) -> int:
-    from .permgroup import identity_perm, perm_order
     from .translations import build_atlas, translations_at
 
     U, desc = _load_input(args)
-    ident = identity_perm(U.v)
     if args.center is not None:
-        group = [(p, perm_order(p)) for p in translations_at(U, args.center) if p != ident]
+        group = translations_at(U, args.center)
         desc = dict(desc, center=args.center)
         _emit(args.out, "translations", desc, _center_doc(args.center, group))
         return 0
     atlas = build_atlas(U)
-    centers = [_center_doc(c, group) for c, group in enumerate(atlas.groups)]
+    centers = [_center_doc(c, atlas.group(c)) for c in range(U.v)]
     payload = dict(_atlas_summary(atlas), centers=centers)
     _emit(args.out, "translations", desc, payload)
     return 0

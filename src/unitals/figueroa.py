@@ -271,7 +271,8 @@ class FigueroaBundle(NamedTuple):
     alpha_unital: Perm  # twisting map restricted to the unital points
 
 
-def _build_bundle(q: int) -> FigueroaBundle:
+@lru_cache(maxsize=None)
+def figueroa_bundle(q: int = 2) -> FigueroaBundle:
     fig = build_figueroa_plane(q)
     pol = build_fig_polarity(fig)
     order = q**3
@@ -297,11 +298,6 @@ def _build_bundle(q: int) -> FigueroaBundle:
         hermitian_points=herm,
         alpha_unital=alpha_u,
     )
-
-
-@lru_cache(maxsize=None)
-def figueroa_bundle(q: int = 2) -> FigueroaBundle:
-    return _build_bundle(q)
 
 
 class FigueroaVerification(NamedTuple):
@@ -352,10 +348,10 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
     H = frozenset(bundle.hermitian_points)
     omega2 = atlas.centers_by_order.get(2, frozenset())
 
-    per_center = tuple(len(atlas.groups[c]) + 1 for c in sorted(H))
+    per_center = tuple(len(atlas.orders[c]) + 1 for c in sorted(H))
 
     h_invariant = all(restrict_perm(p, H) is not None
-                      for group in atlas.groups for p, _ in group)
+                      for c in range(U.v) for p, _ in atlas.group(c))
 
     if h_invariant and omega2:
         T2h = restrict_group(atlas.group_for(2), H)
@@ -379,7 +375,7 @@ def verify_figueroa_theorems(bundle: FigueroaBundle,
         center_count=len(omega2),
         omega2_equals_h=omega2 == H,
         mho_is_complement=atlas.trivial_centers == frozenset(range(U.v)) - H,
-        all_translations_involutions=all(n == 2 for group in atlas.groups for _, n in group),
+        all_translations_involutions=all(n == 2 for orders in atlas.orders for n in orders),
         per_center_orders_on_h=per_center,
         t2_order_on_h=t2_order,
         t2_transitive_on_h=transitive,

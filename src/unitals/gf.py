@@ -210,12 +210,6 @@ class Field:
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return hash((Field, self.p, self.e))
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, e: int = 1) -> Field:

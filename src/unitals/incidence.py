@@ -165,12 +165,6 @@ class Unital(Incidence):
             raise ValueError("unital order must be at least 2")
         self.q = q
 
-    def pencil(self, c: int) -> tuple[int, ...]:
-        """Ids of all blocks through c."""
-        if not 0 <= c < self.v:
-            raise ValueError(f"point {c} out of range")
-        return self.point_blocks[c]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Unital)

@@ -69,6 +69,7 @@ from .permgroup import (
     orbit,
     perm_cycles,
     perm_order,
+    validate_perm,
 )
 
 __all__ = [
@@ -97,10 +98,7 @@ def smallest_prime_factor(n: int) -> int:
 
 def is_translation(U: Unital, perm, c: int) -> bool:
     """Automorphism fixing c and each block through c setwise."""
-    pi = tuple(perm)
-    v = U.v
-    if len(pi) != v or sorted(pi) != list(range(v)):
-        raise ValueError("not a permutation of the point set")
+    pi = validate_perm(perm, U.v)
     return _fixes_pencil(U, pi, c) and carries_blocks(U, pi, U)
 
 
@@ -109,7 +107,7 @@ def _fixes_pencil(U: Unital, pi: Perm, c: int) -> bool:
     block_sets = U.block_sets
     image_of = pi.__getitem__
     return pi[c] == c and all(block_sets[bid].issuperset(map(image_of, U.blocks[bid]))
-                              for bid in U.pencil(c))
+                              for bid in U.point_blocks[c])
 
 
 def _line_signature(line_of: list[int], blk: tuple[int, ...]) -> frozenset[int]:
@@ -118,9 +116,9 @@ def _line_signature(line_of: list[int], blk: tuple[int, ...]) -> frozenset[int]:
 
 
 def _search_translations(U: Unital, c: int) -> list[Perm]:
-    """The identity and every other complete candidate the star construction
-    builds at center c (see the module docstring); ``translations_at``
-    verifies the others."""
+    """Every complete candidate the star construction builds at center c (see
+    the module docstring), the identity among them unless its branch was
+    skipped; ``translations_at`` verifies the others."""
     v = U.v
     blocks = U.blocks
     block_sets = U.block_sets
@@ -251,7 +249,6 @@ def _search_translations(U: Unital, c: int) -> list[Perm]:
         for w in blocks[line_of[z]]:
             if pre[w] == -1:
                 if w == z and not trail and only_identity_fixes(z):
-                    results.append(tuple(range(v)))
                     continue
                 mark = len(trail)
                 img[z] = w
@@ -264,13 +261,14 @@ def _search_translations(U: Unital, c: int) -> list[Perm]:
     return results
 
 
-def translations_at(U: Unital, c: int) -> list[Perm]:
-    """The group of all translations with center c, identity included.
+def translations_at(U: Unital, c: int) -> list[tuple[Perm, int]]:
+    """The group of all translations with center c, as (translation, order)
+    pairs in ascending order, identity left out.
 
     Exhaustive: the star construction (see the module docstring) builds each
     candidate from one point's image and the c-lines its blocks meet,
-    branching where a block has several possible images, and keeps every
-    candidate but the identity only if ``is_translation`` accepts it.  It
+    branching where a block has several possible images, and keeps each
+    candidate other than the identity that ``is_translation`` accepts.  It
     reads block images off the pair table, so a point sharing no block with
     c, or a pair of points on two blocks, is a ``ValueError`` (checked in
     that order).
@@ -286,8 +284,8 @@ def translations_at(U: Unital, c: int) -> list[Perm]:
     if double is not None:
         raise ValueError(f"pair {double} lies on more than one block")
     ident = identity_perm(v)
-    return sorted(p for p in _search_translations(U, c)
-                  if p == ident or is_translation(U, p, c))
+    return sorted((p, perm_order(p)) for p in _search_translations(U, c)
+                  if p != ident and is_translation(U, p, c))
 
 
 class TranslationAtlas:
@@ -299,7 +297,7 @@ class TranslationAtlas:
     its pairs from its parent's when first read (``group``).  An atlas made
     from a full table has no edges: every center counts as searched."""
 
-    def __init__(self, unital: Unital, groups: Sequence[Optional[tuple[tuple[Perm, int], ...]]],
+    def __init__(self, unital: Unital, groups: Sequence[Optional[Sequence[tuple[Perm, int]]]],
                  edges: Optional[dict[int, tuple[int, Perm]]] = None):
         self.unital = unital
         self._groups = list(groups)  # None at a center with an edge until it is built
@@ -309,7 +307,7 @@ class TranslationAtlas:
         for y, (x, _) in self.edges.items():
             self.orders[y] = self.orders[x]
 
-    def group(self, c: int) -> tuple[tuple[Perm, int], ...]:
+    def group(self, c: int) -> Sequence[tuple[Perm, int]]:
         """c's (translation, order) pairs.  A center not yet built gets
         {gσg⁻¹ : σ at its parent} for its edge's generator g, after its
         ancestors, and each gσg⁻¹ is checked on the center's pencil."""
@@ -318,7 +316,7 @@ class TranslationAtlas:
             path.append(self.edges[path[-1]][0])
         for y in reversed(path[:-1]):
             x, g = self.edges[y]
-            group = tuple(sorted((conjugate(sigma, g), n) for sigma, n in self._groups[x]))
+            group = sorted((conjugate(sigma, g), n) for sigma, n in self._groups[x])
             for p, _ in group:
                 if not _fixes_pencil(self.unital, p, y):
                     raise RuntimeError(
@@ -326,13 +324,6 @@ class TranslationAtlas:
                     )
             self._groups[y] = group
         return self._groups[c]
-
-    @cached_property
-    def groups(self) -> tuple[tuple[tuple[Perm, int], ...], ...]:
-        """Every center's pairs, built in one pass in forest order."""
-        for y in self.edges:
-            self.group(y)
-        return tuple(self._groups)
 
     @cached_property
     def searched(self) -> list[tuple[int, Perm, int]]:
@@ -376,7 +367,7 @@ class TranslationAtlas:
 
     def translations_of_order(self, n: int) -> list[tuple[int, Perm]]:
         """(center, permutation) pairs for all order-n translations."""
-        return [(c, p) for c, group in enumerate(self.groups) for p, m in group if m == n]
+        return [(c, p) for c in range(self.unital.v) for p, m in self.group(c) if m == n]
 
     def group_for(self, n: int) -> PermGroup:
         """T[n]: the group generated by all order-n translations, on ``generators(n)``."""
@@ -394,8 +385,7 @@ def build_atlas(U: Unital) -> TranslationAtlas:
     translations are built when first read (``TranslationAtlas.group``).
     """
     v = U.v
-    ident = identity_perm(v)
-    groups: list[Optional[tuple[tuple[Perm, int], ...]]] = [None] * v
+    groups: list[Optional[Sequence[tuple[Perm, int]]]] = [None] * v
     edges: dict[int, tuple[int, Perm]] = {}  # covered point -> (parent, generator)
     order: list[int] = []  # covered points, each after its parent
     gens: list[Perm] = []
@@ -409,7 +399,7 @@ def build_atlas(U: Unital) -> TranslationAtlas:
     for c in range(v):
         if c in edges:
             continue
-        groups[c] = tuple((p, perm_order(p)) for p in translations_at(U, c) if p != ident)
+        groups[c] = translations_at(U, c)
         old_points, old_gens = len(order), len(gens)
         order.append(c)
         gens.extend(p for p, _ in groups[c])

@@ -130,7 +130,7 @@ def is_translation_raw(U: Unital, perm, c: int) -> bool:
         raise ValueError("not a permutation of the point set")
     if pi[c] != c or not carries_blocks_raw(U, pi, U):
         return False
-    for bid in U.pencil(c):
+    for bid in U.point_blocks[c]:
         blk = U.blocks[bid]
         if frozenset(pi[x] for x in blk) != frozenset(blk):
             return False
@@ -141,7 +141,7 @@ def translations_raw(U: Unital, c: int) -> list[tuple[int, ...]]:
     """All translations with center c, identity included, by brute force:
     every permutation that fixes c and permutes the other points of each
     block through c among themselves, kept if it passes the definition."""
-    pencil = [[x for x in U.blocks[bid] if x != c] for bid in U.pencil(c)]
+    pencil = [[x for x in U.blocks[bid] if x != c] for bid in U.point_blocks[c]]
     found = []
     for images in product(*(permutations(pts) for pts in pencil)):
         perm = list(range(U.v))
@@ -151,6 +151,17 @@ def translations_raw(U: Unital, c: int) -> list[tuple[int, ...]]:
         if is_translation_raw(U, perm, c):
             found.append(tuple(perm))
     return sorted(found)
+
+
+def as_pairs(perms) -> list[tuple[tuple[int, ...], int]]:
+    """Permutations in the format of ``translations_at``: distinct
+    (translation, order) pairs in ascending order, identity left out."""
+    return sorted((p, n) for p in set(perms) if (n := perm_order(p)) > 1)
+
+
+def atlas_groups(atlas: TranslationAtlas) -> list:
+    """Every center's (translation, order) pairs, read through ``group``."""
+    return [atlas.group(c) for c in range(atlas.unital.v)]
 
 
 def search_translations_raw(U: Unital, c: int) -> list[tuple[int, ...]]:

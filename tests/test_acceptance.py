@@ -82,7 +82,7 @@ def test_c02_order_two_structure(h2, atlas2):
     assert not is_two_transitive(G)
     assert len(orbits(_block_action(h2, G).elements(), range(len(h2.blocks)))) == 4
 
-    report = generalized_dihedral_check(G, atlas2.groups[0][0][0])
+    report = generalized_dihedral_check(G, atlas2.group(0)[0][0])
     assert report.ok
     assert report.m_order == 9 and report.m_regular and report.m_abelian
 
@@ -91,7 +91,7 @@ def test_c03_translation_axioms(atlas2, atlas3, atlas4, atlas5, fig_atlas):
     for atlas in (atlas2, atlas3, atlas4, atlas5, fig_atlas):
         p, _ = prime_power(atlas.unital.q)
         for c in range(atlas.unital.v):
-            perms = [sigma for sigma, _ in atlas.groups[c]]
+            perms = [sigma for sigma, _ in atlas.group(c)]
             for sigma in perms:
                 assert fixed_points(sigma) == (c,)
                 n = perm_order(sigma)

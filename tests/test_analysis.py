@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import unitals.analysis
 import unitals.figueroa
 import unitals.plane
 from unitals.analysis import (
@@ -10,6 +13,7 @@ from unitals.analysis import (
     subunital_analysis,
 )
 from helpers import pointwise_stabilizer, relabel, report_doc_raw
+from unitals.cli import main
 from unitals.figueroa import verify_figueroa_theorems
 from unitals.incidence import Unital
 from unitals.permgroup import PermGroup, perm_order
@@ -20,7 +24,7 @@ from unitals.translations import TranslationAtlas, translation_transitivity_chec
 def pruned_atlas(h2, atlas2, centers):
     """Atlas pruned so only the given centers keep their translations."""
     return TranslationAtlas(unital=h2, groups=tuple(
-        atlas2.groups[c] if c in centers else () for c in range(h2.v)))
+        atlas2.group(c) if c in centers else () for c in range(h2.v)))
 
 
 def collinear_center_atlas(h2, atlas2):
@@ -67,7 +71,7 @@ class TestSubunital:
         """The kernel order, |T| over the order of T's image on the center
         set, against the elements of T that fix every center."""
         # center 0's one involution alone: T = ⟨σ⟩ fixes its center set {0}
-        ((sigma, _),) = atlas2.groups[0]
+        ((sigma, _),) = atlas2.group(0)
         assert perm_order(sigma) == 2
         for U, atlas, kernel in (
             (fig.unital, fig_atlas, 1),
@@ -196,7 +200,7 @@ def test_arithmetic_exclusion():
 class TestSharpTransitivity:
     def test_translation_group_on_its_centers(self, atlas2):
         rep = sharply_transitive_suite(
-            atlas2.group_for(2), range(9), atlas2.groups[0][0][0]
+            atlas2.group_for(2), range(9), atlas2.group(0)[0][0]
         )
         assert rep.preconditions_ok and rep.failed_preconditions == ()
         assert rep.m_order == 9 and rep.m_abelian and rep.m_regular
@@ -249,6 +253,35 @@ def test_every_hermitian_check_goes_through_one_routine(monkeypatch, h2, atlas2,
     assert calls[1] is h2  # Ω₂ is every point: the design itself, not its copy
     assert verify_figueroa_theorems(fig, fig_atlas).subunital_isomorphic_to_hermitian
     assert [D.v for D in calls] == [9, 9, 9]
+
+
+def test_ideal_embedding_holds_by_definition_when_every_point_is_a_center(
+        monkeypatch, capsys, fig, fig_atlas):
+    """Where Ω_p is every point of a unital, the restriction is U itself, so
+    ``check-lemmas`` and ``subunital`` on H(2)–H(4) report an ideal
+    embedding without the check; the Figueroa battery, where Ω₂ is 9 of
+    513 points, still runs it and finds a witness."""
+    real = unitals.analysis.ideal_embedding_check
+
+    def refuse(U, subset):
+        raise AssertionError("ideal_embedding_check was called")
+
+    monkeypatch.setattr(unitals.analysis, "ideal_embedding_check", refuse)
+    for q, p in ((2, 2), (3, 3), (4, 2)):
+        for argv, path in ((["check-lemmas"], ["subunital", str(p)]),
+                           (["subunital", "--p", str(p)], ["subunital"])):
+            assert main([*argv, "--q", str(q)]) == 0
+            report = json.loads(capsys.readouterr().out)["payload"]
+            for key in path:
+                report = report[key]
+            assert (report["ideally_embedded"], report["embedding_witness"]) == (True, None)
+
+    calls = []
+    monkeypatch.setattr(unitals.analysis, "ideal_embedding_check",
+                        lambda U, subset: calls.append(len(subset)) or real(U, subset))
+    sub = lemma_battery(fig.unital, fig_atlas)["subunital"]["2"]
+    assert calls == [9]
+    assert not sub.ideally_embedded and sub.embedding_witness is not None
 
 
 def test_battery_reports_failed_suite_hypotheses_as_not_applicable(h2, atlas2):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -155,15 +156,43 @@ def test_check_lemmas_transports_one_block_at_most(capsys, monkeypatch):
     assert 0 < len(calls) <= 8 * 6
 
 
-@pytest.mark.parametrize("design", ["q2", "q3", "pg3", "h4_relabelled"])
-def test_single_center_report_is_the_atlas_entry(capsys, tmp_path, h4, design):
+def test_translations_report_conjugates_each_transported_translation_once(capsys, monkeypatch,
+                                                                           atlas5):
+    """The report reads every center's group once, so each translation at
+    a center with a forest edge is conjugated exactly once: by its edge's
+    generator, from its parent's translation of the same order."""
+    import unitals.translations
+
+    expected = [(sigma, g) for x, g in atlas5.edges.values() for sigma, _ in atlas5.group(x)]
+    assert len(expected) == 4 * len(atlas5.edges) > 0
+    calls = []
+    real = unitals.translations.conjugate
+    monkeypatch.setattr(unitals.translations, "conjugate",
+                        lambda p, by: calls.append((p, by)) or real(p, by))
+    code, _, _ = run(capsys, "translations", "--q", "5")
+    assert code == 0
+    assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("design", ["q2", "q3", "pg3", "h4_relabelled", "fig"])
+def test_single_center_report_is_the_atlas_entry(capsys, monkeypatch, tmp_path, h4, design,
+                                                 request):
     """``translations --center c`` writes the entry that the atlas report
-    writes for c, at every center; PG(2, 3) mixes orders 2 and 3."""
+    writes for c, at every center; PG(2, 3) mixes orders 2 and 3, and the
+    Figueroa unital has centers transported from a searched one and
+    centers with no translation.  A file is parsed once and its unital
+    reused, so each of the 513 Figueroa runs costs only its search."""
+    import unitals.incidence
+
     if design.startswith("q"):
         source = ["--q", design[1:]]
     else:
+        monkeypatch.setattr(unitals.incidence, "read_unital",
+                            functools.lru_cache(maxsize=None)(unitals.incidence.read_unital))
         if design == "pg3":
             text = PG3_TXT
+        elif design == "fig":
+            text = format_unital(request.getfixturevalue("fig").unital)
         else:
             perm = list(range(h4.v))
             random.Random(2022).shuffle(perm)

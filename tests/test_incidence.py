@@ -85,7 +85,7 @@ def test_unital_pair_lookup(h3):
         for y in range(x + 1, h3.v):
             bid = block_through(h3, x, y)
             assert x in h3.blocks[bid] and y in h3.blocks[bid]
-    assert len(h3.pencil(0)) == 9  # q^2 blocks through a point
+    assert len(h3.point_blocks[0]) == 9  # q^2 blocks through a point
     with pytest.raises(ValueError):
         block_through(h3, 0, 0)
 
@@ -529,7 +529,7 @@ def test_invariants_match_all_pairs_signatures(design, request):
 def test_carries_blocks_matches_sorted_tuple_lookup(h3, atlas3):
     rng = random.Random(11)
     perms = [tuple(rng.sample(range(28), 28)) for _ in range(200)]
-    autos = [p for group in atlas3.groups for p, _ in group]
+    autos = [p for c in range(h3.v) for p, _ in atlas3.group(c)]
     g = tuple(rng.sample(range(28), 28))
     other = relabel(h3, g)
     for perm in perms + autos:

@@ -9,6 +9,8 @@ from helpers import (
     ag23_doubled,
     ag23_unital,
     agl23_elements,
+    as_pairs,
+    atlas_groups,
     constant_intersection_check_raw,
     failure_table_atlas,
     hermitian_transvections,
@@ -68,7 +70,7 @@ def test_search_agrees_with_brute_force_over_affine_group():
     affine = agl23_elements()
     for c in (0, 4, 8):
         expected = sorted(g for g in affine if is_translation(U, g, c))
-        assert translations_at(U, c) == expected
+        assert translations_at(U, c) == as_pairs(expected)
         assert len(expected) == 2
 
 
@@ -76,7 +78,7 @@ def test_is_translation_raw_definition(h2, atlas2):
     ident = identity_perm(9)
     for c in range(9):
         assert is_translation(h2, ident, c)
-        sigma = atlas2.groups[c][0][0]
+        sigma = atlas2.group(c)[0][0]
         assert is_translation(h2, sigma, c)
         # moving the center is disqualifying
         other = next(x for x in range(9) if sigma[x] != x and x != c)
@@ -91,7 +93,7 @@ def test_translations_form_a_group(atlas2, atlas3):
     for atlas in (atlas2, atlas3):
         v = atlas.unital.v
         for c in range(v):
-            group = {p for p, _ in atlas.groups[c]} | {identity_perm(v)}
+            group = {p for p, _ in atlas.group(c)} | {identity_perm(v)}
             for a in group:
                 assert inverse(a) in group
                 for b in group:
@@ -100,14 +102,14 @@ def test_translations_form_a_group(atlas2, atlas3):
 
 def test_fixed_points_are_exactly_the_center(atlas3):
     for c in range(28):
-        for sigma, _ in atlas3.groups[c]:
+        for sigma, _ in atlas3.group(c):
             assert fixed_points(sigma) == (c,)
 
 
 def test_orders_are_characteristic_powers(atlas2, atlas3, atlas4, atlas5):
     for atlas in (atlas2, atlas3, atlas4, atlas5):
         p, _ = prime_power(atlas.unital.q)
-        for group in atlas.groups:
+        for group in atlas_groups(atlas):
             for sigma, _ in group:
                 n = perm_order(sigma)
                 while n % p == 0:
@@ -121,7 +123,7 @@ def test_orders_are_characteristic_powers(atlas2, atlas3, atlas4, atlas5):
 )
 def test_translation_group_sizes(q, per_center, total_orders, request):
     atlas = request.getfixturevalue(f"atlas{q}")
-    assert all(len(group) + 1 == per_center for group in atlas.groups)
+    assert all(len(group) + 1 == per_center for group in atlas_groups(atlas))
     assert {n: len(s) for n, s in atlas.centers_by_order.items()} == total_orders
     assert atlas.trivial_centers == frozenset()
 
@@ -185,8 +187,8 @@ def test_search_matches_brute_force_oracle(h2):
     for U in (h2, ag23_unital(), pg_design(2), pg_design(3)):
         for c in range(U.v):
             if U.v == 9:
-                assert [len(U.blocks[bid]) for bid in U.pencil(c)] == [3] * 4  # 2!^4 maps
-            assert translations_at(U, c) == translations_raw(U, c)
+                assert [len(U.blocks[bid]) for bid in U.point_blocks[c]] == [3] * 4  # 2!^4 maps
+            assert translations_at(U, c) == as_pairs(translations_raw(U, c))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -196,8 +198,8 @@ def test_translations_of_a_projective_plane_are_its_central_collineations(q):
     elations, each fixing its axis (a line through c) and nothing else, and
     q²(q − 2) homologies, each fixing c and its axis (a line not through c)."""
     group = translations_at(pg_design(q), 0)
-    assert len(group) == q * q * (q - 1)
-    assert sum(len(fixed_points(p)) == q + 1 for p in group) == q * q - 1
+    assert len(group) + 1 == q * q * (q - 1)
+    assert sum(len(fixed_points(p)) == q + 1 for p, _ in group) == q * q - 1
 
 
 def test_branches_are_pruned_on_a_projective_plane():
@@ -216,7 +218,7 @@ def test_branches_are_pruned_on_a_projective_plane():
             return list.__getitem__(self, i)
 
     U.__dict__["pair_table"] = CountingTable(U.pair_table)
-    assert len(translations_at(U, 0)) == 448
+    assert len(translations_at(U, 0)) + 1 == 448
     assert reads < 500_000
 
 
@@ -233,8 +235,8 @@ def test_search_matches_brute_force_on_partial_linear_spaces(h2):
         rng.shuffle(g)
         U = relabel(Unital(9, blocks, 2), g)
         group = translations_at(U, g[c])
-        assert group == translations_raw(U, g[c])
-        fixing += any(len(fixed_points(p)) > 1 for p in group[1:])
+        assert group == as_pairs(translations_raw(U, g[c]))
+        fixing += any(len(fixed_points(p)) > 1 for p, _ in group)
     assert fixing > 0
 
 
@@ -247,9 +249,8 @@ def test_stars_with_several_images_are_branched(design, request, monkeypatch):
 
     U = request.getfixturevalue(design)
     monkeypatch.setattr(tr, "_line_signature", lambda line_of, blk: frozenset())
-    ident = identity_perm(U.v)
     for c in range(U.v):
-        assert translations_at(U, c) == sorted({ident, *search_translations_raw(U, c)})
+        assert translations_at(U, c) == as_pairs(search_translations_raw(U, c))
 
 
 def test_relabeling_conjugates_translations(h3, atlas3):
@@ -257,9 +258,9 @@ def test_relabeling_conjugates_translations(h3, atlas3):
     assert sorted(g) == list(range(28))
     other = relabel(h3, g)
     for c in (0, 13):
-        expected = sorted(conjugate(sigma, g) for sigma, _ in atlas3.groups[c])
+        expected = sorted((conjugate(sigma, g), n) for sigma, n in atlas3.group(c))
         moved = translations_at(other, g[c])
-        assert [p for p in moved if p != identity_perm(28)] == expected
+        assert moved == expected
 
 
 def test_is_translation_matches_raw_definition_on_affine_maps():
@@ -281,8 +282,8 @@ def test_is_translation_matches_raw_definition_on_random_permutations(h3, atlas3
     rng = random.Random(7)
     perms = [tuple(rng.sample(range(28), 28)) for _ in range(200)]
     # automorphisms: translations and products of translations at two centers
-    perms += [p for c in range(28) for p, _ in atlas3.groups[c]]
-    perms += [compose(atlas3.groups[0][0][0], atlas3.groups[c][0][0]) for c in range(1, 28)]
+    perms += [p for c in range(28) for p, _ in atlas3.group(c)]
+    perms += [compose(atlas3.group(0)[0][0], atlas3.group(c)[0][0]) for c in range(1, 28)]
     for perm in perms:
         # a random permutation seldom fixes the point it is tested at, so
         # test it at a fixed point too when it has one
@@ -299,11 +300,30 @@ def test_atlas_matches_per_center_search(design, request):
     U = request.getfixturevalue(design)
     U = getattr(U, "unital", U)
     atlas = build_atlas(U)
-    ident = identity_perm(U.v)
     for c in range(U.v):
         group = translations_at(U, c)
-        assert group == sorted({ident, *search_translations_raw(U, c)})
-        assert [p for p, _ in atlas.groups[c]] == [p for p in group if p != ident]
+        assert group == as_pairs(search_translations_raw(U, c))
+        assert atlas.group(c) == group
+
+
+@pytest.mark.parametrize("design", ["h3", "h5_relabelled", "fig_relabelled", "pg3"])
+def test_atlas_stores_the_search_result_unchanged(design, request, monkeypatch):
+    """At each searched center the atlas keeps the very list that
+    ``translations_at`` returned, and reads it back through ``group``."""
+    import unitals.translations as tr
+
+    if design == "pg3":
+        U = pg_design(3)
+    else:
+        U = request.getfixturevalue(design)
+    returned = {}
+    search = tr.translations_at
+    monkeypatch.setattr(tr, "translations_at",
+                        lambda U, c: returned.setdefault(c, search(U, c)))
+    atlas = build_atlas(U)
+    assert sorted(returned) == [c for c in range(U.v) if c not in atlas.edges]
+    for c, group in returned.items():
+        assert atlas.group(c) is group
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +339,9 @@ def test_every_atlas_entry_is_a_translation(design, request):
     on its center's pencil only; here every entry gets the full definition."""
     U = request.getfixturevalue(design)
     atlas = build_atlas(U)
-    assert sum(map(len, atlas.groups)) > 0
-    for c, group in enumerate(atlas.groups):
+    groups = atlas_groups(atlas)
+    assert sum(map(len, groups)) > 0
+    for c, group in enumerate(groups):
         for sigma, _ in group:
             assert is_translation(U, sigma, c)
 
@@ -340,11 +361,12 @@ def test_carried_orders_match_perm_order(design, request):
         U = request.getfixturevalue(design)
         U = getattr(U, "unital", U)
     atlas = build_atlas(U)
-    assert len(atlas.groups) == U.v
-    for group in atlas.groups:
+    groups = atlas_groups(atlas)
+    assert len(atlas.orders) == U.v
+    for group in groups:
         assert [n for _, n in group] == [perm_order(p) for p, _ in group]
     if design.startswith("pg"):
-        assert all(len({n for _, n in group}) == 2 for group in atlas.groups)
+        assert all(len({n for _, n in group}) == 2 for group in groups)
 
 
 @pytest.mark.parametrize("design", ["h3", "h5_relabelled"])
@@ -359,7 +381,7 @@ def test_transport_by_the_wrong_conjugate_is_caught(design, request, monkeypatch
     monkeypatch.setattr(tr, "conjugate", lambda p, by: conjugate(p, inverse(by)))
     atlas = build_atlas(U)
     with pytest.raises(RuntimeError, match="transport produced a non-translation"):
-        atlas.groups
+        atlas_groups(atlas)
 
 
 def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, capsys):
@@ -370,7 +392,7 @@ def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, caps
     import unitals.translations as tr
 
     calls = []
-    # the CLI imports perm_order from permgroup when a command runs
+    # permgroup's own callers are counted too
     for module in (tr, pg):
         monkeypatch.setattr(module, "perm_order", lambda p: calls.append(p) or perm_order(p))
     atlas = build_atlas(h3)
@@ -378,12 +400,13 @@ def test_orders_are_computed_only_on_searched_translations(h3, monkeypatch, caps
         atlas.translations_of_order(n)
     atlas.group_for(3)
     assert atlas.centers_by_order == {3: frozenset(range(28))}
-    assert [[n for _, n in group] for group in atlas.groups] == [[3, 3]] * 28
+    groups = atlas_groups(atlas)
+    assert [[n for _, n in group] for group in groups] == [[3, 3]] * 28
     assert len(calls) == 6
-    searched = [c for c, group in enumerate(atlas.groups) if {p for p, _ in group} <= set(calls)]
+    searched = [c for c, group in enumerate(groups) if {p for p, _ in group} <= set(calls)]
     assert len(searched) == 3 and searched[0] == 0
-    assert sorted(calls) == sorted(p for c in searched for p, _ in atlas.groups[c])
-    # the translations report reads the atlas's table
+    assert sorted(calls) == sorted(p for c in searched for p, _ in groups[c])
+    # the translations report reads the atlas's groups
     calls.clear()
     assert cli.main(["translations", "--q", "3"]) == 0
     assert len(calls) == 6 and '"order": 3' in capsys.readouterr().out
@@ -449,7 +472,7 @@ def test_congruence_check_reports_each_failure_kind(h2):
     (see ``failure_table_atlas``).  Each failure names the first failing
     cycle."""
     atlas = failure_table_atlas(h2)
-    orders = tuple(tuple(n for _, n in group) for group in atlas.groups)
+    orders = tuple(tuple(n for _, n in group) for group in atlas_groups(atlas))
     assert orders == ((2,), (2,), (6,), (2,), (), (2,), (), (), ())
 
     rep = orbit_congruence_check(atlas, 2)
@@ -555,8 +578,8 @@ def test_a_searched_generator_that_moves_the_center_set_forces_the_full_walk(h3,
     the two blocks through 0 and these points.  σ keeps every rule, but g
     does not preserve Ω₃, and the six transported translations, centered
     on one of the blocks, move the other: the check must test them."""
-    sigma = atlas3.groups[0][0][0]
-    g = compose(atlas3.groups[1][0][0], atlas3.groups[4][0][0])
+    sigma = atlas3.group(0)[0][0]
+    g = compose(atlas3.group(1)[0][0], atlas3.group(4)[0][0])
     groups = [()] * 28
     groups[0] = ((sigma, 3),)
     groups[1] = ((g, 2),)
