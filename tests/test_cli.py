@@ -322,6 +322,34 @@ def test_nonexistent_file(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+USAGE_ERRORS = [
+    (["validate", "--in", "A", "A"], "expected exactly one --in path here"),
+    (["onan", "--in", "A", "A"], "expected exactly one --in path here"),
+    (["omega"], "one of --in or --q is required"),
+    (["check-lemmas"], "one of --in or --q is required"),
+    (["omega", "--in", "A", "--q", "2"], "omega takes --in or --q, not both"),
+    (["build-figueroa"],
+     "build-figueroa requires --out (unital file; a .json sidecar is written next to it)"),
+    (["subunital", "--q", "2"], "subunital requires --p"),
+    (["subunital", "--q", "2", "--p", "3"], "no translations of order 3"),
+    (["isomorphic", "--in", "A"], "isomorphic needs two --in paths, or one --in path and --q"),
+    (["isomorphic", "--in", "A", "A", "--q", "2"],
+     "isomorphic needs two --in paths, or one --in path and --q"),
+    (["translations", "--q", "2", "--center", "99"], "center 99 out of range"),
+    (["validate", "--in", "missing"], "[Errno 2] No such file or directory: 'missing'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=["-".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_lines(capsys, monkeypatch, tmp_path, h2_file, argv, message):
+    """Every usage or input error exits 2 with one exact stderr line and no stdout."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A").write_text(h2_file.read_text())
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_check_lemmas(capsys):
     code, out, _ = run(capsys, "check-lemmas", "--q", "2")
     assert code == 0
