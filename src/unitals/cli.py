@@ -24,21 +24,15 @@ if TYPE_CHECKING:
     from .incidence import Unital
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_input(args) -> tuple[Unital, dict]:
     """The unital named by --in (a file) or --q (reference hermitian).
     Only ``validate`` takes both: there --q is the order to check against."""
     path = args.infile
     if path:
         if len(path) != 1:
-            raise CliError("expected exactly one --in path here")
+            raise ValueError("expected exactly one --in path here")
         if args.q is not None and args.command != "validate":
-            raise CliError(f"{args.command} takes --in or --q, not both")
+            raise ValueError(f"{args.command} takes --in or --q, not both")
         from .incidence import read_unital
         u = read_unital(path[0])
         return u, {"in": path[0]}
@@ -46,7 +40,7 @@ def _load_input(args) -> tuple[Unital, dict]:
     if q is not None:
         from .plane import hermitian_unital
         return hermitian_unital(q), {"q": q}
-    raise CliError("one of --in or --q is required")
+    raise ValueError("one of --in or --q is required")
 
 
 _PIECE = 1 << 16  # characters gathered before each write
@@ -156,7 +150,7 @@ def _cmd_build_figueroa(args) -> int:
     from .translations import build_atlas
 
     if not args.out:
-        raise CliError("build-figueroa requires --out (unital file; a .json sidecar is written next to it)")
+        raise ValueError("build-figueroa requires --out (unital file; a .json sidecar is written next to it)")
     bundle = figueroa_bundle(args.q)
     Path(args.out).write_text(format_unital(bundle.unital))
 
@@ -245,13 +239,10 @@ def _cmd_subunital(args) -> int:
     from .translations import build_atlas
 
     if args.p is None:
-        raise CliError("subunital requires --p")
+        raise ValueError("subunital requires --p")
     U, desc = _load_input(args)
     atlas = build_atlas(U)
-    try:
-        report = subunital_analysis(U, atlas, args.p)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = subunital_analysis(U, atlas, args.p)
     constant = None if report.contained_in_block else constant_intersection_check(U, atlas, args.p)
     desc = dict(desc, p=args.p)
     _emit(args.out, "subunital", desc,
@@ -284,7 +275,7 @@ def _cmd_isomorphic(args) -> int:
         B = hermitian_unital(args.q)
         desc = {"in": paths[0], "q": args.q}
     else:
-        raise CliError("isomorphic needs two --in paths, or one --in path and --q")
+        raise ValueError("isomorphic needs two --in paths, or one --in path and --q")
     iso = isomorphism_search(A, B)
     payload = {
         "isomorphic": iso is not None,
@@ -394,9 +385,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import itertools
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Incidence",
@@ -138,16 +138,6 @@ class Incidence:
             break
         return tbl, double, missing
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Incidence)
-            and self.v == other.v
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.v, self.blocks))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(v={self.v}, blocks={len(self.blocks)})"
 
@@ -164,16 +154,6 @@ class Unital(Incidence):
         if q < 2:
             raise ValueError("unital order must be at least 2")
         self.q = q
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Unital)
-            and self.q == other.q
-            and Incidence.__eq__(self, other)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.v, self.blocks, self.q))
 
 
 def carries_blocks(A: Incidence, perm: Sequence[int], B: Incidence) -> bool:
@@ -634,21 +614,28 @@ def isomorphism_search(A: Incidence, B: Incidence):
                     break
         return None if best is None else (best, candidates(best))
 
-    def search() -> bool:
-        nxt = next_point()
+    # depth-first, one level per chosen point: the point, an iterator over
+    # its untried candidates, and the trail mark its assignments undo to
+    levels: list[tuple[int, Iterator[int], int]] = []
+    nxt = next_point()
+    while True:
         if nxt is None:
-            return carries_blocks(A, img, B)
-        u, cs = nxt
-        for w in cs:
-            mark = len(trail)
-            if assign(u, w) and search():
-                return True
+            if carries_blocks(A, img, B):
+                return tuple(img)
+        else:
+            u, cs = nxt
+            levels.append((u, iter(cs), len(trail)))
+        while levels:  # the next candidate that assigns, backing up when a level runs out
+            u, untried, mark = levels[-1]
             undo(mark)
-        return False
-
-    if search():
-        return tuple(img)
-    return None
+            w = next(untried, None)
+            if w is None:
+                levels.pop()
+            elif assign(u, w):
+                break
+        else:
+            return None
+        nxt = next_point()
 
 
 # -- text format ---------------------------------------------------------------

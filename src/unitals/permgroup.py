@@ -115,16 +115,11 @@ def orbit(generators: Sequence[Perm], x: int) -> frozenset[int]:
 class PermGroup:
     """⟨generators⟩ with a stabilizer chain."""
 
-    def __init__(self, generators: Iterable[Sequence[int]], degree: Optional[int] = None):
-        gens = [tuple(g) for g in generators]
-        if degree is None:
-            if not gens:
-                raise ValueError("degree is required for a trivial group")
-            degree = len(gens[0])
+    def __init__(self, generators: Iterable[Sequence[int]], degree: int):
         self.degree = degree
         ident = identity_perm(degree)
         self._identity = ident
-        cleaned = sorted({validate_perm(g, degree) for g in gens} - {ident})
+        cleaned = sorted({validate_perm(g, degree) for g in generators} - {ident})
         self.generators: tuple[Perm, ...] = tuple(cleaned)
         self._base: list[int] = []
         self._gens_at: list[list[Perm]] = []

@@ -109,23 +109,23 @@ def test_mulclose_s3():
     ],
 )
 def test_group_order_matches_closure(gens, order):
-    G = PermGroup(gens)
+    G = PermGroup(gens, degree=len(gens[0]))
     assert G.order() == order == len(mulclose(gens))
     assert set(G.elements()) == mulclose(gens)
 
 
 def test_membership():
-    G = PermGroup(A4_GENS)
+    G = PermGroup(A4_GENS, degree=4)
     assert (1, 0, 3, 2) in G  # double transposition is even
     assert (1, 0, 2, 3) not in G  # a transposition is odd
 
 
 def test_orbits_and_transitivity():
-    G = PermGroup(C6_GEN)
+    G = PermGroup(C6_GEN, degree=6)
     assert orbit(G.generators, 0) == frozenset(range(6))
     assert is_transitive(G)
     assert not is_two_transitive(G)
-    S3 = PermGroup([(1, 0, 2), (1, 2, 0)])
+    S3 = PermGroup([(1, 0, 2), (1, 2, 0)], degree=3)
     assert is_two_transitive(S3)
     two_orbits = PermGroup([(1, 0, 2, 3)], degree=4)
     assert sorted(map(len, orbits(two_orbits.elements(), range(4)))) == [1, 1, 2]
@@ -145,7 +145,7 @@ def test_orbit_matches_closure(gens):
 def test_stabilizer_chain_orders():
     """The chain's order is the orbit length times the stabilizer order, the
     stabilizers counted from the chain's own elements."""
-    S4 = PermGroup(S4_GENS)
+    S4 = PermGroup(S4_GENS, degree=4)
     stab0 = pointwise_stabilizer(S4, (0,))
     assert len(stab0) == 6 and S4.order() == len(orbit(S4.generators, 0)) * len(stab0)
     stab01 = pointwise_stabilizer(S4, (0, 1))
@@ -182,9 +182,9 @@ def test_two_transitivity_matches_stabilizer_oracle(gens, degree, X, expected):
 
 
 def test_two_transitivity_rejects_small_or_moved_sets():
-    S4 = PermGroup(S4_GENS)
+    S4 = PermGroup(S4_GENS, degree=4)
     with pytest.raises(ValueError, match="at least two"):
-        is_two_transitive(restrict_group(PermGroup(pointwise_stabilizer(S4, (0,))), [0]))
+        is_two_transitive(restrict_group(PermGroup(pointwise_stabilizer(S4, (0,)), degree=4), [0]))
     assert restrict_group(S4, [0, 1, 2]) is None  # 3 is moved into the set
 
 
@@ -219,7 +219,7 @@ def test_trivial_group():
 
 
 def test_generalized_dihedral_s3():
-    S3 = PermGroup([(1, 0, 2), (1, 2, 0)])
+    S3 = PermGroup([(1, 0, 2), (1, 2, 0)], degree=3)
     rep = generalized_dihedral_check(S3, (1, 0, 2))
     assert rep.ok
     assert rep.m_order == 3
@@ -231,14 +231,14 @@ def test_generalized_dihedral_s3():
 
 def test_generalized_dihedral_rejects_d4():
     # products of two involutions form the even-order rotation subgroup
-    D4 = PermGroup([(1, 2, 3, 0), (3, 2, 1, 0)])
+    D4 = PermGroup([(1, 2, 3, 0), (3, 2, 1, 0)], degree=4)
     rep = generalized_dihedral_check(D4, (3, 2, 1, 0))
     assert not rep.ok
     assert rep.reason is not None
 
 
 def test_generalized_dihedral_requires_involution():
-    S3 = PermGroup([(1, 0, 2), (1, 2, 0)])
+    S3 = PermGroup([(1, 0, 2), (1, 2, 0)], degree=3)
     with pytest.raises(ValueError):
         generalized_dihedral_check(S3, (1, 2, 0))
     with pytest.raises(ValueError):
