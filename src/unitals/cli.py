@@ -147,6 +147,7 @@ def _cmd_build_hermitian(args) -> int:
 def _cmd_build_figueroa(args) -> int:
     from .figueroa import figueroa_bundle, verify_figueroa_theorems
     from .incidence import format_unital
+    from .plane import triple
     from .translations import build_atlas
 
     if not args.out:
@@ -164,7 +165,7 @@ def _cmd_build_figueroa(args) -> int:
         "points": [
             {
                 "index": i,
-                "coordinates": list(bundle.plane.classical.points[pid]),
+                "coordinates": list(triple(F.order, pid)),
                 "type": bundle.point_types[i],
             }
             for i, pid in enumerate(bundle.plane_points)

@@ -11,7 +11,10 @@ as orbit.  For type-III elements set
 
 and define the twisted incidence: a type-III point P lies on a type-III
 line ℓ exactly when μ(ℓ) lies classically on μ(P); every other
-point/line pair keeps its classical incidence.  The result is validated
+point/line pair keeps its classical incidence.  Points and lines are the
+indices of ``plane.ProjectivePlane``: α is ``plane.frobenius_perm``, and
+μ(P) is read off the classical pencils, as the one line common to those of
+αP and α²P; no coordinates are kept.  The result is validated
 from scratch as a projective plane of order q⁶ (nothing is taken on faith
 from the construction), in one pass per point: every line has q⁶+1 points,
 every point lies on q⁶+1 lines, and the lines through each point cover the
@@ -50,10 +53,8 @@ from .permgroup import (
 from .plane import (
     MAX_PLANE_POINTS,
     ProjectivePlane,
-    dot,
     frobenius_perm,
     hermitian_isomorphism,
-    line_through,
     polar_unital,
     projective_plane,
 )
@@ -83,8 +84,8 @@ class FigPlane(NamedTuple):
     q: int
     order: int  # q**6
     classical: ProjectivePlane
-    alpha_point: Perm  # x -> x^(q^2), coordinatewise; the same map on line triples
-    # Points and lines share their triples, so these serve lines too: a
+    alpha_point: Perm  # x -> x^(q^2), coordinatewise; the same map on lines
+    # Points and lines share their indices, so these serve lines too: a
     # line's type, and μ of a type-III line as a classical point index.
     point_type: tuple[str, ...]
     mu_point: tuple[int, ...]  # type-III point -> classical line index (-1 else)
@@ -93,32 +94,30 @@ class FigPlane(NamedTuple):
 
     @property
     def size(self) -> int:
-        return len(self.classical.points)
+        return len(self.classical.points_on)
 
 
 def _classify(plane: ProjectivePlane, alpha: Perm) -> tuple[list[str], list[int]]:
-    """Type tags and μ images for all points.  Points and lines share their
-    triples, and the meet of two lines is the triple ``line_through`` gives,
-    so the same lists are the type tags and μ images of the lines."""
-    F = plane.field
-    triples = plane.points
+    """Type tags and μ images for all points.  μ(P) is the one line through
+    αP and α²P, and P is type II when it lies on that line.  Points and
+    lines share their indices and incidence is symmetric, so the meet of
+    two lines is found the same way, and the same lists are the type tags
+    and μ images of the lines."""
+    pencils = plane.lines_through
     types: list[str] = []
     mu: list[int] = []
-    for i, t in enumerate(triples):
-        a = alpha[i]
+    for i, a in enumerate(alpha):
         if a == i:
             types.append(TYPE_I)
             mu.append(-1)
             continue
-        carrier = line_through(F, triples[a], triples[alpha[a]])
-        # for a point: is α²P on the line through P, αP?  (equivalently the
-        # line through αP, α²P passes through P)  dually for lines.
-        if dot(F, t, carrier) == 0:
+        (carrier,) = set(pencils[a]).intersection(pencils[alpha[a]])
+        if carrier in pencils[i]:
             types.append(TYPE_II)
             mu.append(-1)
         else:
             types.append(TYPE_III)
-            mu.append(plane.index[carrier])
+            mu.append(carrier)
     return types, mu
 
 
@@ -192,8 +191,8 @@ def build_figueroa_plane(q: int) -> FigPlane:
         raise ValueError(f"the twisted plane for q = {q} has {size} points; "
                          f"at most {MAX_PLANE_POINTS} can be built")
     p, e = prime_power(q)
-    F = make_field(p, 6 * e)
-    plane = projective_plane(F)
+    plane = projective_plane(make_field(p, 6 * e))
+    n = plane.order
     alpha = frobenius_perm(plane, 2 * e)
 
     if perm_order(alpha) != 3:
@@ -201,12 +200,12 @@ def build_figueroa_plane(q: int) -> FigPlane:
 
     types, mu = _classify(plane, alpha)
     points_on = _twist_incidence(plane, types, mu)
-    quad = tuple(plane.index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-    lines_through = _validate_plane(points_on, F.order, size, quad)
+    # the quadrangle (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)
+    lines_through = _validate_plane(points_on, n, size, (0, n * n, n * n + n, n + 1))
 
     fig = FigPlane(
         q=q,
-        order=F.order,
+        order=n,
         classical=plane,
         alpha_point=alpha,
         point_type=tuple(types),

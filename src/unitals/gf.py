@@ -5,8 +5,8 @@ integer are the coefficients (low degree first) of the residue polynomial
 modulo a fixed monic modulus.  The modulus is the lexicographically least
 primitive polynomial of degree e over GF(p), found by brute force, so the
 residue class of x is always a generator of the multiplicative group.  That
-makes discrete-log tables available for multiplication, inversion, powers and
-Frobenius maps; addition works digit-wise (XOR when p = 2).
+makes discrete-log tables available for multiplication, division, powers and
+Frobenius maps; addition and negation work digit-wise (XOR when p = 2).
 """
 
 from __future__ import annotations
@@ -172,20 +172,10 @@ class Field:
             return a
         return self._neg_table[a]
 
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self._neg_table[b])
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[-self._log[a] % (self.order - 1)]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:

@@ -463,10 +463,14 @@ def _invariants(I: Incidence) -> tuple[list[tuple], list[tuple]]:
 
 def _uniform_degrees(I: Incidence) -> Optional[tuple]:
     """The sets of block sizes and point degrees when each has at most one
-    member and no pair of points lies on two blocks, else None."""
+    member and no pair of points lies on two blocks, else None.  The pair
+    table is read only when the degree r is at least 2: a point on at most
+    one block shares no pair with two."""
     sizes = {len(b) for b in I.blocks}
     degrees = {len(bs) for bs in I.point_blocks}
-    if len(sizes) > 1 or len(degrees) > 1 or I.doubly_covered_pair is not None:
+    if len(sizes) > 1 or len(degrees) > 1:
+        return None
+    if max(degrees, default=0) >= 2 and I.doubly_covered_pair is not None:
         return None
     return sizes, degrees
 

@@ -1,13 +1,15 @@
 """Desarguesian projective planes PG(2, F) and polar unitals.
 
-Points and lines are homogeneous coordinate triples over a finite field,
-normalized so the first nonzero coordinate is 1; both live in the same
-index space (the plane is self-dual in coordinates): (1, y, z) is y·n + z,
-(0, 1, z) is n² + z and (0, 0, 1) is n² + n.  Each line's point ids are
-written straight from that formula, with two n × n field tables (1 + b·y
-and −w/c) for the arithmetic.  Incidence t·s = 0 is symmetric, so the
-points on line i are the lines through point i, and ``points_on`` doubles
-as ``lines_through``.
+Points and lines are indices, and the index formula is the plane's only
+coordinate system.  It numbers the homogeneous triples over F, normalized
+so the first nonzero coordinate is 1, as points and as lines alike (the
+plane is self-dual in coordinates): (1, y, z) is y·n + z, (0, 1, z) is
+n² + z and (0, 0, 1) is n² + n.  ``triple`` reads the formula backwards;
+no triple is stored.  Each line's point ids are written straight from the
+formula, with two n × n field tables (1 + b·y and −w/c) for the
+arithmetic, and a field automorphism acts on the ids through a table of
+its n values.  Incidence t·s = 0 is symmetric, so the points on line i are
+the lines through point i, and ``points_on`` doubles as ``lines_through``.
 
 ``polar_unital`` cuts a unital of order q out of any plane of order q² with
 a unitary polarity: the absolute points, with the traces of the non-tangent
@@ -35,55 +37,17 @@ Triple = tuple[int, int, int]
 MAX_PLANE_POINTS = 100_000
 
 
-def normalize(F: Field, v: Triple) -> Triple:
-    """Scale a nonzero homogeneous triple so its first nonzero entry is 1."""
-    for i in range(3):
-        if v[i]:
-            if v[i] == F.one:
-                return v
-            s = F.inv(v[i])
-            return tuple(F.mul(s, x) for x in v)  # type: ignore[return-value]
-    raise ValueError("zero vector has no projective class")
+def triple(n: int, i: int) -> Triple:
+    """The normalized coordinates of point (and line) ``i`` of PG(2, F),
+    |F| = n: the index formula read backwards."""
+    if i < n * n:
+        y, z = divmod(i, n)
+        return (1, y, z)
+    return (0, 1, i - n * n) if i < n * n + n else (0, 0, 1)
 
 
-def cross(F: Field, u: Triple, v: Triple) -> Triple:
-    a = F.sub(F.mul(u[1], v[2]), F.mul(u[2], v[1]))
-    b = F.sub(F.mul(u[2], v[0]), F.mul(u[0], v[2]))
-    c = F.sub(F.mul(u[0], v[1]), F.mul(u[1], v[0]))
-    return (a, b, c)
-
-
-def dot(F: Field, u: Triple, v: Triple) -> int:
-    acc = 0
-    for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-def line_through(F: Field, P: Triple, Q: Triple) -> Triple:
-    """Coordinates of the unique line joining two distinct points.  By
-    duality the same triple is the meet of two distinct lines."""
-    w = cross(F, P, Q)
-    if w == (0, 0, 0):
-        raise ValueError("points are not distinct")
-    return normalize(F, w)
-
-
-def _normalized_triples(F: Field) -> list[Triple]:
-    out: list[Triple] = []
-    n = F.order
-    for y in range(n):
-        for z in range(n):
-            out.append((1, y, z))
-    for z in range(n):
-        out.append((0, 1, z))
-    out.append((0, 0, 1))
-    return out
-
-
-def _incidence(F: Field, lines: Sequence[Triple]) -> tuple[tuple[int, ...], ...]:
-    """The ascending point ids on each of ``lines`` (normalized triples),
-    written from the index formula.
+def _incidence(F: Field) -> tuple[tuple[int, ...], ...]:
+    """The ascending point ids on each line, written from the index formula.
 
     Line (a, b, c) holds the points x with a·x0 + b·x1 + c·x2 = 0.  For
     c ≠ 0 these are (1, y, −(a + b·y)/c) for each y, then (0, 1, −b/c); for
@@ -101,7 +65,8 @@ def _incidence(F: Field, lines: Sequence[Triple]) -> tuple[tuple[int, ...], ...]
     neg_div = [zeros] + [[F.neg(F.div(w, c)) for w in elems] for c in range(1, n)]
     one_plus = [[F.add(1, F.mul(b, y)) for y in elems] for b in elems]
     out = []
-    for a, b, c in lines:
+    for i in ids:
+        a, b, c = triple(n, i)
         if c:
             d = neg_div[c]
             ws = one_plus[b] if a else (elems if b else zeros)  # a + b·y
@@ -118,18 +83,14 @@ def _incidence(F: Field, lines: Sequence[Triple]) -> tuple[tuple[int, ...], ...]
 class ProjectivePlane:
     """PG(2, F) with precomputed incidence lists.
 
-    ``points`` holds the normalized triples in index order; line ``i`` is
-    the line with the coordinates ``points[i]``, so a triple has one index
-    valid in both roles, and ``lines_through`` is ``points_on``.
+    Point ``i`` and line ``i`` both have the coordinates ``triple(n, i)``,
+    so ``lines_through`` is ``points_on``.
     """
 
     def __init__(self, F: Field):
         self.field = F
         self.order = F.order
-        triples = _normalized_triples(F)
-        self.points: tuple[Triple, ...] = tuple(triples)
-        self.index: dict[Triple, int] = {t: i for i, t in enumerate(triples)}
-        self.points_on = _incidence(F, triples)
+        self.points_on = _incidence(F)
         self.lines_through = self.points_on
 
 
@@ -142,12 +103,11 @@ def frobenius_perm(plane: ProjectivePlane, k: int) -> Perm:
     """The index permutation induced by the field map x ↦ x^(p^k).  Read as
     point → line, it is a correlation of the plane; for PG(2, q²) with
     q = p^m, ``frobenius_perm(plane, m)`` is the unitary polarity."""
-    F = plane.field
-    img = []
-    for t in plane.points:
-        u = (F.frobenius(t[0], k), F.frobenius(t[1], k), F.frobenius(t[2], k))
-        img.append(plane.index[u])  # normalized triples stay normalized
-    return tuple(img)
+    n = plane.order
+    fr = [plane.field.frobenius(x, k) for x in range(n)]
+    # 0 and 1 are fixed, so normalized triples stay normalized
+    return tuple([fr[y] * n + fr[z] for y in range(n) for z in range(n)]
+                 + [n * n + z for z in fr] + [n * n + n])
 
 
 def polar_unital(lines_through: Sequence[tuple[int, ...]], polarity: Perm,
@@ -212,17 +172,14 @@ def hermitian_isomorphism(D: Incidence) -> tuple[Optional[int], Optional[tuple[i
     """Read ``D`` as a unital and search for an isomorphism onto the
     hermitian unital of its order.
 
-    ``D`` is read as a unital of order s when all its blocks have size
-    s + 1, it has s³ + 1 points, s is a prime power and it validates as a
-    unital of order s.  Returns ``(s, isomorphism or None)``, or
-    ``(None, None)`` when ``D`` is not read as such a unital.
+    ``D`` is read as a unital of order s, the size of its first block less
+    one, when s is a prime power and ``D`` validates as a unital of order
+    s.  Returns ``(s, isomorphism or None)``, or ``(None, None)`` when
+    ``D`` is not read as such a unital.
     """
-    sizes = {len(b) for b in D.blocks}
-    if len(sizes) != 1:
+    if not D.blocks:
         return None, None
-    s = sizes.pop() - 1
-    if D.v != s**3 + 1:
-        return None, None
+    s = len(D.blocks[0]) - 1
     try:
         prime_power(s)
     except ValueError:

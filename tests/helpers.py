@@ -14,7 +14,7 @@ from unitals.analysis import ConstantIntersectionReport
 from unitals.gf import make_field, prime_power
 from unitals.incidence import Incidence, OnanResult, Unital, _invariants, carries_blocks
 from unitals.permgroup import compose, fixed_points, identity_perm, orbit, perm_cycles, perm_order
-from unitals.plane import dot, frobenius_perm, normalize, polar_unital, projective_plane
+from unitals.plane import frobenius_perm, polar_unital, projective_plane
 from unitals.translations import CongruenceReport, TransitivityReport, TranslationAtlas
 
 CLOSURE_LIMIT = 10_000
@@ -431,16 +431,77 @@ def type_counts(plane) -> dict[str, int]:
     return out
 
 
+def pg_triples(n: int) -> list[tuple[int, int, int]]:
+    """The normalized triples (first nonzero entry 1) over a field of order
+    n, in index order: (1, y, z) for each y and z, then (0, 1, z), then
+    (0, 0, 1)."""
+    return ([(1, y, z) for y in range(n) for z in range(n)]
+            + [(0, 1, z) for z in range(n)] + [(0, 0, 1)])
+
+
+def dot(F, u, v) -> int:
+    acc = 0
+    for x, y in zip(u, v):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def cross(F, u, v) -> tuple[int, int, int]:
+    """The cross product: the line through two points, the meet of two
+    lines, (0, 0, 0) when they are the same."""
+    def minor(i, j):
+        return F.add(F.mul(u[i], v[j]), F.neg(F.mul(u[j], v[i])))
+    return (minor(1, 2), minor(2, 0), minor(0, 1))
+
+
+def normalize(F, v) -> tuple[int, int, int]:
+    """Scale a nonzero homogeneous triple so its first nonzero entry is 1."""
+    s = next((x for x in v if x), 0)
+    if not s:
+        raise ValueError("zero vector has no projective class")
+    return tuple(F.div(x, s) for x in v)
+
+
 def plane_incidence_raw(F) -> tuple[tuple, tuple]:
     """PG(2, F) by brute force: the normalized triples in index order, and
     for each line triple s the ascending ids of the triples t with
     t·s = 0, found by trying every pair."""
-    n = F.order
-    triples = ([(1, y, z) for y in range(n) for z in range(n)]
-               + [(0, 1, z) for z in range(n)] + [(0, 0, 1)])
+    triples = pg_triples(F.order)
     lines = tuple(tuple(i for i, t in enumerate(triples) if dot(F, t, s) == 0)
                   for s in triples)
     return tuple(triples), lines
+
+
+def frobenius_perm_raw(F, k: int) -> tuple[int, ...]:
+    """x ↦ x^(p^k) applied to each coordinate of each normalized triple,
+    the image looked up by its triple."""
+    triples = pg_triples(F.order)
+    index = {t: i for i, t in enumerate(triples)}
+    return tuple(index[tuple(F.frobenius(x, k) for x in t)] for t in triples)
+
+
+def classify_raw(F, alpha) -> tuple[list[str], list[int]]:
+    """The types and μ images of the twisted plane from coordinates: a
+    point moved by α has the line through αP and α²P, a cross product, as
+    its carrier; it is type II when it lies on it (a zero dot product),
+    else type III with the carrier as μ.  Fixed points are type I."""
+    triples = pg_triples(F.order)
+    index = {t: i for i, t in enumerate(triples)}
+    types, mu = [], []
+    for i, t in enumerate(triples):
+        a = alpha[i]
+        if a == i:
+            types.append("I")
+            mu.append(-1)
+            continue
+        carrier = normalize(F, cross(F, triples[a], triples[alpha[a]]))
+        if dot(F, t, carrier) == 0:
+            types.append("II")
+            mu.append(-1)
+        else:
+            types.append("III")
+            mu.append(index[carrier])
+    return types, mu
 
 
 def validate_plane_raw(points_on, n: int, size: int, quadrangle):
@@ -908,7 +969,9 @@ def hermitian_transvections(q: int):
     F = make_field(p, 2 * m)
     plane = projective_plane(F)
     U, absolute, _ = polar_unital(plane.lines_through, frobenius_perm(plane, m), q)
-    coords = [plane.points[pid] for pid in absolute]
+    triples = pg_triples(F.order)
+    index = {t: i for i, t in enumerate(triples)}
+    coords = [triples[pid] for pid in absolute]
     label = {pid: i for i, pid in enumerate(absolute)}
     lambdas = [a for a in range(1, F.order) if F.frobenius(a, m) == F.neg(a)]
 
@@ -921,7 +984,7 @@ def hermitian_transvections(q: int):
             for x in coords:
                 s = F.mul(lam, dot(F, x, Cq))
                 y = tuple(F.add(a, F.mul(s, b)) for a, b in zip(x, C))
-                img.append(label[plane.index[normalize(F, y)]])
+                img.append(label[index[normalize(F, y)]])
             out.append(tuple(img))
         return sorted(out)
 

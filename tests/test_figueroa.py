@@ -2,8 +2,9 @@
 
 import pytest
 
-from helpers import type_counts, validate_plane_raw
+from helpers import classify_raw, frobenius_perm_raw, pg_triples, type_counts, validate_plane_raw
 from unitals.figueroa import (
+    _classify,
     _validate_plane,
     build_figueroa_plane,
     figueroa_bundle,
@@ -18,7 +19,8 @@ TYPE_COUNTS = {"I": 21, "II": 1260, "III": 2880}
 
 
 def quadrangle(plane):
-    return tuple(plane.index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+    index = {t: i for i, t in enumerate(pg_triples(plane.order))}
+    return tuple(index[t] for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
 class TestPlaneCheck:
@@ -27,7 +29,7 @@ class TestPlaneCheck:
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
     def test_agrees_on_desarguesian_planes(self, p, e):
         plane = projective_plane(make_field(p, e))
-        args = (list(plane.points_on), plane.order, len(plane.points), quadrangle(plane))
+        args = (list(plane.points_on), plane.order, len(plane.points_on), quadrangle(plane))
         through = _validate_plane(*args)
         assert through == validate_plane_raw(*args)
         assert through == list(plane.lines_through)
@@ -50,7 +52,7 @@ class TestPlaneCheck:
         plane = projective_plane(make_field(p, e))
         lines = [list(pts) for pts in plane.points_on]
         change(lines)
-        args = ([tuple(sorted(pts)) for pts in lines], plane.order, len(plane.points),
+        args = ([tuple(sorted(pts)) for pts in lines], plane.order, len(plane.points_on),
                 quad or quadrangle(plane))
         with pytest.raises(ArithmeticError, match=match):
             _validate_plane(*args)
@@ -90,7 +92,7 @@ class TestPlaneCheck:
     def test_rejects_a_degenerate_quadrangle(self, p, e):
         plane = projective_plane(make_field(p, e))
         line = plane.points_on[0]
-        off = next(pid for pid in range(len(plane.points)) if pid not in line)
+        off = next(pid for pid in range(len(plane.points_on)) if pid not in line)
         self.broken(p, e, lambda lines: None, "collinear", quad=(*line[:3], off))
 
 
@@ -98,6 +100,14 @@ class TestPlane:
     def test_type_counts(self, fig):
         plane = fig.plane
         assert type_counts(plane) == TYPE_COUNTS  # lines too: they share the triples
+
+    def test_classify_matches_the_coordinates(self):
+        # μ from the pencils of αP and α²P, against the cross and dot products
+        F = make_field(2, 6)
+        alpha = frobenius_perm_raw(F, 2)
+        types, mu = _classify(projective_plane(F), alpha)
+        assert (types, mu) == classify_raw(F, alpha)
+        assert sum(m >= 0 for m in mu) == TYPE_COUNTS["III"]
 
     def test_orbit_structure(self, fig):
         plane = fig.plane

@@ -73,11 +73,8 @@ def test_field_axioms(field, data):
     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.add(a, F.neg(a)) == 0
-    assert F.sub(a, b) == F.add(a, F.neg(b))
-    if a:
-        assert F.mul(a, F.inv(a)) == F.one
-        if b:
-            assert F.div(a, b) == F.mul(a, F.inv(b))
+    if b:
+        assert F.mul(F.div(a, b), b) == a
 
 
 @given(data=st.data())

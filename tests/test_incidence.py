@@ -483,6 +483,23 @@ def test_a_pair_on_two_blocks_keeps_the_fingerprint_pass(monkeypatch, A, B):
     assert calls
 
 
+# no point on two blocks, so no pair on two: the pair table answers nothing
+DEGREE_AT_MOST_ONE = [
+    Incidence(7, []),
+    Incidence(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]),
+]
+
+
+@pytest.mark.parametrize("D", DEGREE_AT_MOST_ONE, ids=["header-only", "disjoint-triples"])
+def test_a_design_of_degree_at_most_one_builds_no_pair_table(D):
+    B = shuffled(D, 5)
+    raw = isomorphism_search_raw(Incidence(D.v, D.blocks), B)
+    A = Incidence(D.v, D.blocks)
+    assert isomorphism_search(A, B) == raw
+    assert raw is not None
+    assert "_pair_coverage" not in vars(A)
+
+
 PARTIAL_BASES = (ag23_unital(), hermitian_unital(2), hermitian_unital(3))
 
 

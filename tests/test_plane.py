@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from helpers import DOUBLE_TXT, MISSING_TXT, ag23_unital, plane_incidence_raw, relabel
+from helpers import (
+    DOUBLE_TXT,
+    MISSING_TXT,
+    ag23_unital,
+    cross,
+    frobenius_perm_raw,
+    normalize,
+    pg_triples,
+    plane_incidence_raw,
+    relabel,
+)
 from unitals.gf import make_field
 from unitals.incidence import (
     Incidence,
@@ -17,10 +27,9 @@ from unitals.plane import (
     frobenius_perm,
     hermitian_isomorphism,
     hermitian_unital,
-    line_through,
-    normalize,
     polar_unital,
     projective_plane,
+    triple,
 )
 
 
@@ -35,7 +44,7 @@ def test_plane_counts():
     for order in (2, 3, 4):
         plane = projective_plane(make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[order]))
         n = order
-        assert len(plane.points) == n * n + n + 1
+        assert len(plane.points_on) == n * n + n + 1
         assert all(len(pts) == n + 1 for pts in plane.points_on)
         assert all(len(ls) == n + 1 for ls in plane.lines_through)
 
@@ -48,19 +57,35 @@ def test_incidence_matches_brute_force(p, e):
     F = make_field(p, e)
     plane = projective_plane(F)
     triples, lines = plane_incidence_raw(F)
-    assert plane.points == triples
+    assert tuple(triple(F.order, i) for i in range(len(triples))) == triples
     assert plane.points_on == lines
     assert plane.lines_through is plane.points_on
     # one int object per point id, however many lines hold it
     assert len({id(pid) for pts in plane.points_on for pid in pts}) == len(triples)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 64])
+def test_triple_inverts_the_index_formula(n):
+    assert [triple(n, i) for i in range(n * n + n + 1)] == pg_triples(n)
+
+
+# the prime fields of both characteristics, GF(4), GF(9) and GF(64)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 6)])
+def test_frobenius_perm_is_the_coordinatewise_map(p, e):
+    F = make_field(p, e)
+    plane = projective_plane(F)
+    for k in range(e):
+        assert frobenius_perm(plane, k) == frobenius_perm_raw(F, k)
+
+
 def test_two_points_one_line():
     F = make_field(3, 1)
     plane = projective_plane(F)
-    for p in range(len(plane.points)):
-        for q in range(p + 1, len(plane.points)):
-            lid = plane.index[line_through(F, plane.points[p], plane.points[q])]
+    triples = pg_triples(F.order)
+    index = {t: i for i, t in enumerate(triples)}
+    for p in range(len(triples)):
+        for q in range(p + 1, len(triples)):
+            lid = index[normalize(F, cross(F, triples[p], triples[q]))]
             assert p in plane.points_on[lid] and q in plane.points_on[lid]
             # uniqueness: no other line holds both
             others = [
@@ -71,13 +96,17 @@ def test_two_points_one_line():
 
 def test_line_through_meet_are_dual():
     F = make_field(2, 2)
-    P, Q = (1, 0, 0), (0, 1, 0)
-    l = line_through(F, P, Q)
-    assert l == (0, 0, 1)
-    m = line_through(F, (0, 0, 1), (0, 1, 0))
-    assert m == (1, 0, 0)
+    plane = projective_plane(F)
+    n = F.order
+    P, Q, R = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    # the line through P and Q is R, and the meet of the lines R and Q is P,
+    # read off the coordinates and off the pencils and point rows alike
+    assert normalize(F, cross(F, P, Q)) == R
+    assert set(plane.lines_through[0]) & set(plane.lines_through[n * n]) == {n * n + n}
+    assert normalize(F, cross(F, R, Q)) == P
+    assert set(plane.points_on[n * n + n]) & set(plane.points_on[n * n]) == {0}
     with pytest.raises(ValueError):
-        line_through(F, P, P)
+        normalize(F, cross(F, P, P))
 
 
 def test_normalize():
@@ -86,12 +115,14 @@ def test_normalize():
     assert normalize(F, (0, 2, 2)) == (0, 1, 1)
     with pytest.raises(ValueError):
         normalize(F, (0, 0, 0))
+    # the plane's coordinates are normalized already
+    assert all(normalize(F, triple(3, i)) == triple(3, i) for i in range(13))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_unitary_polarity_is_involutory(q):
     plane, sigma = unitary(q)
-    for pid in range(len(plane.points)):
+    for pid in range(len(plane.points_on)):
         assert sigma[sigma[pid]] == pid
 
 
@@ -101,13 +132,12 @@ def test_absolute_point_count(q):
     F = plane.field
     # the hermitian form x0^(q+1) + x1^(q+1) + x2^(q+1), computed directly
     absolute = [
-        t for t in plane.points
+        pid for pid, t in enumerate(pg_triples(F.order))
         if F.add(F.add(F.pow(t[0], q + 1), F.pow(t[1], q + 1)), F.pow(t[2], q + 1)) == 0
     ]
     assert len(absolute) == q**3 + 1
     # absolute means: the point lies on its own polar line
-    for t in absolute:
-        pid = plane.index[t]
+    for pid in absolute:
         assert pid in plane.points_on[sigma[pid]]
 
 
@@ -127,7 +157,7 @@ def test_polar_unital_blocks_are_the_line_traces(q):
 def test_polar_unital_rejects_a_correlation_that_is_not_unitary():
     plane, _ = unitary(3)
     # x ↦ [x]: the absolute points are the conic x·x = 0, 10 of them
-    identity = tuple(range(len(plane.points)))
+    identity = tuple(range(len(plane.points_on)))
     with pytest.raises(ArithmeticError, match="^10 absolute points, expected 28$"):
         polar_unital(plane.lines_through, identity, 3)
 
@@ -201,6 +231,9 @@ def test_hermitian_isomorphism_refuses_what_is_not_a_unital(h2, h3):
         parse_unital(MISSING_TXT),  # the same parameters, pairs on no block
         mixed,  # blocks of 3 and one of 2
         restrict_to(h3, h3.blocks[0]),  # one block of 4 on 4 points, not 3³ + 1
+        Incidence(9, []),  # no block to read an order from
+        Incidence(2, [(0, 1)]),  # v = 1³ + 1 on one block of 2, but 1 is no order
+        Incidence(1, [()]),  # an empty block: order −1
     ]
     for D in cases:
         assert hermitian_isomorphism(D) == (None, None)
