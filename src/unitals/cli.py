@@ -255,7 +255,12 @@ def _cmd_onan(args) -> int:
     from .incidence import onan_search
 
     U, desc = _load_input(args)
-    result = onan_search(U, budget=args.budget)
+
+    def searched_translations():  # verified automorphisms, for the orbit certificate
+        from .translations import build_atlas
+        return [p for _, p, _ in build_atlas(U).searched]
+
+    result = onan_search(U, budget=args.budget, automorphisms=searched_translations)
     desc = dict(desc, budget=args.budget)
     _emit(args.out, "onan", desc, result)
     return 0 if result.status != "budget-exhausted" else 1

@@ -15,12 +15,12 @@ produce and the writer emits.
 
 from __future__ import annotations
 
-import io
 import itertools
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Incidence",
@@ -108,9 +108,10 @@ class Incidence:
 
     @property
     def is_linear_space(self) -> bool:
-        """Whether every pair of points lies on exactly one block."""
-        _, double, missing = self._pair_coverage
-        return double is None and missing is None
+        """Whether every pair of points lies on exactly one block; the pair
+        table is built only when the blocks hold C(v, 2) pairs in all."""
+        pairs = sum(comb(len(b), 2) for b in self.blocks)
+        return pairs == comb(self.v, 2) and self._pair_coverage[1:] == (None, None)
 
     @cached_property
     def _pair_coverage(self) -> tuple[list[int], Optional[tuple[int, int]],
@@ -167,7 +168,7 @@ def carries_blocks(A: Incidence, perm: Sequence[int], B: Incidence) -> bool:
     """
     v = B.v
     block_sets = B.block_sets
-    pair_block = B.pair_table
+    pair_block = B.pair_table if any(len(blk) >= 2 for blk in A.blocks) else ()
     image_of = perm.__getitem__
     for blk in A.blocks:
         e = pair_block[perm[blk[0]] * v + perm[blk[1]]] if len(blk) >= 2 else -1
@@ -281,7 +282,9 @@ class OnanResult(NamedTuple):
     nodes: int
 
 
-def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
+def onan_search(I: Incidence, budget: int = 0,
+                automorphisms: Optional[Callable[[], Iterable[Sequence[int]]]] = None
+                ) -> OnanResult:
     """Look for four blocks pairwise meeting in six distinct points.
 
     Equivalent to the usual four-line/six-point configuration: each of the
@@ -317,6 +320,12 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
     main loop, fed each cleared pair's bulk count and each lazily yielded
     step of a walk, so an exhausted budget stops the search before a later
     witness or ValueError.  Meet maps are built per use and not kept.
+
+    Orbit certificate.  If the pairs of block 0 hold no end and I is a
+    linear space, ``automorphisms()``, when given, returns permutations
+    meant to be automorphisms of I.  If ``_free_by_orbits`` shows from them
+    that I holds no configuration, the rest of the search is one step, its
+    nodes counted by ``_free_nodes``; else the search goes on from block 1.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -411,6 +420,10 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
         """(nodes, witness or None) for each cleared pair, and for each step
         of a walked one, in search order."""
         for b1 in range(len(blocks)):
+            if (b1 == 1 and automorphisms is not None and I.is_linear_space
+                    and _free_by_orbits(I, list(automorphisms()))):
+                yield _free_nodes(I) - nodes, None
+                return
             n1 = nb(b1)
             m1 = meets(b1)
             rest2 = n1 >> b1 + 1
@@ -433,6 +446,104 @@ def onan_search(I: Incidence, budget: int = 0) -> OnanResult:
         if found:
             return OnanResult("witness", *found, nodes)
     return OnanResult("none", None, None, nodes)
+
+
+def _free_by_orbits(I: Incidence, generators: list[Sequence[int]]) -> bool:
+    """Whether the permutations ``generators`` show that the linear space I
+    holds no configuration.
+
+    Automorphisms map configurations onto configurations, so if one exists,
+    one runs through the first block c of some orbit of the generated group
+    on the blocks of three or more points: c, a block a meeting c in a
+    point p, and two transversals (blocks joining a point y != p of c to a
+    point z != p of a) meeting off c and a.  As in the search's sweep, the
+    transversals' points off c and a are ORed into one mask, and one that
+    meets it is a clash.  False when a generator does not carry blocks onto
+    blocks, on a clash, or when the check takes more transversals than the
+    search has left past block 0, one per triangle not through block 0: in
+    a linear space the triangles are the non-collinear point triples,
+    C(k0, 2)(v - k0) of them with two points on block 0.
+    """
+    v, blocks, pb, pair = I.v, I.blocks, I.point_blocks, I.pair_table
+    if not all(sorted(g) == list(range(v)) and carries_blocks(I, g, I) for g in generators):
+        return False
+    reps, seen = [], set()
+    for c, blk in enumerate(blocks):
+        if len(blk) >= 3 and c not in seen:
+            reps.append(c)
+            orbit = [c]
+            seen.add(c)
+            for b in orbit:  # g maps b onto the block through g(x) and g(y)
+                x, y = blocks[b][:2]
+                new = {pair[g[x] * v + g[y]] for g in generators} - seen
+                seen |= new
+                orbit += new
+    k0 = len(blocks[0])
+    left = comb(v, 3) - sum(comb(len(b), 3) for b in blocks) - comb(k0, 2) * (v - k0)
+    if sum((len(blocks[c]) - 1) * (len(blocks[a]) - 1)
+           for c in reps for p in blocks[c] for a in pb[p] if a != c) > left:
+        return False
+    masks = [sum(1 << x for x in blk) for blk in blocks]
+    for c in reps:
+        for p in blocks[c]:
+            for a in pb[p]:
+                if a == c:
+                    continue
+                off, met = ~(masks[c] | masks[a]), 0
+                for y, z in itertools.product(blocks[c], blocks[a]):
+                    if y != p != z:
+                        pts = masks[pair[y * v + z]] & off
+                        if pts & met:
+                            return False
+                        met |= pts
+    return True
+
+
+def _free_nodes(I: Incidence) -> int:
+    """The nodes ``onan_search`` counts on I when no two blocks share two
+    points and I holds no configuration.
+
+    It counts a node for each meeting pair b1 < b2, one for each triple
+    b1 < b2 < b3 of pairwise meeting blocks and, when the triple is a
+    triangle (three distinct meets), one for each block b4 > b3 meeting
+    its sides.  That b4 passes through exactly one vertex: through none it
+    would complete a configuration, through two it would share both with a
+    side.  So the fourth-level nodes are the sets {c, a, b, d} whose blocks
+    a, b, d pass through a point x off c and meet c, and whose largest is
+    not c: the three smaller then form a triangle whose sides the largest
+    meets.  A set has one such (x, c), as two triples of its blocks share
+    two blocks, which would pass through both points.  With r_x the blocks
+    through x, s_x(c) those meeting c and j_x(c) those of them before c,
+
+        nodes = Σ_x [C(r_x, 2) + C(r_x, 3)] + Σ_c Σ_{x∉c} C(s_x(c), 2) / 3
+                + Σ_c Σ_{x∉c} [C(s_x(c), 3) - C(j_x(c), 3)],
+
+    as blocks through one point meet nowhere else, and each triangle is
+    counted from each side c and its opposite vertex x.  The blocks through
+    x meeting c meet it in distinct points y, so each C(·, 2) and C(·, 3)
+    sums over the pairs and triples of points of c: x is joined to y when
+    it lies in the mask ``near[y]``, and by a block before c when it lies
+    in ``below[y]``, filled as the blocks are taken in order.
+    """
+    v, blocks = I.v, I.blocks
+    masks = [sum(1 << x for x in blk) for blk in blocks]
+    near, below = [0] * v, [0] * v
+    for blk, m in zip(blocks, masks):
+        for y in blk:
+            near[y] |= m
+    triangles3 = fourth = 0
+    for blk, m in zip(blocks, masks):
+        rows = [(near[y] & ~m, below[y]) for y in blk]
+        for i, (n1, b1) in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                n12, b12 = n1 & rows[j][0], b1 & rows[j][1]
+                triangles3 += n12.bit_count()
+                for n3, b3 in rows[j + 1:]:
+                    fourth += (n12 & n3).bit_count() - (b12 & b3).bit_count()
+        for y in blk:
+            below[y] |= m
+    at_points = sum(comb(r, 2) + comb(r, 3) for r in map(len, I.point_blocks))
+    return at_points + triangles3 // 3 + fourth
 
 
 # -- isomorphism --------------------------------------------------------------
@@ -491,7 +602,7 @@ def isomorphism_search(A: Incidence, B: Incidence):
     """
     if A.v != B.v or len(A.blocks) != len(B.blocks):
         return None
-    kr_b = _uniform_degrees(B)  # the search reads B's pair table anyway
+    kr_b = _uniform_degrees(B)
     kr_a = None if kr_b is None else _uniform_degrees(A)
     if kr_a is not None:
         # every block meets k(r - 1) others once and the rest not at all,
@@ -510,7 +621,7 @@ def isomorphism_search(A: Incidence, B: Incidence):
 
     v = A.v
     b_sets = B.block_sets
-    b_pairs = B.pair_table
+    b_pairs = B.pair_table if any(len(blk) >= 2 for blk in A.blocks) else ()
     b_point_blocks = B.point_blocks
 
     fp_groups: dict[int, list[int]] = {}
@@ -649,13 +760,9 @@ def format_unital(U: Unital) -> str:
     sizes = {len(b) for b in U.blocks}
     if len(sizes) != 1:
         raise ValueError("cannot serialize: blocks have mixed sizes")
-    k = sizes.pop()
-    out = io.StringIO()
-    out.write(f"unital v={U.v} k={k}\n")
-    for blk in U.blocks:
-        out.write(" ".join(map(str, blk)))
-        out.write("\n")
-    return out.getvalue()
+    lines = [f"unital v={U.v} k={sizes.pop()}"]
+    lines.extend(" ".join(map(str, blk)) for blk in U.blocks)
+    return "\n".join(lines) + "\n"
 
 
 def parse_unital(text: str, source: str = "<string>") -> Unital:

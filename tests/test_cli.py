@@ -624,16 +624,22 @@ finally:
 @pytest.mark.parametrize("argv,modules", [
     (["--version"], []),
     (["validate", "--in"], ["incidence"]),
-    (["onan", "--in"], ["incidence"]),
+    # H(2) passes block 0's pairs, so onan reads the translations
+    (["onan", "--in"], ["incidence", "permgroup", "translations"]),
     (["translations", "--in"], ["incidence", "permgroup", "translations"]),
     (["build-hermitian", "--q", "2"], ["gf", "incidence", "plane"]),
     (["classify", "--in"], ["analysis", "gf", "incidence", "permgroup", "plane", "translations"]),
     (["check-lemmas", "--in"], ["analysis", "gf", "incidence", "permgroup", "plane",
                                 "translations"]),
+    # PG(2, 3) has a witness through block 0: no atlas is built
+    (["onan", "--in", "pg3"], ["incidence"]),
 ])
-def test_command_loads_only_the_modules_it_runs(h2_file, argv, modules):
+def test_command_loads_only_the_modules_it_runs(tmp_path, h2_file, argv, modules):
     if argv[-1] == "--in":
         argv = [*argv, str(h2_file)]
+    elif argv[-1] == "pg3":
+        (tmp_path / "pg3.txt").write_text(PG3_TXT)
+        argv = [*argv[:-1], str(tmp_path / "pg3.txt")]
     bare = subprocess.run(  # what the interpreter loads before any command
         [sys.executable, "-c", f"import sys; print(*(m for m in {SLOW_IMPORTS!r} if m in sys.modules))"],
         capture_output=True,

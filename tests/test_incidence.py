@@ -20,6 +20,7 @@ from helpers import (
     isomorphism_search_raw,
     onan_search_raw,
     pair_coverage_raw,
+    pg_design,
     relabel,
 )
 from unitals import incidence
@@ -28,6 +29,8 @@ from unitals.incidence import (
     MAX_FILE_POINTS,
     Incidence,
     OnanResult,
+    _free_by_orbits,
+    _free_nodes,
     _invariants,
     carries_blocks,
     format_unital,
@@ -40,6 +43,7 @@ from unitals.incidence import (
     validate_unital,
 )
 from unitals.plane import ProjectivePlane, hermitian_unital
+from unitals.translations import build_atlas
 
 FANO = Incidence(
     7,
@@ -314,6 +318,100 @@ def test_onan_budget_runs_out_before_a_block_sharing_two_points(blocks, node, pa
         onan_search_raw(I)
 
 
+def searched_translations(U):
+    """The verified translations ``onan`` passes to the orbit certificate."""
+    return [p for _, p, _ in build_atlas(U).searched]
+
+
+def never_called():
+    raise AssertionError("the search read its automorphisms")
+
+
+# designs without a configuration: (id, fixture, relabelling seed or None)
+FREE_CASES = [
+    *((f"{h}{tag}", h, seed) for h in ("h2", "h3", "h4", "h5")
+      for tag, seed in (("", None), ("-relabelled", int(h[1])))),
+    ("ag23", None, None),
+]
+
+
+@pytest.mark.parametrize("fixture,seed", [c[1:] for c in FREE_CASES], ids=[c[0] for c in FREE_CASES])
+def test_onan_orbit_certificate_matches_the_exhaustive_and_raw_searches(
+        request, monkeypatch, fixture, seed):
+    """The closed form equals the raw and the exhaustive search; the search
+    takes it where the translations certify the design, H(3)-H(5) and not
+    H(2) or AG(2, 3), whose check would cost more than the search has left;
+    and the two routes agree at every budget around the nodes of block 0's
+    pairs and the total."""
+    U = ag23_unital() if fixture is None else request.getfixturevalue(fixture)
+    if seed is not None:
+        perm = list(range(U.v))
+        random.Random(seed).shuffle(perm)
+        U = relabel(U, perm)
+    full = onan_search(U)
+    assert full == onan_search_raw(U)
+    assert full.status == "none" and _free_nodes(U) == full.nodes
+    gens = searched_translations(U)
+    certified = _free_by_orbits(U, gens)
+    assert certified == (U.v > 9)
+    closed_forms = []
+    monkeypatch.setattr(incidence, "_free_nodes", lambda I: closed_forms.append(I) or _free_nodes(I))
+    assert onan_search(U, automorphisms=lambda: gens) == full
+    assert len(closed_forms) == certified
+    # the search past block 0 never meets block 0, so it is the search without it
+    prefix = full.nodes - onan_search(Incidence(U.v, U.blocks[1:])).nodes
+    for budget in (prefix - 1, prefix, full.nodes - 1, full.nodes, full.nodes + 1):
+        expected = full if budget >= full.nodes else OnanResult(
+            "budget-exhausted", None, None, budget + 1)
+        assert onan_search(U, budget) == expected, budget
+        assert onan_search(U, budget, automorphisms=lambda: gens) == expected, budget
+
+
+@pytest.mark.parametrize("design", ["fig", "pg3"])
+def test_onan_reads_no_automorphisms_when_block_0_holds_a_witness(request, design):
+    I = pg_design(3) if design == "pg3" else request.getfixturevalue("fig").unital
+    full = onan_search(I)
+    assert full.status == "witness" and full.blocks[0] == 0
+    assert onan_search(I, automorphisms=never_called) == full
+
+
+@pytest.mark.parametrize("blocks,pair", [
+    ([(0, 1, 2), (0, 3, 4), (1, 3, 5), (6, 7, 8), (6, 7, 9)], (3, 4)),
+    ([(0, 1, 2), (3, 4, 5), (3, 4, 6)], (1, 2)),
+])
+def test_onan_reads_no_automorphisms_when_blocks_share_two_points(blocks, pair):
+    """Block 0's pairs end without a witness, but the design is no linear
+    space: the search goes on to the same ValueError."""
+    I = Incidence(10, blocks)
+    a, b = pair
+    for automorphisms in (None, never_called):
+        with pytest.raises(ValueError, match=f"^blocks {a} and {b} share more than one point$"):
+            onan_search(I, automorphisms=automorphisms)
+    assert "_pair_coverage" not in vars(I)  # too few pairs for a linear space to need it
+
+
+def test_onan_orbit_certificate_finds_a_configuration(fig, fig_atlas):
+    """Every block of the Figueroa unital lies on a configuration, and its
+    block orbits cost fewer transversals than the search has left past
+    block 0, so the certificate fails on a clash, at its first orbit."""
+    assert not _free_by_orbits(fig.unital, [p for _, p, _ in fig_atlas.searched])
+
+
+def test_onan_rejects_a_planted_non_automorphism(h3, monkeypatch):
+    gens = searched_translations(h3)
+    assert _free_by_orbits(h3, gens)
+    swap = list(range(h3.v))
+    swap[0], swap[1] = 1, 0
+    verdicts = []
+    monkeypatch.setattr(incidence, "carries_blocks",
+                        lambda A, g, B: verdicts.append(carries_blocks(A, g, B)) or verdicts[-1])
+    assert not _free_by_orbits(h3, [*gens, swap])
+    assert verdicts == [True] * len(gens) + [False]
+    assert not _free_by_orbits(h3, [[0] * h3.v])  # not a permutation
+    monkeypatch.setattr(incidence, "_free_nodes", never_called)
+    assert onan_search(h3, automorphisms=lambda: [*gens, swap]) == onan_search(h3)
+
+
 def test_isomorphism_identity_and_relabel(h3):
     iso = isomorphism_search(h3, h3)
     assert iso == tuple(range(28))
@@ -531,6 +629,31 @@ def partial_design_pairs(draw):
 def test_isomorphism_search_matches_raw_search_on_partial_designs(pair):
     A, B = pair
     assert isomorphism_search(A, B) == isomorphism_search_raw(A, B)
+
+
+def test_header_only_designs_build_no_pair_table():
+    """Without blocks nothing reads a pair table: on the largest file
+    ``isomorphic`` accepts, neither design builds its v² entries."""
+    A, B = (parse_unital(f"unital v={MAX_FILE_POINTS} k=3\n") for _ in range(2))
+    assert isomorphism_search(A, B) == tuple(range(MAX_FILE_POINTS))
+    assert "_pair_coverage" not in vars(A) and "_pair_coverage" not in vars(B)
+
+
+@st.composite
+def relabelled_sub_designs(draw):
+    """Some blocks of one of PARTIAL_BASES, relabelled: no configuration."""
+    base = draw(st.sampled_from(PARTIAL_BASES))
+    keep = draw(st.lists(st.booleans(), min_size=len(base.blocks), max_size=len(base.blocks)))
+    perm = draw(st.permutations(range(base.v)))
+    return Incidence(base.v, [tuple(perm[x] for x in b) for b, k in zip(base.blocks, keep) if k])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(relabelled_sub_designs())
+def test_onan_closed_form_matches_the_raw_search_on_sub_designs(I):
+    full = onan_search_raw(I)
+    assert full.status == "none" and _free_nodes(I) == full.nodes
+    assert onan_search(I) == onan_search(I, automorphisms=lambda: []) == full
 
 
 def fingerprint_classes(fps) -> list[int]:
