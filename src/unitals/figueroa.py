@@ -92,10 +92,6 @@ class FigPlane(NamedTuple):
     points_on: tuple[tuple[int, ...], ...]  # twisted incidence
     lines_through: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.classical.points_on)
-
 
 def _classify(plane: ProjectivePlane, alpha: Perm) -> tuple[list[str], list[int]]:
     """Type tags and μ images for all points.  μ(P) is the one line through
@@ -236,7 +232,7 @@ def build_fig_polarity(fig: FigPlane) -> Perm:
     plane = fig.classical
     p, e = prime_power(fig.q)
     sigma = frobenius_perm(plane, 3 * e)
-    size = fig.size
+    size = len(fig.points_on)
 
     alpha = fig.alpha_point
     for i in range(size):

@@ -74,8 +74,6 @@ def _x_is_primitive(p: int, e: int, mod_low: tuple[int, ...]) -> bool:
     else:
         vec = [0] * e
         vec[1] = 1
-    if not any(vec):
-        return False
     for k in range(1, target + 1):
         if vec == one:
             return k == target
@@ -108,7 +106,6 @@ class Field:
         self.order = p**e
         self.modulus = _find_modulus(p, e)
         self._build_tables()
-        self.one = 1
 
     def _build_tables(self) -> None:
         p, e, n = self.p, self.e, self.order

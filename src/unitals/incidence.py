@@ -33,6 +33,7 @@ __all__ = [
     "onan_search",
     "isomorphism_search",
     "carries_blocks",
+    "block_orbit_reps",
     "read_unital",
     "parse_unital",
     "format_unital",
@@ -186,6 +187,26 @@ def carries_blocks(A: Incidence, perm: Sequence[int], B: Incidence) -> bool:
     return True
 
 
+def block_orbit_reps(I: Incidence, automorphisms: Sequence[Sequence[int]]) -> list[int]:
+    """The least block of each orbit of the group the automorphisms
+    generate on the blocks of two or more points, ascending.  An
+    automorphism g maps block b onto the block through g(x) and g(y), the
+    first two points of b, which the pair table gives."""
+    v, blocks, pair = I.v, I.blocks, I.pair_table
+    reps, seen = [], set()
+    for c, blk in enumerate(blocks):
+        if len(blk) >= 2 and c not in seen:
+            reps.append(c)
+            orbit = [c]
+            seen.add(c)
+            for b in orbit:
+                x, y = blocks[b][:2]
+                new = {pair[g[x] * v + g[y]] for g in automorphisms} - seen
+                seen |= new
+                orbit += new
+    return reps
+
+
 # -- design validation ------------------------------------------------------
 
 
@@ -319,7 +340,8 @@ def onan_search(I: Incidence, budget: int = 0,
     Nodes are counted, and tested against the budget, in one place: the
     main loop, fed each cleared pair's bulk count and each lazily yielded
     step of a walk, so an exhausted budget stops the search before a later
-    witness or ValueError.  Meet maps are built per use and not kept.
+    witness or ValueError.  The point two blocks share is the lowest common
+    bit of their point masks.
 
     Orbit certificate.  If the pairs of block 0 hold no end and I is a
     linear space, ``automorphisms()``, when given, returns permutations
@@ -353,26 +375,28 @@ def onan_search(I: Incidence, budget: int = 0,
             nb_masks[b] = acc & -(own << 1)
         return nb_masks[b]
 
-    def meets(b: int) -> dict[int, int]:
-        """Each block meeting b (and b itself) -> a point they share."""
-        return {c: x for x in blocks[b] for c in pb[x]}
-
     def points(b: int) -> int:
         """The points of block b, as a mask."""
         if not point_masks[b]:
             point_masks[b] = sum(1 << x for x in blocks[b])
         return point_masks[b]
 
-    def sweep(n1: int, m1: dict[int, int], pts1: int, b2: int) -> Optional[int]:
+    def meet(a: int, b: int) -> int:
+        """The point blocks a and b share: they meet, and nb() has checked
+        one of them, so they share exactly one."""
+        shared = points(a) & points(b)
+        return (shared & -shared).bit_length() - 1
+
+    def sweep(b1: int, n1: int, b2: int) -> Optional[int]:
         """The nodes of the pair (b1, b2), counted in bulk, or None when it
         must be walked: two of its transversals share a point off b1 and
         b2, or a block the sweep reaches shares two points with another."""
         try:
             n12 = n1 & nb(b2)
             counted = 1 + n12.bit_count()
-            off = ~(pts1 | points(b2))
+            off = ~(points(b1) | points(b2))
             seen = 0
-            rest3 = (n12 & ~pencil[m1[b2]]) >> b2 + 1  # the transversals
+            rest3 = (n12 & ~pencil[meet(b1, b2)]) >> b2 + 1  # the transversals
             while rest3:
                 low = rest3 & -rest3
                 rest3 ^= low
@@ -389,12 +413,12 @@ def onan_search(I: Incidence, budget: int = 0,
             return None
         return counted
 
-    def walk(b1: int, n1: int, m1: dict[int, int], b2: int):
+    def walk(b1: int, n1: int, b2: int):
         """The pair (b1, b2) node by node: yields (nodes, witness or None)
         for b2, then for each third block and its fourth candidates."""
         yield 1, None
-        pen12 = pencil[m1[b2]]
-        m2 = meets(b2)
+        p12 = meet(b1, b2)
+        pen12 = pencil[p12]
         n12 = n1 & nb(b2)
         rest3 = n12 >> b2 + 1
         while rest3:
@@ -404,15 +428,15 @@ def onan_search(I: Incidence, budget: int = 0,
             yield 1, None
             if pen12 >> b3 & 1:
                 continue  # b3 passes through p12: no triangle
-            p13 = m1[b3]
-            p23 = m2[b3]
+            p13 = meet(b1, b3)
+            p23 = meet(b2, b3)
             cands = (n12 & nb(b3)) >> b3 + 1
             good = cands & ~((pen12 | pencil[p13] | pencil[p23]) >> b3 + 1)
             low = good & -good  # the first witness, or 0 (then low - 1 = -1)
             found = None
             if good:
                 b4 = b3 + low.bit_length()
-                six = (m1[b2], p13, p23, m1[b4], m2[b4], meets(b3)[b4])
+                six = (p12, p13, p23, meet(b1, b4), meet(b2, b4), meet(b3, b4))
                 found = (b1, b2, b3, b4), tuple(sorted(six))
             yield (cands & (low - 1)).bit_count() + (good != 0), found
 
@@ -425,16 +449,14 @@ def onan_search(I: Incidence, budget: int = 0,
                 yield _free_nodes(I) - nodes, None
                 return
             n1 = nb(b1)
-            m1 = meets(b1)
             rest2 = n1 >> b1 + 1
-            pts1 = points(b1)
             while rest2:
                 low = rest2 & -rest2
                 rest2 ^= low
                 b2 = b1 + low.bit_length()
-                counted = sweep(n1, m1, pts1, b2)
+                counted = sweep(b1, n1, b2)
                 if counted is None:
-                    yield from walk(b1, n1, m1, b2)
+                    yield from walk(b1, n1, b2)
                 else:
                     yield counted, None
 
@@ -467,17 +489,7 @@ def _free_by_orbits(I: Incidence, generators: list[Sequence[int]]) -> bool:
     v, blocks, pb, pair = I.v, I.blocks, I.point_blocks, I.pair_table
     if not all(sorted(g) == list(range(v)) and carries_blocks(I, g, I) for g in generators):
         return False
-    reps, seen = [], set()
-    for c, blk in enumerate(blocks):
-        if len(blk) >= 3 and c not in seen:
-            reps.append(c)
-            orbit = [c]
-            seen.add(c)
-            for b in orbit:  # g maps b onto the block through g(x) and g(y)
-                x, y = blocks[b][:2]
-                new = {pair[g[x] * v + g[y]] for g in generators} - seen
-                seen |= new
-                orbit += new
+    reps = [c for c in block_orbit_reps(I, generators) if len(blocks[c]) >= 3]
     k0 = len(blocks[0])
     left = comb(v, 3) - sum(comb(len(b), 3) for b in blocks) - comb(k0, 2) * (v - k0)
     if sum((len(blocks[c]) - 1) * (len(blocks[a]) - 1)

@@ -11,7 +11,7 @@ Everything is deterministic: no randomized sifting, fixed iteration orders.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -78,10 +78,10 @@ def is_involution(p: Perm) -> bool:
     return perm_order(p) == 2
 
 
-def validate_perm(p: Sequence[int], degree: Optional[int] = None) -> Perm:
+def validate_perm(p: Sequence[int], degree: int) -> Perm:
     t = tuple(p)
     n = len(t)
-    if degree is not None and n != degree:
+    if n != degree:
         raise ValueError(f"permutation degree {n} != expected {degree}")
     if sorted(t) != list(range(n)):
         raise ValueError("not a permutation: images are not 0..n-1 exactly once")
@@ -126,7 +126,6 @@ class PermGroup:
         self._transversal: list[dict[int, Perm]] = []
         for g in self.generators:
             self._add(g)
-        self._order: Optional[int] = None
 
     # -- chain construction -------------------------------------------------
 
@@ -174,7 +173,6 @@ class PermGroup:
 
     def _close(self) -> None:
         """Sims's closure: verify the Schreier condition from the deepest level up."""
-        self._order = None
         i = len(self._base) - 1
         while i >= 0:
             self._orbit_pass(i)
@@ -206,12 +204,7 @@ class PermGroup:
     # -- queries --------------------------------------------------------------
 
     def order(self) -> int:
-        if self._order is None:
-            n = 1
-            for trans in self._transversal:
-                n *= len(trans)
-            self._order = n
-        return self._order
+        return prod(map(len, self._transversal))
 
     def __contains__(self, p) -> bool:
         g = validate_perm(p, self.degree)

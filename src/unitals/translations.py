@@ -59,7 +59,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .incidence import Unital, carries_blocks
+from .incidence import Unital, block_orbit_reps, carries_blocks
 from .permgroup import (
     Perm,
     PermGroup,
@@ -467,16 +467,8 @@ def translation_transitivity_check(atlas: TranslationAtlas, p: int) -> Transitiv
 
     todo = meeting
     if atlas.edges and list(atlas.centers_by_order) == [p]:
-        # T[p] on blocks: g maps block b to the block through g(b[0]) and g(b[1])
-        v, pair = U.v, U.pair_table
-        block_gens = [[pair[g[b[0]] * v + g[b[1]]] for b in U.blocks] for g in gens]
-        seen: set[int] = set()
-        for bid in meeting:  # the least block of each orbit
-            if bid not in seen:
-                if fails(bid):
-                    break
-                seen |= orbit(block_gens, bid)
-        else:
+        # T[p] preserves Ω_p, so the blocks meeting it twice are whole orbits
+        if not any(bid in meeting and fails(bid) for bid in block_orbit_reps(U, gens)):
             todo = {}
     block_failures = [(bid, tuple(inside)) for bid, inside in todo.items() if fails(bid)]
 

@@ -389,6 +389,26 @@ def orbits(elements, points) -> list[frozenset[int]]:
     return out
 
 
+def block_orbit_reps_raw(I: Incidence, generators) -> list[int]:
+    """The least block of each orbit of the generated group on the blocks of
+    two or more points, by closure: a block's image under a generator is
+    looked up as a sorted tuple."""
+    index = {blk: bid for bid, blk in enumerate(I.blocks)}
+    reps: list[int] = []
+    seen: set[int] = set()
+    for bid, blk in enumerate(I.blocks):
+        if len(blk) < 2 or bid in seen:
+            continue
+        reps.append(bid)
+        seen.add(bid)
+        frontier = [blk]
+        while frontier:
+            image_ids = {index[tuple(sorted(g[x] for x in b))] for b in frontier for g in generators}
+            frontier = [I.blocks[e] for e in image_ids - seen]
+            seen |= image_ids
+    return reps
+
+
 def pair_coverage_raw(I: Incidence) -> tuple[list[int], Optional[tuple[int, int]],
                                               Optional[tuple[int, int]]]:
     """The pair table, the first pair met a second time in block order, and

@@ -36,7 +36,8 @@ class TestPlaneCheck:
 
     def test_agrees_on_the_twisted_plane(self, fig):
         plane = fig.plane
-        args = (list(plane.points_on), plane.order, plane.size, quadrangle(plane.classical))
+        args = (list(plane.points_on), plane.order, len(plane.points_on),
+                quadrangle(plane.classical))
         through = _validate_plane(*args)
         assert through == validate_plane_raw(*args)
         assert through == list(plane.lines_through)

@@ -14,6 +14,7 @@ from helpers import (
     ag23_doubled,
     ag23_unital,
     agl23_elements,
+    block_orbit_reps_raw,
     block_signatures_raw,
     block_through,
     carries_blocks_raw,
@@ -32,6 +33,7 @@ from unitals.incidence import (
     _free_by_orbits,
     _free_nodes,
     _invariants,
+    block_orbit_reps,
     carries_blocks,
     format_unital,
     ideal_embedding_check,
@@ -395,6 +397,36 @@ def test_onan_orbit_certificate_finds_a_configuration(fig, fig_atlas):
     block orbits cost fewer transversals than the search has left past
     block 0, so the certificate fails on a clash, at its first orbit."""
     assert not _free_by_orbits(fig.unital, [p for _, p, _ in fig_atlas.searched])
+
+
+@pytest.mark.parametrize("design,orbits", [
+    ("h3", 1), ("h4-relabelled", 1), ("fig", 236), ("ag23", 1), ("no-generators", 63),
+    ("small-blocks", 12),
+])
+def test_block_orbit_reps_match_the_closure(request, design, orbits):
+    """The least block of each orbit, against closure by sorted-tuple
+    lookup: with the atlas's searched translations, with all of AGL(2, 3),
+    and with no generators, where every block of two or more points is its
+    own orbit."""
+    if design == "ag23":
+        I, gens = ag23_unital(), agl23_elements()
+    elif design == "no-generators":
+        I, gens = request.getfixturevalue("h3"), []
+    elif design == "small-blocks":  # a one-point and an empty block ride along
+        I, gens = ag23_corrupted(), []
+    else:
+        I = request.getfixturevalue(design.split("-")[0])
+        I = getattr(I, "unital", I)
+        if design.endswith("relabelled"):
+            perm = list(range(I.v))
+            random.Random(4).shuffle(perm)
+            I = relabel(I, perm)
+        gens = searched_translations(I)
+    reps = block_orbit_reps(I, gens)
+    assert reps == block_orbit_reps_raw(I, gens)
+    assert len(reps) == orbits
+    if not gens:
+        assert reps == [bid for bid, blk in enumerate(I.blocks) if len(blk) >= 2]
 
 
 def test_onan_rejects_a_planted_non_automorphism(h3, monkeypatch):

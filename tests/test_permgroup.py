@@ -86,9 +86,9 @@ def test_perm_cycles():
 
 
 def test_validate_perm():
-    assert validate_perm([1, 0]) == (1, 0)
+    assert validate_perm([1, 0], 2) == (1, 0)
     with pytest.raises(ValueError):
-        validate_perm([0, 0])
+        validate_perm([0, 0], 2)
     with pytest.raises(ValueError):
         validate_perm([0, 1], degree=3)
 
