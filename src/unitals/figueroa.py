@@ -85,10 +85,7 @@ class FigPlane(NamedTuple):
     order: int  # q**6
     classical: ProjectivePlane
     alpha_point: Perm  # x -> x^(q^2), coordinatewise; the same map on lines
-    # Points and lines share their indices, so these serve lines too: a
-    # line's type, and μ of a type-III line as a classical point index.
-    point_type: tuple[str, ...]
-    mu_point: tuple[int, ...]  # type-III point -> classical line index (-1 else)
+    point_type: tuple[str, ...]  # points and lines share indices: a line's type too
     points_on: tuple[tuple[int, ...], ...]  # twisted incidence
     lines_through: tuple[tuple[int, ...], ...]
 
@@ -205,7 +202,6 @@ def build_figueroa_plane(q: int) -> FigPlane:
         classical=plane,
         alpha_point=alpha,
         point_type=tuple(types),
-        mu_point=tuple(mu),
         points_on=tuple(points_on),
         lines_through=tuple(lines_through),
     )
@@ -257,7 +253,6 @@ class FigueroaBundle(NamedTuple):
 
     q: int
     plane: FigPlane
-    polarity: Perm  # point -> line and line -> point, from build_fig_polarity
     unital: Unital
     plane_points: tuple[int, ...]  # unital point -> plane point index
     point_types: tuple[str, ...]  # unital point -> I/II/III
@@ -285,7 +280,6 @@ def figueroa_bundle(q: int = 2) -> FigueroaBundle:
     return FigueroaBundle(
         q=q,
         plane=fig,
-        polarity=pol,
         unital=U,
         plane_points=absolute,
         point_types=types,

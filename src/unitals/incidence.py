@@ -512,8 +512,8 @@ def _free_by_orbits(I: Incidence, generators: list[Sequence[int]]) -> bool:
 
 
 def _free_nodes(I: Incidence) -> int:
-    """The nodes ``onan_search`` counts on I when no two blocks share two
-    points and I holds no configuration.
+    """The nodes ``onan_search`` counts on the linear space I when I holds
+    no configuration.
 
     It counts a node for each meeting pair b1 < b2, one for each triple
     b1 < b2 < b3 of pairwise meeting blocks and, when the triple is a
@@ -522,40 +522,39 @@ def _free_nodes(I: Incidence) -> int:
     would complete a configuration, through two it would share both with a
     side.  So the fourth-level nodes are the sets {c, a, b, d} whose blocks
     a, b, d pass through a point x off c and meet c, and whose largest is
-    not c: the three smaller then form a triangle whose sides the largest
-    meets.  A set has one such (x, c), as two triples of its blocks share
-    two blocks, which would pass through both points.  With r_x the blocks
-    through x, s_x(c) those meeting c and j_x(c) those of them before c,
+    not c; two triples of a set share two blocks, so it has one such
+    (x, c).  A point x off c is joined to each point of c by a block of its
+    own, so s_x(c), the blocks through x meeting c, is |c|.  With r_x the
+    blocks through x and j_x(c) those of the s_x(c) before c,
 
-        nodes = Σ_x [C(r_x, 2) + C(r_x, 3)] + Σ_c Σ_{x∉c} C(s_x(c), 2) / 3
-                + Σ_c Σ_{x∉c} [C(s_x(c), 3) - C(j_x(c), 3)],
+        nodes = Σ_x [C(r_x, 2) + C(r_x, 3)] + Σ_c (v - |c|)·C(|c|, 2) / 3
+                + Σ_c [(v - |c|)·C(|c|, 3) - Σ_{x∉c} C(j_x(c), 3)],
 
     as blocks through one point meet nowhere else, and each triangle is
-    counted from each side c and its opposite vertex x.  The blocks through
-    x meeting c meet it in distinct points y, so each C(·, 2) and C(·, 3)
-    sums over the pairs and triples of points of c: x is joined to y when
-    it lies in the mask ``near[y]``, and by a block before c when it lies
-    in ``below[y]``, filled as the blocks are taken in order.
+    counted from each side c and its opposite vertex x.  So j_x(c) counts
+    the points y of c with x in ``below[y]``, the points joined to y before
+    c: a bit-sliced counter adds these masks into carry planes, and the
+    points counted t are the AND of the planes that select t.
     """
-    v, blocks = I.v, I.blocks
-    masks = [sum(1 << x for x in blk) for blk in blocks]
-    near, below = [0] * v, [0] * v
-    for blk, m in zip(blocks, masks):
+    v, below = I.v, [0] * I.v
+    nodes = sum(comb(r, 2) + comb(r, 3) for r in map(len, I.point_blocks))
+    triangles3 = 0
+    for blk in I.blocks:
+        k, m, planes = len(blk), sum(1 << x for x in blk), []
+        triangles3 += (v - k) * comb(k, 2)
+        nodes += (v - k) * comb(k, 3)
         for y in blk:
-            near[y] |= m
-    triangles3 = fourth = 0
-    for blk, m in zip(blocks, masks):
-        rows = [(near[y] & ~m, below[y]) for y in blk]
-        for i, (n1, b1) in enumerate(rows):
-            for j in range(i + 1, len(rows)):
-                n12, b12 = n1 & rows[j][0], b1 & rows[j][1]
-                triangles3 += n12.bit_count()
-                for n3, b3 in rows[j + 1:]:
-                    fourth += (n12 & n3).bit_count() - (b12 & b3).bit_count()
-        for y in blk:
-            below[y] |= m
-    at_points = sum(comb(r, 2) + comb(r, 3) for r in map(len, I.point_blocks))
-    return at_points + triangles3 // 3 + fourth
+            carry, below[y] = below[y] & ~m, below[y] | m
+            for i, plane in enumerate(planes):
+                planes[i], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        for t in range(3, min(k + 1, 1 << len(planes))):
+            sel = -1
+            for i, plane in enumerate(planes):
+                sel &= plane if t >> i & 1 else ~plane
+            nodes -= comb(t, 3) * sel.bit_count()
+    return nodes + triangles3 // 3
 
 
 # -- isomorphism --------------------------------------------------------------

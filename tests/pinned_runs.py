@@ -34,11 +34,15 @@ PINS = [
     # omega reads the carried orders and transports nothing: about 5 s, 130 MB
     (["omega", "--q", "13"], 60, 250,
      "5eea1d74192d3bb32253009761fb5307eabafa6c6eae236e1a8d9c8295b3e7f2", {}),
-    # past block 0's pairs the searched translations certify H(7) and H(8)
-    # free of configurations, and the nodes are the exhaustive search's,
-    # counted in closed form: about 0.4 s, 21 MB and 1 s, 26 MB
+    # past block 0's pairs the searched translations certify H(7), H(8) and
+    # H(13) free of configurations, and the nodes are the exhaustive
+    # search's, counted in closed form: about 0.3 s, 21 MB; 0.6 s, 26 MB;
+    # and 10 s, 150 MB
     (["onan", "--q", "7"], 60, 30, None, {"status": "none", "nodes": 42676575}),
     (["onan", "--q", "8"], 60, 40, None, {"status": "none", "nodes": 158977896}),
+    (["onan", "--q", "13"], 60, 200,
+     "7cf23040aaaab51bcc6639fc199fc50e050f1565c95f12dc3c7d9fba72a12b18",
+     {"status": "none", "nodes": 19231071039}),
     # one block and 4911 free points: one search level per point, more
     # levels than the recursion limit allows frames: about 8 s, 293 MB
     (["isomorphic", "--in", "{dir}/one-block.txt", "{dir}/one-block.txt"], 60, 400, None,

@@ -6,6 +6,7 @@ from helpers import classify_raw, frobenius_perm_raw, pg_triples, type_counts, v
 from unitals.figueroa import (
     _classify,
     _validate_plane,
+    build_fig_polarity,
     build_figueroa_plane,
     figueroa_bundle,
     verify_figueroa_theorems,
@@ -16,6 +17,17 @@ from unitals.permgroup import perm_order
 from unitals.plane import hermitian_isomorphism, projective_plane
 
 TYPE_COUNTS = {"I": 21, "II": 1260, "III": 2880}
+
+
+@pytest.fixture(scope="session")
+def fig_polarity(fig):
+    return build_fig_polarity(fig.plane)
+
+
+@pytest.fixture(scope="session")
+def fig_mu(fig):
+    """μ of each twisted-plane point, as ``build_figueroa_plane`` twists by it."""
+    return _classify(fig.plane.classical, fig.plane.alpha_point)[1]
 
 
 def quadrangle(plane):
@@ -120,19 +132,19 @@ class TestPlane:
         assert TYPE_COUNTS["II"] % 3 == 0 and TYPE_COUNTS["III"] % 3 == 0
         assert perm_order(plane.alpha_point) == 3
 
-    def test_mu_pairs_points_with_lines(self, fig):
-        plane = fig.plane
+    def test_mu_pairs_points_with_lines(self, fig, fig_mu):
+        plane, mu = fig.plane, fig_mu
         third = [P for P in range(4161) if plane.point_type[P] == "III"]
         assert len(third) == 2880
         for P in range(4161):
             if plane.point_type[P] != "III":
-                assert plane.mu_point[P] == -1
+                assert mu[P] == -1
         for P in third:
-            L = plane.mu_point[P]
+            L = mu[P]
             assert plane.point_type[L] == "III"
-            assert plane.mu_point[L] == P  # μ of the line L is P again
+            assert mu[L] == P  # μ of the line L is P again
             # naturality with respect to the twisting collineation
-            assert plane.mu_point[plane.alpha_point[P]] == plane.alpha_point[L]
+            assert mu[plane.alpha_point[P]] == plane.alpha_point[L]
 
     def test_twist_touches_only_third_type_lines(self, fig):
         plane = fig.plane
@@ -155,25 +167,25 @@ class TestPlane:
 
 
 class TestPolarity:
-    def test_involutory(self, fig):
-        pol = fig.polarity
+    def test_involutory(self, fig_polarity):
+        pol = fig_polarity
         n = len(pol)
         assert sorted(pol) == list(range(n))
         assert all(pol[pol[P]] == P for P in range(n))
 
-    def test_commutes_with_twisting_collineation(self, fig):
-        plane, pol = fig.plane, fig.polarity
+    def test_commutes_with_twisting_collineation(self, fig, fig_polarity):
+        plane, pol = fig.plane, fig_polarity
         for P in range(4161):
             assert pol[plane.alpha_point[P]] == plane.alpha_point[pol[P]]
 
-    def test_reverses_incidence(self, fig):
-        plane, pol = fig.plane, fig.polarity
+    def test_reverses_incidence(self, fig, fig_polarity):
+        plane, pol = fig.plane, fig_polarity
         for P in range(0, 4161, 97):
             for L in plane.lines_through[P]:
                 assert pol[L] in plane.points_on[pol[P]]
 
-    def test_absolute_points(self, fig):
-        plane, pol = fig.plane, fig.polarity
+    def test_absolute_points(self, fig, fig_polarity):
+        plane, pol = fig.plane, fig_polarity
         absolute = [
             P for P in range(4161) if pol[P] in plane.lines_through[P]
         ]
