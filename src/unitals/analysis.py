@@ -31,9 +31,9 @@ from .permgroup import (
     DihedralReport,
     PermGroup,
     generalized_dihedral_check,
-    is_involution,
     is_transitive,
     orbit,
+    perm_order,
     restrict_group,
     restrict_perm,
     validate_perm,
@@ -325,7 +325,7 @@ def sharply_transitive_suite(
             failures.append("group not transitive on the point set")
         if tau not in G:
             failures.append("tau is not an element of the group")
-        if not is_involution(tau_r):
+        if perm_order(tau_r) != 2:
             failures.append("tau is not an involution on the point set")
         else:
             fixed = sum(1 for i, y in enumerate(tau_r) if i == y)

@@ -82,7 +82,6 @@ class FigPlane(NamedTuple):
     """The twisted plane, with the classical scaffolding kept around."""
 
     q: int
-    order: int  # q**6
     classical: ProjectivePlane
     alpha_point: Perm  # x -> x^(q^2), coordinatewise; the same map on lines
     point_type: tuple[str, ...]  # points and lines share indices: a line's type too
@@ -198,7 +197,6 @@ def build_figueroa_plane(q: int) -> FigPlane:
 
     fig = FigPlane(
         q=q,
-        order=n,
         classical=plane,
         alpha_point=alpha,
         point_type=tuple(types),

@@ -74,10 +74,6 @@ def fixed_points(p: Perm) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(p) if x == i)
 
 
-def is_involution(p: Perm) -> bool:
-    return perm_order(p) == 2
-
-
 def validate_perm(p: Sequence[int], degree: int) -> Perm:
     t = tuple(p)
     n = len(t)

@@ -22,19 +22,21 @@ of b goes to that block's point on its own c-line; with none, no
 translation sends u to w; with several, the search branches over them, and
 drops a branch once another block through a point it mapped holds two mapped
 points whose images no block of that block's signature joins.  The star of
-u maps every point joined to u.  A point still free is mapped from
-the star of a mapped point joined to it, where each block's image is the
+u maps every point joined to u.  A point still free is mapped from the
+star of a mapped point joined to it, where each block's image is the
 pair-table block through two mapped points; in a unital one such star maps
 the rest of L_u.  A point joined to no mapped point is tried at every free
-point of its c-line, as u was.  A complete, injective candidate is the only
-map with its choices that can be a translation, and it is kept only if
-``is_translation`` accepts it, so every permutation returned satisfies the
-definition.  The branch τ(u) = u holds the translations fixing u; it is
-skipped when a sufficient test shows that only the identity fixes u (every
-block of the star has a signature no other has, and every other point lies
-on a block with two fixed points), as it does at every center of H(2)–H(5)
-and of the Figueroa unital; searched, it would rebuild the identity by a
-walk that maps every point, the main cost at a center with no translation.
+point of its c-line, as u was.  Each choice is a level of one depth-first
+loop, so no recursion limit bounds the search's depth.  A complete,
+injective candidate is the only map with its choices that can be a
+translation, and it is kept only if ``is_translation`` accepts it, so
+every permutation returned satisfies the definition.  The branch τ(u) = u
+holds the translations fixing u; it is skipped when a sufficient test
+shows that only the identity fixes u (every block of the star has a
+signature no other has, and every other point lies on a block with two
+fixed points), as it does at every center of H(2)–H(5) and of the
+Figueroa unital; searched, it would rebuild the identity by a walk that
+maps every point, the main cost at a center with no translation.
 A translation of a design that is not a unital can fix a second point: an
 elation of a projective plane fixes its axis.
 
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .incidence import Unital, block_orbit_reps, carries_blocks
 from .permgroup import (
@@ -177,40 +179,6 @@ def _search_translations(U: Unital, c: int) -> list[Perm]:
                         return False
         return True
 
-    def walk(hub: int, star: list[int], i: int) -> None:
-        """Map the blocks star[i:] through the hub, branching where a block
-        has several possible images; a block already mapped is skipped."""
-        h = img[hub] * v
-        while i < len(star):
-            bid = star[i]
-            i += 1
-            blk = blocks[bid]
-            mapped = list(map(image_of, blk))
-            free = mapped.count(-1)
-            if not free:
-                continue
-            s = sig(bid)
-            # τ(blk) joins τ(hub) to the image of another point of blk: a
-            # mapped one if there is one, else some free point of its c-line
-            if len(blk) - free > 1:
-                zs = [next(w for y, w in zip(blk, mapped) if w != -1 and y != hub)]
-            else:
-                zs = [z for z in blocks[line_of[blk[0] if blk[0] != hub else blk[1]]]
-                      if pre[z] == -1]
-            es = [e for z in zs if (e := pair_block[h + z]) >= 0 and sig(e) == s]
-            if len(es) != 1:
-                break
-            if not fill(bid, es[0]):
-                return
-        else:
-            search()
-            return
-        for e in es:  # each branch is checked against the blocks it meets
-            mark = len(trail)
-            if fill(bid, e) and agrees(bid):
-                walk(hub, star, i)
-            undo(mark)
-
     def star(p: int) -> list[int]:
         lp = line_of[p]
         return [bid for bid in point_blocks[p] if bid != lp]
@@ -231,33 +199,67 @@ def _search_translations(U: Unital, c: int) -> list[Perm]:
             fixed.add(z)
         return True
 
-    def search() -> None:
-        if -1 not in img:
-            results.append(tuple(img))
-            return
-        z = img.index(-1)
-        if trail:
-            # a mapped point joined to z maps z through its star
-            for bid in point_blocks[z]:
-                if bid != line_of[z]:
-                    hub = next((x for x in blocks[bid] if img[x] != -1), -1)
-                    if hub != -1:
-                        walk(hub, star(hub), 0)
-                        return
-        # z is the hub: try every free point of its c-line as its image
-        todo = star(z)
-        for w in blocks[line_of[z]]:
-            if pre[w] == -1:
-                if w == z and not trail and only_identity_fixes(z):
-                    continue
-                mark = len(trail)
-                img[z] = w
-                pre[w] = z
-                trail.append(z)
-                walk(z, todo, 0)
-                undo(mark)
+    # depth-first, one level per choice: its untried images, the trail mark
+    # they undo to, the hub, its star, the index of the star's next block,
+    # and the block whose image is chosen, or -1 for the hub's own image
+    levels: list[tuple[Iterator[int], int, int, list[int], int, int]] = []
 
-    search()
+    def walk(hub: int, todo: list[int], i: int) -> None:
+        """Map the blocks todo[i:] through the hub, then each free point
+        through the star of a mapped point joined to it, until the candidate
+        is complete, dead, or at a choice, which becomes a level."""
+        while True:
+            h = img[hub] * v
+            while i < len(todo):
+                bid = todo[i]
+                i += 1
+                blk = blocks[bid]
+                mapped = list(map(image_of, blk))
+                free = mapped.count(-1)
+                if not free:
+                    continue
+                s = sig(bid)
+                # τ(blk) joins τ(hub) to the image of another point of blk: a
+                # mapped one if there is one, else some free point of its c-line
+                if len(blk) - free > 1:
+                    zs = [next(w for y, w in zip(blk, mapped) if w != -1 and y != hub)]
+                else:
+                    zs = [z for z in blocks[line_of[blk[0] if blk[0] != hub else blk[1]]]
+                          if pre[z] == -1]
+                es = [e for z in zs if (e := pair_block[h + z]) >= 0 and sig(e) == s]
+                if len(es) != 1:  # a choice, dead if there is no image
+                    levels.append((iter(es), len(trail), hub, todo, i, bid))
+                    return
+                if not fill(bid, es[0]):
+                    return
+            if -1 not in img:
+                results.append(tuple(img))
+                return
+            z = img.index(-1)
+            # a mapped point joined to z maps z through its star
+            hub = next((x for bid in point_blocks[z] if bid != line_of[z]
+                        for x in blocks[bid] if img[x] != -1), -1)
+            if hub == -1:  # z is the hub: try every free point of its c-line
+                ws = [w for w in blocks[line_of[z]] if pre[w] == -1
+                      and not (w == z and not trail and only_identity_fixes(z))]
+                levels.append((iter(ws), len(trail), z, star(z), 0, -1))
+                return
+            todo, i = star(hub), 0
+
+    walk(c, [], 0)
+    while levels:  # the next untried image of the top level, backing up when it runs out
+        untried, mark, hub, todo, i, bid = levels[-1]
+        undo(mark)
+        w = next(untried, None)
+        if w is None:
+            levels.pop()
+        elif bid == -1:
+            img[hub] = w
+            pre[w] = hub
+            trail.append(hub)
+            walk(hub, todo, i)
+        elif fill(bid, w) and agrees(bid):  # checked against the blocks it meets
+            walk(hub, todo, i)
     return results
 
 
@@ -270,16 +272,15 @@ def translations_at(U: Unital, c: int) -> list[tuple[Perm, int]]:
     branching where a block has several possible images, and keeps each
     candidate other than the identity that ``is_translation`` accepts.  It
     reads block images off the pair table, so a point sharing no block with
-    c, or a pair of points on two blocks, is a ``ValueError`` (checked in
-    that order).
+    c, or a pair of points on two blocks, is a ``ValueError``, checked in
+    that order and the first before the table is built.
     """
     v = U.v
     if not 0 <= c < v:
         raise ValueError(f"center {c} out of range")
-    row = U.pair_table[c * v:(c + 1) * v]
-    row[c] = 0  # the center shares every block with itself
-    if -1 in row:
-        raise ValueError(f"point {row.index(-1)} shares no block with center {c}")
+    joined = {c}.union(*map(U.blocks.__getitem__, U.point_blocks[c]))
+    if len(joined) < v:
+        raise ValueError(f"point {min(set(range(v)) - joined)} shares no block with center {c}")
     double = U.doubly_covered_pair
     if double is not None:
         raise ValueError(f"pair {double} lies on more than one block")

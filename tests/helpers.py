@@ -826,6 +826,19 @@ def pg_design(q: int) -> Unital:
     return Unital(len(plane.points_on), plane.points_on, q)
 
 
+def rigid_components(m: int = 600) -> Unital:
+    """Point 0 and m six-point components, each with the blocks {0, a, a+1},
+    {0, a+2, a+3}, {0, a+4, a+5} and {a, a+2, a+4} for a = 1, 7, 13, ….
+    Only blocks through 0 join two components, so at center 0 the
+    translation search takes a hub in each, one level apiece: with the
+    default m, 3601 points and more levels than the recursion limit allows
+    frames.  Point 4 shares no block with center 1."""
+    blocks = []
+    for a in range(1, 6 * m, 6):
+        blocks += [(0, a, a + 1), (0, a + 2, a + 3), (0, a + 4, a + 5), (a, a + 2, a + 4)]
+    return Unital(6 * m + 1, blocks, 2)
+
+
 def failure_table_atlas(h2: Unital) -> TranslationAtlas:
     """A hand-built table on the 9 points of H(2) with translations that
     break each congruence rule: a second fixed point (center 0), a cycle

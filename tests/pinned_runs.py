@@ -50,6 +50,10 @@ PINS = [
     # the report is written in 64 KiB pieces: about 1 s, 39 MB
     (["translations", "--q", "8"], 30, 100,
      "24474f557c2a88f0f38d3c5f595e1e6bfbbd76a005a65aa8eae7d7a3ae8b44f2", {}),
+    # 600 components joined only at point 0, one search level each: more
+    # levels than the recursion limit allows frames: about 0.4 s, 128 MB
+    (["translations", "--center", "0", "--in", "{dir}/rigid.txt"], 30, 200, None,
+     {"group_order": 1}),
 ]
 
 
@@ -68,6 +72,10 @@ def run(argv: list[str], timeout: int) -> tuple[int, float, float]:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "one-block.txt").write_text("unital v=4914 k=3\n0 1 2\n")
+        # blocks {0, a, a+1}, {0, a+2, a+3}, {0, a+4, a+5}, {a, a+2, a+4}, a = 1, 7, 13, …
+        rigid = [f"0 {a} {a + 1}\n0 {a + 2} {a + 3}\n0 {a + 4} {a + 5}\n{a} {a + 2} {a + 4}\n"
+                 for a in range(1, 3601, 6)]
+        Path(tmp, "rigid.txt").write_text("unital v=3601 k=3\n" + "".join(rigid))
         out = Path(tmp, "out.json")
         for command, timeout, max_mb, sha256, fields in PINS:
             argv = [a.format(dir=tmp) for a in command] + ["--out", str(out)]

@@ -168,7 +168,7 @@ def test_c08_doubled_quadrilateral_dichotomy(h2, h3, fig):
 def test_c09_twisted_plane_end_to_end(fig, fig_atlas):
     # construction would have raised on any projective-axiom or polarity
     # failure; restate the headline facts from the verification report
-    assert fig.plane.order == 64
+    assert fig.plane.classical.order == 64
     assert type_counts(fig.plane) == {"I": 21, "II": 1260, "III": 2880}
     assert (fig.unital.v, len(fig.unital.blocks)) == (513, 3648)
 

@@ -12,7 +12,6 @@ from unitals.permgroup import (
     generalized_dihedral_check,
     identity_perm,
     inverse,
-    is_involution,
     is_transitive,
     is_two_transitive,
     orbit,
@@ -81,8 +80,8 @@ def test_perm_cycles():
     assert perm_cycles((1, 0, 3, 4, 2)) == [(0, 1), (2, 3, 4)]
     assert perm_cycles(identity_perm(3)) == []
     assert fixed_points((1, 0, 2)) == (2,)
-    assert is_involution((1, 0, 2)) and not is_involution((1, 2, 0))
-    assert not is_involution(identity_perm(3))
+    assert perm_order((1, 0, 2)) == 2 and perm_order((1, 2, 0)) != 2
+    assert perm_order(identity_perm(3)) != 2
 
 
 def test_validate_perm():

@@ -19,13 +19,14 @@ from helpers import (
     pg_design,
     pointwise_stabilizer,
     relabel,
+    rigid_components,
     sampled_centers,
     search_translations_raw,
     translation_transitivity_check_raw,
     translations_raw,
 )
 from unitals.analysis import constant_intersection_check
-from unitals.incidence import Unital, parse_unital
+from unitals.incidence import MAX_FILE_POINTS, Unital, format_unital, parse_unital
 from unitals.gf import prime_power
 from unitals.plane import hermitian_unital
 from unitals.permgroup import (
@@ -423,13 +424,33 @@ def test_center_out_of_range(h2):
     ("unital v=7 k=3\n0 2 3\n1 4 5\n3 4 6\n", 3, 1),
     # the one lone point, after the center
     ("unital v=8 k=3\n0 1 3\n2 3 4\n3 5 6\n", 3, 7),
+    # the largest files accepted, with no block and with one
+    (f"unital v={MAX_FILE_POINTS} k=3\n", 0, 1),
+    (f"unital v={MAX_FILE_POINTS} k=3\n0 1 2\n", 5, 0),
 ])
 def test_point_sharing_no_block_with_the_center(text, center, lone):
+    """The points joined to the center are read off its blocks, so the
+    input is refused without the pair table's v² entries."""
     U = parse_unital(text)
     with pytest.raises(ValueError, match=f"^point {lone} shares no block with center {center}$"):
         translations_at(U, center)
     with pytest.raises(ValueError):
         build_atlas(U)
+    assert "_pair_coverage" not in vars(U)
+
+
+def test_a_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """One level per component at center 0: the search is a loop over
+    levels, so its depth is bounded by no stack.  Center 1 then refuses the
+    design as input."""
+    import unitals.cli as cli
+
+    U = rigid_components()
+    assert translations_at(U, 0) == []
+    path = tmp_path / "rigid.txt"
+    path.write_text(format_unital(U))
+    assert cli.main(["translations", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: point 4 shares no block with center 1\n")
 
 
 def test_pair_on_two_blocks_is_an_input_error():
